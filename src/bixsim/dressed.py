@@ -48,6 +48,7 @@ __all__ = [
 # basis order of the emitter block used by this module
 _LEVELS = ("G", "Y", "X", "XX")
 _G, _Y, _X, _XX = 0, 1, 2, 3
+_D4_TOL = 1e-9  # |delta4| (ueV) up to which the closed form is used
 
 
 @dataclass(frozen=True)
@@ -240,16 +241,14 @@ def _numerical(det: DetuningSet, drive: DriveParams):
     return np.array([lam1, det.delta2, lam3, lam4]), vectors
 
 
-def dressed_eigenvalues(
-    det: DetuningSet, drive: DriveParams, d4_tol: float = 1e-9
-) -> DressedSolution:
+def dressed_eigenvalues(det: DetuningSet, drive: DriveParams) -> DressedSolution:
     """Dressed energies and states of the emitter block.
 
-    Uses the closed form at two-photon resonance (|d4| <= d4_tol) and falls
+    Uses the closed form at two-photon resonance (|d4| <= 1e-9) and falls
     back to numerical diagonalization otherwise; the `numerical` flag on the
     result records which branch ran.
     """
-    if abs(det.delta4) <= d4_tol:
+    if abs(det.delta4) <= _D4_TOL:
         vals, vecs = _closed_form(det, drive)
         numerical = False
     else:

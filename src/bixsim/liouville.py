@@ -17,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigurationError, SolverError
 from .hilbert import is_hermitian
+
+_HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
+_RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
+_STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
 
 __all__ = [
     "vec",
@@ -32,7 +35,6 @@ __all__ = [
     "hamiltonian_superop",
     "liouvillian",
     "steady_state",
-    "validate_density_matrix",
     "SpectrumResult",
     "regression_spectrum",
     "emission_spectrum",
@@ -93,17 +95,16 @@ def liouvillian(
     h: np.ndarray,
     dissipators: list[np.ndarray] | None = None,
     extra_terms: list[np.ndarray] | None = None,
-    hermit_rtol: float = 1e-12,
 ) -> np.ndarray:
     """Assemble L rho = -i[H, rho] + sum of dissipator superoperators.
 
     `dissipators` are pre-built superoperators (e.g. from
     `lindblad_dissipator`); `extra_terms` allows non-Lindblad but
     trace-preserving contributions such as a polaron scattering block.
-    Raises if H is not Hermitian within `hermit_rtol`.
+    Raises if H is not Hermitian to a relative 1e-12.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, rtol=hermit_rtol):
+    if not is_hermitian(h, rtol=_HERMIT_RTOL):
         raise ConfigurationError("Hamiltonian is not Hermitian within tolerance")
     liouv = hamiltonian_superop(h)
     for term in dissipators or []:
@@ -113,17 +114,13 @@ def liouvillian(
     return liouv
 
 
-def steady_state(
-    liouv: np.ndarray,
-    kernel_rtol: float = 1e-10,
-    residual_tol: float = 1e-9,
-) -> np.ndarray:
+def steady_state(liouv: np.ndarray, kernel_rtol: float = 1e-10) -> np.ndarray:
     """Steady-state density matrix from the kernel of the Liouvillian.
 
     The kernel is located by SVD.  Raises SolverError if the kernel is
     empty or degenerate at the given relative tolerance, if the kernel
     vector is traceless, or if the final residual ||L vec(rho)|| exceeds
-    `residual_tol`.
+    1e-9.
     """
     liouv = np.asarray(liouv, dtype=complex)
     _, s, vh = np.linalg.svd(liouv)
@@ -147,34 +144,11 @@ def steady_state(
         raise SolverError("kernel vector is traceless; no physical steady state")
     rho = rho / tr
     residual = np.linalg.norm(liouv @ vec(rho))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
     return rho
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    hermit_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> None:
-    """Raise SolverError unless rho is Hermitian, unit trace and positive.
-
-    Small negative eigenvalues above `eig_floor` are tolerated as numerical
-    noise.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    herm = np.linalg.norm(rho - rho.conj().T)
-    if herm > hermit_tol:
-        raise SolverError(f"density matrix not Hermitian: deviation {herm:.3e}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise SolverError(f"density matrix trace {tr!r} deviates from 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < eig_floor:
-        raise SolverError(f"density matrix eigenvalue {w.min():.3e} below floor")
 
 
 @dataclass(frozen=True)
@@ -206,78 +180,80 @@ def _trace_row(a: np.ndarray) -> np.ndarray:
 
 def regression_spectrum(
     liouv: np.ndarray,
-    op_a: np.ndarray,
-    op_b: np.ndarray,
+    pairs,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
-    keep_coherent: bool = False,
-    steady_tol: float = 1e-8,
 ) -> np.ndarray:
-    """Quantum-regression spectrum S(w) = Re Int_0^inf dt e^{iwt} <A(t) B(0)>.
+    """Summed quantum-regression spectrum of a sequence of (A, B) pairs.
 
-    Evaluated without time stepping through the resolvent,
-    S(w) = Re Tr[A (-iw - L)^{-1} vec(B rho_ss)], using one
-    eigendecomposition of L for the whole grid.  By default the component
-    of B rho_ss along the Liouvillian kernel is projected out, which removes
-    the elastic (delta-function) line and leaves the incoherent spectrum;
-    pass keep_coherent=True to retain it.
+    Returns S(w) = Sum_(A, B) Re Int_0^inf dt e^{iwt} <A(t) B(0)>, evaluated
+    without time stepping through the resolvent,
+    S(w) = Sum Re Tr[A (-iw - L)^{-1} vec(B rho_ss)].  One eigendecomposition
+    of L serves every pair and every grid frequency.  The component of each
+    B rho_ss along the Liouvillian kernel is projected out, which removes
+    the elastic (delta-function) line and leaves the incoherent spectrum.
 
-    Raises SolverError if rho_ss is not stationary under L or if some grid
-    frequency coincides with an undamped Liouvillian eigenvalue (add
-    dissipation to every channel before asking for a spectrum).
+    Raises SolverError if rho_ss is not stationary under L, if the
+    eigenbasis of L is singular, or if some grid frequency coincides with an
+    undamped Liouvillian eigenvalue (add dissipation to every channel before
+    asking for a spectrum).
     """
     liouv = np.asarray(liouv, dtype=complex)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
     scale = max(np.linalg.norm(liouv), 1.0)
-    if np.linalg.norm(liouv @ rho_v) > steady_tol * scale:
+    if np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
         raise SolverError("rho_ss is not a steady state of the given Liouvillian")
 
-    start = vec(np.asarray(op_b, dtype=complex) @ np.asarray(rho_ss, dtype=complex))
-    if not keep_coherent:
-        # left kernel of a trace-preserving L is the trace functional, so the
-        # kernel component of B rho_ss has coefficient Tr(B rho_ss)
-        start = start - np.trace(op_b @ rho_ss) * rho_v
+    # left kernel of a trace-preserving L is the trace functional, so the
+    # kernel component of B rho_ss has coefficient Tr(B rho_ss)
+    starts = []
+    for _, op_b in pairs:
+        b_rho = np.asarray(op_b, dtype=complex) @ rho_ss
+        starts.append(vec(b_rho) - np.trace(b_rho) * rho_v)
+    rows = np.array([_trace_row(op_a) for op_a, _ in pairs])
 
     evals, vecs = np.linalg.eig(liouv)
     try:
-        amp = np.linalg.solve(vecs, start)
+        amp = np.linalg.solve(vecs, np.column_stack(starts))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Liouvillian eigenbasis is singular: {exc}") from exc
-    weights = (_trace_row(op_a) @ vecs) * amp
+    weights = np.sum((rows @ vecs) * amp.T, axis=0)
 
-    out = np.empty(omega_grid.size, dtype=float)
-    for i, w in enumerate(omega_grid):
-        denom = -1j * w - evals
-        bad = np.abs(denom) < 1e-12 * scale
-        if np.any(bad & (np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0))):
-            raise SolverError(
-                f"resolvent singular at omega={w:g}: an undamped eigenvalue "
-                "coincides with the grid; every channel needs nonzero dissipation"
-            )
-        out[i] = np.sum(weights / np.where(bad, np.inf, denom)).real
-    return out
+    # resolvent[i, n] = weights[n] / (-i w_i - evals[n]), built in place
+    resolvent = -1j * omega_grid[:, None] - evals
+    bad = np.abs(resolvent) < 1e-12 * scale
+    live = np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0)
+    hit = np.any(bad & live, axis=1)
+    if np.any(hit):
+        raise SolverError(
+            f"resolvent singular at omega={omega_grid[np.argmax(hit)]:g}: an "
+            "undamped eigenvalue coincides with the grid; every channel needs "
+            "nonzero dissipation"
+        )
+    resolvent[bad] = np.inf
+    np.divide(weights, resolvent, out=resolvent)
+    return resolvent.sum(axis=1).real
 
 
 def emission_spectrum(
     liouv: np.ndarray,
-    lowering_op: np.ndarray,
+    lowering_ops,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
-    keep_coherent: bool = False,
 ) -> np.ndarray:
-    """Normal-ordered emission spectrum of a source with lowering operator s.
+    """Summed normal-ordered emission spectrum of a sequence of sources.
 
-    Returns Re Int_0^inf dt e^{iwt} <s+(0) s(t)>_ss on `omega_grid`, which
-    is the regression spectrum of (A, B) = (s+, s) evaluated at -w.  With
-    this orientation a transition above the laser appears at positive
-    offset, so red/blue asymmetries read off the grid directly.
+    Returns Sum_s Re Int_0^inf dt e^{iwt} <s+(0) s(t)>_ss on `omega_grid`
+    for the lowering operators s, which is the regression spectrum of the
+    pairs (A, B) = (s+, s) evaluated at -w.  With this orientation a
+    transition above the laser appears at positive offset, so red/blue
+    asymmetries read off the grid directly.
     """
-    s = np.asarray(lowering_op, dtype=complex)
+    ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    return regression_spectrum(
-        liouv, s.conj().T, s, rho_ss, -grid, keep_coherent=keep_coherent
-    )
+    return regression_spectrum(liouv, [(s.conj().T, s) for s in ops], rho_ss, -grid)
 
 
 def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:
@@ -293,8 +269,3 @@ def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:
         "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()),
         "residual": float(np.linalg.norm(np.asarray(liouv) @ vec(rho))),
     }
-
-
-def propagate(liouv: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve rho0 for time t under L by dense matrix exponential."""
-    return unvec(sla.expm(np.asarray(liouv) * t) @ vec(rho0))

@@ -25,7 +25,7 @@ covers all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +44,8 @@ __all__ = [
     "build_kernels",
     "polaron_dissipator",
 ]
+
+_N_NODES = 800  # Gauss-Legendre nodes for tabulating phi(t)
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,13 @@ class PhononKernels:
     """Tabulated bath correlations used by the scattering term.
 
     phi_t holds phi on the uniform grid t_grid; bracket_b is the
-    single-displacement renormalization; rate_table caches the two
-    second-order correlation functions for one displacement unit.
+    single-displacement renormalization.
     """
 
     params: PhononParams
     t_grid: np.ndarray
     phi_t: np.ndarray
     bracket_b: float
-    rate_table: dict = field(default_factory=dict)
 
     def bracket(self, factor: float) -> float:
         """<B> for a transition with the given displacement factor."""
@@ -188,13 +188,12 @@ def build_kernels(
     params: PhononParams,
     t_max: float | None = None,
     n_t: int = 1601,
-    n_nodes: int = 800,
 ) -> PhononKernels:
     """Tabulate phi(t) once per parameter set (cached, immutable result).
 
     The time grid extends to t_max (default 10 / omega_b, by which the
     Gaussian cutoff has damped the correlation far below 1e-8); tabulation
-    uses fixed-order Gauss-Legendre quadrature in omega, cross-checked
+    uses 800-node Gauss-Legendre quadrature in omega, cross-checked
     against the adaptive scalar integral in the test suite.  Raises
     SolverError when the correlation has not decayed at the end of the grid.
     """
@@ -205,37 +204,31 @@ def build_kernels(
     t_grid = np.linspace(0.0, t_max, n_t)
 
     if params.alpha_p_ps2 == 0.0:
-        phi_t = np.zeros(n_t, dtype=complex)
-        kern = PhononKernels(params, t_grid, phi_t, 1.0)
+        return PhononKernels(params, t_grid, np.zeros(n_t, dtype=complex), 1.0)
+
+    cut = 12.0 * params.omega_b
+    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
+    w = 0.5 * cut * (nodes + 1.0)
+    wts = 0.5 * cut * weights
+
+    a = params.alpha_p
+    gauss = a * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+    if params.temperature == 0.0:
+        thermal = np.ones_like(w)
     else:
-        cut = 12.0 * params.omega_b
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        w = 0.5 * cut * (nodes + 1.0)
-        wts = 0.5 * cut * weights
-
-        a = params.alpha_p
-        gauss = a * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
-        if params.temperature == 0.0:
-            thermal = np.ones_like(w)
-        else:
-            x = w / (2.0 * K_B_UEV_PER_K * params.temperature)
-            thermal = np.where(x < 1e-6, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
-                               1.0 / np.tanh(np.where(x > 0, x, 1.0)))
-        phase = w[None, :] * t_grid[:, None]
-        re = np.cos(phase) @ (wts * gauss * thermal)
-        im = -np.sin(phase) @ (wts * gauss)
-        phi_t = re + 1j * im
-        if abs(phi_t[-1]) > 1e-8:
-            raise SolverError(
-                f"phonon correlation not converged: |phi({t_max:g})| = "
-                f"{abs(phi_t[-1]):.3e} > 1e-8; extend t_max"
-            )
-        kern = PhononKernels(params, t_grid, phi_t, math.exp(-0.5 * phi_t[0].real))
-
-    g_uniform, u_uniform = kern.correlations(1.0, 1.0)
-    kern.rate_table["g"] = g_uniform
-    kern.rate_table["u"] = u_uniform
-    return kern
+        x = w / (2.0 * K_B_UEV_PER_K * params.temperature)
+        thermal = np.where(x < 1e-6, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
+                           1.0 / np.tanh(np.where(x > 0, x, 1.0)))
+    phase = w[None, :] * t_grid[:, None]
+    re = np.cos(phase) @ (wts * gauss * thermal)
+    im = -np.sin(phase) @ (wts * gauss)
+    phi_t = re + 1j * im
+    if abs(phi_t[-1]) > 1e-8:
+        raise SolverError(
+            f"phonon correlation not converged: |phi({t_max:g})| = "
+            f"{abs(phi_t[-1]):.3e} > 1e-8; extend t_max"
+        )
+    return PhononKernels(params, t_grid, phi_t, math.exp(-0.5 * phi_t[0].real))
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

@@ -244,12 +244,37 @@ def config_to_dict(cfg: SystemConfig) -> dict:
     return walk(raw)
 
 
-def _decode_complex(v):
-    if v is None or isinstance(v, (int, float)):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _decode_complex(name, v):
+    if v is None or _is_number(v):
         return v
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
-    raise ConfigurationError(f"cannot parse complex amplitude from {v!r}")
+    raise ConfigurationError(f"cannot parse complex amplitude {name} from {v!r}")
+
+
+# field annotation -> (accepts a parsed JSON value, what it must be)
+_VALUE_CHECKS = {
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_values(cls, data: dict) -> None:
+    """Reject values whose JSON type does not match the field annotation."""
+    types = {f.name: f.type for f in fields(cls)}
+    for name, value in data.items():
+        check = _VALUE_CHECKS.get(types[name])
+        if check is not None and not check[0](value):
+            raise ConfigurationError(
+                f"{cls.__name__}.{name} must be {check[1]}, got {value!r}"
+            )
 
 
 def _build_dataclass(cls, data: dict):
@@ -259,6 +284,7 @@ def _build_dataclass(cls, data: dict):
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} for {cls.__name__}"
         )
+    _check_values(cls, data)
     return cls(**data)
 
 
@@ -293,12 +319,13 @@ def config_from_dict(data: dict) -> SystemConfig:
         sub = dict(sub)
         for k in ("eta1", "eta2"):
             if k in sub:
-                sub[k] = _decode_complex(sub[k])
+                sub[k] = _decode_complex(k, sub[k])
         kwargs["drive"] = _build_dataclass(DriveConfig, sub)
     top = {f.name for f in fields(SystemConfig)}
     unknown = set(data) - top
     if unknown:
         raise ConfigurationError(f"unknown top-level config key(s) {sorted(unknown)}")
+    _check_values(SystemConfig, data)
     kwargs.update(data)
     try:
         return SystemConfig(**kwargs)
@@ -531,29 +558,24 @@ def source_operator(cfg: SystemConfig, which: str | None = None) -> np.ndarray:
     raise ConfigurationError(f"unknown source {which!r}")
 
 
-def compute_spectrum_y(cfg: SystemConfig, keep_coherent: bool = False) -> SpectrumResult:
+def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     """Stationary y-polarized emission spectrum of the driven system.
 
     Builds the Liouvillian, solves for the steady state, and evaluates the
     normal-ordered emission spectrum of the configured source on the
     configured grid.  Positive offsets are above the laser.  The elastic
-    line is removed unless keep_coherent is set; tiny negative values from
-    the resolvent are clamped to zero.  With source="both" the dipole and
-    cavity spectra are summed before normalization.
+    line is removed; tiny negative values from the resolvent are clamped to
+    zero.  With source="both" the dipole and cavity spectra are summed
+    before normalization, from one eigendecomposition of the Liouvillian.
     """
     liouv = assemble_liouvillian(cfg)
     rho_ss = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol)
     n = cfg.numerics
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
-    sources = ["y-dipole", "y-cavity"] if cfg.source == "both" else [cfg.source]
-    total = np.zeros(grid.size)
-    for which in sources:
-        raw = emission_spectrum(
-            liouv, source_operator(cfg, which), rho_ss, grid, keep_coherent
-        )
-        total = total + raw
-    total = np.clip(total, 0.0, None)
+    sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
+    ops = [source_operator(cfg, which) for which in sources]
+    total = np.clip(emission_spectrum(liouv, ops, rho_ss, grid), 0.0, None)
     if cfg.normalize and total.max() > 0.0:
         total = total / total.max()
 
@@ -563,7 +585,6 @@ def compute_spectrum_y(cfg: SystemConfig, keep_coherent: bool = False) -> Spectr
         "phonons": bool(cfg.phonon.enable and cfg.phonon.alpha_p > 0.0),
         "normalized": bool(cfg.normalize),
         "laser_detuning": cfg.laser_detuning,
-        "keep_coherent": bool(keep_coherent),
         "tool": f"bixsim {_version}",
     }
     return SpectrumResult(omega_offsets=grid, intensity=total, metadata=meta)

@@ -106,7 +106,7 @@ def _mollow_sidebands(enable_phonons):
     rho = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol)
     lowering = embed_qd_transition(HilbertSpec(0), "X", "G")
     grid = np.linspace(-400.0, 400.0, 2001)
-    y = np.clip(emission_spectrum(liouv, lowering, rho, grid), 0.0, None)
+    y = np.clip(emission_spectrum(liouv, [lowering], rho, grid), 0.0, None)
     rep = extract_peaks(SpectrumResult(grid, y / y.max(), {}))
     side = [(p, h) for p, h in zip(rep.positions, rep.heights) if abs(p) > 50.0]
     assert len(side) == 2

@@ -107,7 +107,7 @@ def test_check_passes_on_baseline(capsys):
     rc = main(["check", "--grid", "201", "--phonons", "off"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert "6/6 checks passed" in out
+    assert "2/2 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -166,3 +166,23 @@ def test_bad_grid_value(fast_config_path, capsys):
     rc = main(["dressed", "--config", fast_config_path, "--grid", "2"])
     assert rc == EXIT_CONFIG
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "laser_detuning", "abc"),
+        ("energies", "omega_x", "990"),
+        ("numerics", "n_max_y", 1.5),
+        ("drive", "eta1", [30.0, "4"]),
+    ],
+)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, section, key, value):
+    d = config_to_dict(default_config())
+    (d[section] if section else d)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err

@@ -11,7 +11,6 @@ from bixsim.liouville import (
     hamiltonian_superop,
     lindblad_dissipator,
     liouvillian,
-    propagate,
     regression_spectrum,
     sandwich,
     solver_hygiene,
@@ -19,11 +18,33 @@ from bixsim.liouville import (
     spre,
     steady_state,
     unvec,
-    validate_density_matrix,
     vec,
 )
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
+
+
+def propagate(liouv, rho0, t):
+    """Evolve rho0 for time t under L by dense matrix exponential."""
+    return unvec(expm(np.asarray(liouv) * t) @ vec(rho0))
+
+
+def validate_density_matrix(rho, hermit_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
+    """Raise SolverError unless rho is Hermitian, unit trace and positive.
+
+    Small negative eigenvalues above `eig_floor` are tolerated as numerical
+    noise.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    herm = np.linalg.norm(rho - rho.conj().T)
+    if herm > hermit_tol:
+        raise SolverError(f"density matrix not Hermitian: deviation {herm:.3e}")
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > trace_tol:
+        raise SolverError(f"density matrix trace {tr!r} deviates from 1")
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if w.min() < eig_floor:
+        raise SolverError(f"density matrix eigenvalue {w.min():.3e} below floor")
 
 
 def driven_tls(delta, eta, gamma):
@@ -128,7 +149,7 @@ def test_regression_spectrum_against_time_integration():
     liouv = driven_tls(0.0, eta, gamma)
     rho = steady_state(liouv)
     grid = np.linspace(-4.0, 4.0, 41)
-    s_res = regression_spectrum(liouv, SIGMA.conj().T, SIGMA, rho, grid)
+    s_res = regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho, grid)
 
     start = SIGMA @ rho - np.trace(SIGMA @ rho) * rho
     taus = np.linspace(0.0, 120.0, 24001)
@@ -149,7 +170,7 @@ def test_mollow_triplet_structure():
     liouv = driven_tls(0.0, eta, gamma)
     rho = steady_state(liouv)
     grid = np.linspace(-8.0, 8.0, 1601)
-    s = emission_spectrum(liouv, SIGMA, rho, grid)
+    s = emission_spectrum(liouv, [SIGMA], rho, grid)
     assert np.all(np.isfinite(s))
     assert np.all(np.isreal(s))
     # sidebands sit at +-2 eta, symmetric without phonons
@@ -171,7 +192,7 @@ def test_spectrum_requires_damping():
     rho = np.diag([0.4, 0.6]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 21)  # includes the undamped Bohr frequency
     with pytest.raises(SolverError, match="dissipation"):
-        regression_spectrum(liouv, SIGMA.conj().T, SIGMA, rho, grid)
+        regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho, grid)
 
 
 def test_spectrum_rejects_nonstationary_state():
@@ -179,7 +200,7 @@ def test_spectrum_rejects_nonstationary_state():
     rho_bad = np.diag([1.0, 0.0]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 11)
     with pytest.raises(SolverError, match="steady state"):
-        regression_spectrum(liouv, SIGMA.conj().T, SIGMA, rho_bad, grid)
+        regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho_bad, grid)
 
 
 def test_solver_hygiene_report():

@@ -8,7 +8,8 @@ import pytest
 
 from bixsim.dressed import dressed_eigenvalues, transition_catalog
 from bixsim.errors import ConfigurationError
-from bixsim.liouville import steady_state
+from bixsim.hilbert import HilbertSpec, identity
+from bixsim.liouville import steady_state, unvec, vec
 from bixsim.system import (
     Rates,
     SystemConfig,
@@ -25,6 +26,7 @@ from bixsim.system import (
     drive_params,
     load_config,
     save_config,
+    source_operator,
     two_photon_laser_detuning,
 )
 
@@ -225,3 +227,56 @@ def test_packaged_baseline_loads():
     assert cfg.phonon.enable
     sol = dressed_eigenvalues(detunings(cfg), drive_params(cfg))
     assert -sol.eigenvalues[3] == pytest.approx(80.0, abs=1e-6)
+
+
+def test_both_sources_match_per_frequency_direct_solve():
+    # oracle: rho_ss from the bordered system [[L, t+], [t, 0]] and one
+    # solve of (i w - L) per grid point, summed over both sources
+    base = default_config()
+    cfg = replace(
+        base,
+        drive=replace(base.drive, omega=252.83669951857598),
+        numerics=replace(base.numerics, n_max_y=2, n_omega=201),
+        source="both",
+        normalize=False,
+    )
+    assert cfg.phonon.enable
+    res = compute_spectrum_y(cfg)
+
+    liouv = assemble_liouvillian(cfg)
+    d2 = liouv.shape[0]
+    trace = vec(identity(HilbertSpec(2)))
+    bordered = np.zeros((d2 + 1, d2 + 1), dtype=complex)
+    bordered[:d2, :d2] = liouv
+    bordered[:d2, d2] = trace.conj()
+    bordered[d2, :d2] = trace
+    rhs = np.zeros(d2 + 1, dtype=complex)
+    rhs[d2] = 1.0
+    rho = unvec(np.linalg.solve(bordered, rhs)[:d2])
+
+    checked = np.abs(res.omega_offsets) > 1e-9  # L is singular at w = 0
+    oracle = np.zeros(int(checked.sum()))
+    for which in ("y-dipole", "y-cavity"):
+        s = source_operator(cfg, which)
+        s_rho = s @ rho
+        start = vec(s_rho) - np.trace(s_rho) * vec(rho)
+        for k, w in enumerate(res.omega_offsets[checked]):
+            x = unvec(np.linalg.solve(1j * w * np.eye(d2) - liouv, start))
+            oracle[k] += np.trace(s.conj().T @ x).real
+    oracle = np.clip(oracle, 0.0, None)
+    err = np.max(np.abs(res.intensity[checked] - oracle)) / np.max(oracle)
+    assert err < 1e-10
+
+
+@pytest.mark.parametrize("source", ["y-dipole", "y-cavity", "both"])
+def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    compute_spectrum_y(fast_config(source=source))
+    assert len(calls) == 1
