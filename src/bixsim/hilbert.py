@@ -66,6 +66,28 @@ class HilbertSpec:
             )
         return self.level_index(level) * self.n_ph + n_photon
 
+    def parity(self) -> np.ndarray:
+        """P = (-1)^(n_y + [Y]) of every basis state, as +1 / -1 ints.
+
+        The Hamiltonian and every dissipator of the model commute with
+        rho -> P rho P (a weak Z2 symmetry): each coherent coupling and each
+        jump operator either keeps P or flips it.
+        """
+        n = np.arange(self.n_ph)
+        is_y = np.arange(len(QD_LEVELS)) == self.level_index("Y")
+        return np.where((is_y[:, None] + n[None, :]) % 2, -1, 1).reshape(-1)
+
+    def parity_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column-stacked vec indices of the even and odd sectors of rho.
+
+        rho[i, j] (vec index i + dim * j) is even when P_i P_j = +1.  The
+        generator never couples the two sectors: the steady state lies in
+        the even one and s rho_ss, for a P-odd source s, in the odd one.
+        """
+        p = self.parity()
+        even = (p[:, None] * p[None, :]).reshape(-1, order="F") > 0
+        return np.flatnonzero(even), np.flatnonzero(~even)
+
 
 def qd_operator(spec: HilbertSpec, mat4: np.ndarray) -> np.ndarray:
     """Embed a 4x4 emitter operator as mat4 (x) identity on the photon space."""

@@ -10,6 +10,11 @@ The Lindblad dissipator convention is
 
 so `rate` is the full population decay rate of the channel (a two-level
 excited state decays as exp(-rate * t), its coherence as exp(-rate * t / 2)).
+
+`steady_state` and `regression_spectrum` take an optional `block`: the vec
+indices of a sector that L leaves invariant, such as a parity block of a
+weak Z2 symmetry.  They then decompose only that square block of L, after
+checking that L does not couple it to the rest of the space.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .hilbert import is_hermitian
 _HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
 _RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
 _STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
+_KERNEL_RTOL = 1e-10  # singular value or |eigenvalue| counted as kernel, relative
+_BLOCK_RTOL = 1e-12  # entries coupling a block to the rest, relative to max|L|
 
 __all__ = [
     "vec",
@@ -114,16 +121,50 @@ def liouvillian(
     return liouv
 
 
-def steady_state(liouv: np.ndarray, kernel_rtol: float = 1e-10) -> np.ndarray:
+def _block(liouv: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and sub-matrix of the sector `block` that L leaves invariant.
+
+    `block` holds column-stacked vec indices; None means one block holding
+    every index, which returns L itself.  Raises SolverError, naming the
+    largest offending entry, if L couples the block to the other indices
+    by more than 1e-12 max|L|.
+    """
+    if block is None:
+        return np.arange(liouv.shape[0]), liouv
+    idx = np.asarray(block)
+    inside = np.zeros(liouv.shape[0], dtype=bool)
+    inside[idx] = True
+    mag = np.abs(liouv)
+    cross = np.where(inside[:, None] != inside[None, :], mag, 0.0)
+    i, j = np.unravel_index(np.argmax(cross), cross.shape)
+    if cross[i, j] > _BLOCK_RTOL * mag.max():
+        raise SolverError(
+            f"Liouvillian couples the block to the rest of the space: "
+            f"|L[{i}, {j}]| = {cross[i, j]:.3e} exceeds {_BLOCK_RTOL:.0e} * "
+            f"max|L| = {_BLOCK_RTOL * mag.max():.3e}; the parity symmetry is broken"
+        )
+    return idx, liouv[np.ix_(idx, idx)]
+
+
+def steady_state(
+    liouv: np.ndarray, kernel_rtol: float = _KERNEL_RTOL, block=None
+) -> np.ndarray:
     """Steady-state density matrix from the kernel of the Liouvillian.
 
-    The kernel is located by SVD.  Raises SolverError if the kernel is
-    empty or degenerate at the given relative tolerance, if the kernel
-    vector is traceless, or if the final residual ||L vec(rho)|| exceeds
-    1e-9.
+    The kernel is located by SVD.  With `block`, the column-stacked vec
+    indices of a sector that L leaves invariant (the even parity block of
+    `HilbertSpec.parity_blocks`), only that square block is decomposed and
+    its kernel vector is embedded back into d x d with zeros elsewhere;
+    the default is one block holding every index.  The caller then owns the
+    uniqueness check on the other sectors (`regression_spectrum` makes it
+    for the odd block).  Raises SolverError if L couples the block to the
+    rest, if the block's kernel is empty or degenerate at the given
+    relative tolerance, if the kernel vector is traceless, or if the
+    residual ||L vec(rho)|| of the full L exceeds 1e-9.
     """
     liouv = np.asarray(liouv, dtype=complex)
-    _, s, vh = np.linalg.svd(liouv)
+    idx, sub = _block(liouv, block)
+    _, s, vh = np.linalg.svd(sub)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise SolverError("Liouvillian is identically zero")
@@ -137,7 +178,9 @@ def steady_state(liouv: np.ndarray, kernel_rtol: float = 1e-10) -> np.ndarray:
         raise SolverError(
             f"steady state is not unique: Liouvillian kernel dimension {kdim}"
         )
-    rho = unvec(vh[-1].conj())
+    kernel = np.zeros(liouv.shape[0], dtype=complex)
+    kernel[idx] = vh[-1].conj()
+    rho = unvec(kernel)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -183,20 +226,32 @@ def regression_spectrum(
     pairs,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
+    block=None,
 ) -> np.ndarray:
     """Summed quantum-regression spectrum of a sequence of (A, B) pairs.
 
     Returns S(w) = Sum_(A, B) Re Int_0^inf dt e^{iwt} <A(t) B(0)>, evaluated
     without time stepping through the resolvent,
     S(w) = Sum Re Tr[A (-iw - L)^{-1} vec(B rho_ss)].  One eigendecomposition
-    of L serves every pair and every grid frequency.  The component of each
+    serves every pair and every grid frequency.  The component of each
     B rho_ss along the Liouvillian kernel is projected out, which removes
     the elastic (delta-function) line and leaves the incoherent spectrum.
 
-    Raises SolverError if rho_ss is not stationary under L, if the
-    eigenbasis of L is singular, or if some grid frequency coincides with an
-    undamped Liouvillian eigenvalue (add dissipation to every channel before
-    asking for a spectrum).
+    `block` holds the column-stacked vec indices of a sector that L leaves
+    invariant and that holds every start vector B rho_ss; only that square
+    block of L is eigendecomposed, and the start vectors and trace rows are
+    restricted to it.  For the model's weak Z2 symmetry this is the odd
+    parity block of `HilbertSpec.parity_blocks`: rho_ss is even and every
+    source flips the parity.  The default is one block holding every index.
+
+    Raises SolverError if rho_ss is not stationary under L, if L couples
+    the block to the rest of the space or a start vector has weight outside
+    it, if a block that does not hold rho_ss has an eigenvalue within
+    1e-10 ||L|| of zero (a second stationary state that `steady_state`,
+    decomposing only its own block, cannot see), if the eigenbasis is
+    singular, or if some grid frequency coincides with an undamped
+    eigenvalue (add dissipation to every channel before asking for a
+    spectrum).
     """
     liouv = np.asarray(liouv, dtype=complex)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
@@ -205,6 +260,7 @@ def regression_spectrum(
     scale = max(np.linalg.norm(liouv), 1.0)
     if np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
         raise SolverError("rho_ss is not a steady state of the given Liouvillian")
+    idx, sub = _block(liouv, block)
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
@@ -212,11 +268,31 @@ def regression_spectrum(
     for _, op_b in pairs:
         b_rho = np.asarray(op_b, dtype=complex) @ rho_ss
         starts.append(vec(b_rho) - np.trace(b_rho) * rho_v)
-    rows = np.array([_trace_row(op_a) for op_a, _ in pairs])
+    starts = np.column_stack(starts)
+    outside = np.abs(starts)
+    top = outside.max()
+    outside[idx] = 0.0
+    k, n = np.unravel_index(np.argmax(outside), outside.shape)
+    if outside[k, n] > _BLOCK_RTOL * top:
+        raise SolverError(
+            f"start vector {n} (B rho_ss) has weight {outside[k, n]:.3e} at vec "
+            f"index {k}, outside the block; B does not map rho_ss into it"
+        )
+    starts = starts[idx]
+    rows = np.array([_trace_row(op_a)[idx] for op_a, _ in pairs])
 
-    evals, vecs = np.linalg.eig(liouv)
+    evals, vecs = np.linalg.eig(sub)
+    # steady_state decomposed only the block holding rho_ss; a block without
+    # rho_ss must have no kernel, or the steady state is not unique
+    if np.abs(rho_v[idx]).max() <= _BLOCK_RTOL * np.abs(rho_v).max():
+        n_kernel = int(np.sum(np.abs(evals) <= _KERNEL_RTOL * scale))
+        if n_kernel:
+            raise SolverError(
+                f"steady state is not unique: {n_kernel} eigenvalue(s) of a block "
+                f"without rho_ss lie within {_KERNEL_RTOL:.0e} ||L|| of zero"
+            )
     try:
-        amp = np.linalg.solve(vecs, np.column_stack(starts))
+        amp = np.linalg.solve(vecs, starts)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Liouvillian eigenbasis is singular: {exc}") from exc
     weights = np.sum((rows @ vecs) * amp.T, axis=0)
@@ -242,6 +318,7 @@ def emission_spectrum(
     lowering_ops,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
+    block=None,
 ) -> np.ndarray:
     """Summed normal-ordered emission spectrum of a sequence of sources.
 
@@ -249,11 +326,13 @@ def emission_spectrum(
     for the lowering operators s, which is the regression spectrum of the
     pairs (A, B) = (s+, s) evaluated at -w.  With this orientation a
     transition above the laser appears at positive offset, so red/blue
-    asymmetries read off the grid directly.
+    asymmetries read off the grid directly.  `block` is passed on to
+    `regression_spectrum`: the odd parity block for P-odd sources.
     """
     ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    return regression_spectrum(liouv, [(s.conj().T, s) for s in ops], rho_ss, -grid)
+    pairs = [(s.conj().T, s) for s in ops]
+    return regression_spectrum(liouv, pairs, rho_ss, -grid, block)
 
 
 def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:

@@ -183,6 +183,16 @@ class PhononKernels:
         return pref * (np.cosh(ph) - 1.0), pref * np.sinh(ph)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # nodes and weights on [-1, 1]; an 800x800 eigensolve, so computed once
+    # per process, at the first kernel build rather than at import
+    table = np.polynomial.legendre.leggauss(_N_NODES)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=16)
 def build_kernels(
     params: PhononParams,
@@ -207,7 +217,7 @@ def build_kernels(
         return PhononKernels(params, t_grid, np.zeros(n_t, dtype=complex), 1.0)
 
     cut = 12.0 * params.omega_b
-    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
+    nodes, weights = _gauss_legendre()
     w = 0.5 * cut * (nodes + 1.0)
     wts = 0.5 * cut * weights
 

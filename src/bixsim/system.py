@@ -566,16 +566,29 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     configured grid.  Positive offsets are above the laser.  The elastic
     line is removed; tiny negative values from the resolvent are clamped to
     zero.  With source="both" the dipole and cavity spectra are summed
-    before normalization, from one eigendecomposition of the Liouvillian.
+    before normalization.
+
+    The generator has the weak Z2 symmetry rho -> P rho P with
+    P = (-1)^(n_y + [Y]), so it never couples the even and odd parity blocks
+    of rho (`HilbertSpec.parity_blocks`).  The steady state is solved in the
+    even block (one SVD there); both y sources flip P, so every s rho_ss lies
+    in the odd block, and one eigendecomposition of that block serves all
+    sources.  Two guards raise SolverError instead of splitting a model
+    that breaks the symmetry: L coupling the blocks by more than 1e-12
+    max|L|, and a start vector with weight outside the odd block.  The
+    steady state must be unique over the whole L: a kernel of the even
+    block other than one-dimensional, or a kernel eigenvalue in the odd
+    block, raises.
     """
-    liouv = assemble_liouvillian(cfg)
-    rho_ss = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol)
     n = cfg.numerics
+    even, odd = HilbertSpec(n.n_max_y).parity_blocks()
+    liouv = assemble_liouvillian(cfg)
+    rho_ss = steady_state(liouv, kernel_rtol=n.steady_rtol, block=even)
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
     sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
     ops = [source_operator(cfg, which) for which in sources]
-    total = np.clip(emission_spectrum(liouv, ops, rho_ss, grid), 0.0, None)
+    total = np.clip(emission_spectrum(liouv, ops, rho_ss, grid, odd), 0.0, None)
     if cfg.normalize and total.max() > 0.0:
         total = total / total.max()
 

@@ -81,3 +81,93 @@ def test_is_hermitian():
     spec = HilbertSpec(n_max_y=1)
     assert is_hermitian(embed_photon_number(spec))
     assert not is_hermitian(embed_photon_annihilator(spec))
+
+
+# -- the weak Z2 symmetry P = (-1)^(n_y + [Y]) ---------------------------------
+
+
+def _parity_sign(spec, op):
+    """+1 if P op P = op, -1 if P op P = -op, else None (no definite parity)."""
+    p = spec.parity()
+    conj = p[:, None] * op * p[None, :]
+    if np.array_equal(conj, op):
+        return 1
+    if np.array_equal(conj, -op):
+        return -1
+    return None
+
+
+def test_parity_of_basis_states():
+    spec = HilbertSpec(n_max_y=2)
+    p = spec.parity()
+    for level in QD_LEVELS:
+        for n in range(spec.n_ph):
+            expected = (-1) ** (n + (level == "Y"))
+            assert p[spec.index(level, n)] == expected
+
+
+@pytest.mark.parametrize("n_max_y, sizes", [(2, (74, 70)), (6, (394, 390))])
+def test_parity_block_sizes(n_max_y, sizes):
+    spec = HilbertSpec(n_max_y)
+    even, odd = spec.parity_blocks()
+    assert (even.size, odd.size) == sizes
+    assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(spec.dim**2))
+    # vec index i + dim * j of rho[i, j] is even when P_i P_j = +1
+    p = spec.parity()
+    i, j = even % spec.dim, even // spec.dim
+    assert np.all(p[i] * p[j] == 1)
+
+
+@pytest.mark.parametrize("n_max_y", [1, 2, 4])
+def test_jump_operators_have_definite_parity(n_max_y):
+    spec = HilbertSpec(n_max_y)
+    even_ops = [
+        embed_qd_transition(spec, "X", "G"),
+        embed_qd_transition(spec, "XX", "X"),
+    ] + [embed_qd_projector(spec, level) for level in QD_LEVELS]
+    odd_ops = [
+        embed_qd_transition(spec, "Y", "G"),
+        embed_qd_transition(spec, "XX", "Y"),
+        embed_photon_annihilator(spec),
+    ]
+    assert [_parity_sign(spec, op) for op in even_ops] == [1] * len(even_ops)
+    assert [_parity_sign(spec, op) for op in odd_ops] == [-1] * len(odd_ops)
+    # an even Hamiltonian plus a y-mode drive a + a+ has no definite parity
+    a = embed_photon_annihilator(spec)
+    assert _parity_sign(spec, a + a.conj().T + embed_qd_projector(spec, "G")) is None
+
+
+@pytest.mark.parametrize("xx_scaling", [2.0, 2.5])
+def test_hamiltonian_and_polaron_quadratures_are_parity_even(xx_scaling):
+    from dataclasses import replace
+
+    from bixsim import system
+    from bixsim.phonons import polaron_dissipator
+
+    base = system.default_config()
+    cfg = replace(
+        base,
+        drive=replace(base.drive, omega=252.83669951857598),
+        phonon=replace(base.phonon, xx_scaling=xx_scaling),
+        laser_detuning=12.0,
+    )
+    spec = HilbertSpec(cfg.numerics.n_max_y)
+    kernels = system._kernels_for(cfg)
+    h = system.build_reduced_hamiltonian(cfg)
+    assert _parity_sign(spec, h) == 1
+
+    terms = system._coupling_terms(cfg, spec, kernels)
+    groups = {}
+    for op, factor in terms:
+        groups[factor] = groups.get(factor, 0) + op
+    assert len(groups) == (1 if xx_scaling == 2.0 else 2)
+    for c in groups.values():
+        assert _parity_sign(spec, c + c.conj().T) == 1
+        assert _parity_sign(spec, 1j * (c - c.conj().T)) == 1
+
+    # hence the scattering superoperator does not couple the parity blocks
+    dis = polaron_dissipator(h, terms, kernels)
+    even, odd = spec.parity_blocks()
+    assert np.max(np.abs(dis)) > 0.0
+    assert np.max(np.abs(dis[np.ix_(even, odd)])) < 1e-14 * np.max(np.abs(dis))
+    assert np.max(np.abs(dis[np.ix_(odd, even)])) < 1e-14 * np.max(np.abs(dis))

@@ -211,3 +211,81 @@ def test_solver_hygiene_report():
     assert rep["hermiticity"] < 1e-12
     assert rep["residual"] < 1e-9
     assert rep["min_eigenvalue"] > -1e-8
+
+
+# -- block solves on synthetic block-diagonal Liouvillians ----------------------
+# A two-level system with P = diag(1, -1): populations (vec indices 0, 3) form
+# the even block, coherences (1, 2) the odd one.  H diagonal and jump operators
+# sigma, sigma+ flip or keep P, so these generators are block diagonal.
+EVEN, ODD = np.array([0, 3]), np.array([1, 2])
+
+
+def pumped_tls(delta=0.7, gamma=0.6, pump=0.25):
+    h = np.diag([0.0, delta]).astype(complex)
+    return liouvillian(
+        h,
+        [lindblad_dissipator(SIGMA, gamma), lindblad_dissipator(SIGMA.T, pump)],
+    )
+
+
+def test_block_path_matches_full_space_on_symmetric_tls():
+    liouv = pumped_tls()
+    rho_full = steady_state(liouv)
+    rho_block = steady_state(liouv, block=EVEN)
+    assert np.max(np.abs(rho_block - rho_full)) < 1e-14
+    assert rho_block[0, 1] == 0.0 and rho_block[1, 0] == 0.0
+    grid = np.linspace(-3.0, 3.0, 61)
+    s_full = emission_spectrum(liouv, [SIGMA], rho_full, grid)
+    s_block = emission_spectrum(liouv, [SIGMA], rho_block, grid, ODD)
+    assert np.max(np.abs(s_block - s_full)) < 1e-12 * np.max(s_full)
+
+
+def test_even_block_kernel_must_be_one_dimensional():
+    # a dark third level: with P = diag(1, -1, 1) the decay |0><1| is odd, and
+    # the even block (vec indices 0, 2, 4, 6, 8) keeps rho_00 and rho_22
+    # stationary (rho_02 rotates at 0.3)
+    sig = np.zeros((3, 3))
+    sig[0, 1] = 1.0
+    liouv = liouvillian(np.diag([0.0, 1.0, 0.3]), [lindblad_dissipator(sig, 1.0)])
+    with pytest.raises(SolverError, match="not unique: Liouvillian kernel dimension 2"):
+        steady_state(liouv, block=[0, 2, 4, 6, 8])
+
+
+def test_odd_block_kernel_raises():
+    # the even block has a unique kernel, the odd one a zero eigenvalue that
+    # the even-block SVD cannot see
+    liouv = pumped_tls()
+    liouv[np.ix_(ODD, ODD)] = np.diag([0.0, -2.0])
+    rho = steady_state(liouv, block=EVEN)
+    grid = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(SolverError, match="not unique: 1 eigenvalue"):
+        emission_spectrum(liouv, [SIGMA], rho, grid, ODD)
+
+
+def test_resolvent_guard_on_undamped_odd_block():
+    # unique kernel, but the coherences are undamped at omega = +-0.7
+    liouv = pumped_tls(delta=0.7)
+    liouv[np.ix_(ODD, ODD)] = np.diag([0.7j, -0.7j])
+    rho = steady_state(liouv, block=EVEN)
+    grid = np.linspace(-1.4, 1.4, 5)
+    with pytest.raises(SolverError, match="resolvent singular"):
+        emission_spectrum(liouv, [SIGMA], rho, grid, ODD)
+
+
+def test_block_coupling_raises_and_names_the_entry():
+    liouv = pumped_tls()
+    liouv[3, 1] += 1e-6  # rho_01 feeds rho_11
+    with pytest.raises(SolverError, match=r"\|L\[3, 1\]\| = 1\.000e-06"):
+        steady_state(liouv, block=EVEN)
+    rho = steady_state(liouv)  # the full-space solve does not need the symmetry
+    with pytest.raises(SolverError, match=r"L\[3, 1\]"):
+        regression_spectrum(liouv, [(SIGMA.T, SIGMA)], rho, [0.5], ODD)
+
+
+def test_start_vector_outside_block_raises():
+    # sigma_z keeps P, so sigma_z rho_ss lies in the even block
+    liouv = pumped_tls()
+    rho = steady_state(liouv, block=EVEN)
+    sz = np.diag([1.0, -1.0])
+    with pytest.raises(SolverError, match="start vector 1 .* outside the block"):
+        regression_spectrum(liouv, [(SIGMA.T, SIGMA), (sz, sz)], rho, [0.5], ODD)

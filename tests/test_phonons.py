@@ -1,5 +1,7 @@
 """Phonon influence functional and polaron scattering term."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ def test_kernel_tabulation_matches_quadrature():
     for k in idx:
         direct = phi(float(kern.t_grid[k]), PARAMS)
         assert kern.phi_t[k] == pytest.approx(direct, rel=1e-6, abs=1e-10)
+
+
+def test_gauss_legendre_table_computed_once_per_process(monkeypatch):
+    from bixsim import phonons
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    phonons._gauss_legendre.cache_clear()
+    build_kernels.cache_clear()
+    for temperature in (4.0, 6.8, 12.0, 20.0):
+        build_kernels(replace(PARAMS, temperature=temperature), n_t=201)
+    assert build_kernels.cache_info().misses == 4
+    assert calls == [800]
 
 
 def test_kernel_grid_validation():

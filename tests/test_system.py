@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bixsim import system
 from bixsim.dressed import dressed_eigenvalues, transition_catalog
-from bixsim.errors import ConfigurationError
-from bixsim.hilbert import HilbertSpec, identity
+from bixsim.errors import ConfigurationError, SolverError
+from bixsim.hilbert import HilbertSpec, embed_photon_annihilator, identity
 from bixsim.liouville import steady_state, unvec, vec
 from bixsim.system import (
     Rates,
@@ -278,5 +279,89 @@ def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    compute_spectrum_y(fast_config(source=source))
-    assert len(calls) == 1
+    cfg = fast_config(source=source)
+    compute_spectrum_y(cfg)
+    _, odd = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
+    assert calls == [(odd.size, odd.size)]  # the odd block, not (d^2, d^2)
+
+
+def full_space_oracle(cfg):
+    """rho_ss from one SVD and per-source spectra from one eig of the full L.
+
+    Emission spectrum of source s: Re Sum_n w_n / (i w - lambda_n) with
+    w_n = Tr[s+ R_n] (R^-1 vec(s rho - Tr(s rho) rho))_n over the right
+    eigenvectors R of L; the kernel mode, which the start vector has no
+    weight on, is dropped.
+    """
+    liouv = assemble_liouvillian(cfg)
+    _, sv, vh = np.linalg.svd(liouv)
+    assert sv[-2] > cfg.numerics.steady_rtol * sv[0] >= sv[-1]  # unique kernel
+    rho = unvec(vh[-1].conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+
+    evals, right = np.linalg.eig(liouv)
+    keep = np.arange(evals.size) != np.argmin(np.abs(evals))
+    n = cfg.numerics
+    grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
+    spectra = {}
+    for which in ("y-dipole", "y-cavity"):
+        s = source_operator(cfg, which)
+        s_rho = s @ rho
+        start = vec(s_rho) - np.trace(s_rho) * vec(rho)
+        trace_row = vec(s.conj())  # Tr(s+ X) = vec((s+)^T) . vec(X)
+        w = ((trace_row @ right) * np.linalg.solve(right, start))[keep]
+        spectra[which] = (w / (1j * grid[:, None] - evals[keep])).sum(axis=1).real
+    return liouv, rho, spectra
+
+
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("n_max_y", [0, 1, 2, 4, 6])
+def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
+    base = default_config()
+    couplings = base.couplings
+    if n_max_y == 0:  # without a photon rung the y mode must be uncoupled
+        couplings = replace(couplings, g1y=0.0, g2y=0.0)
+    cfg = replace(
+        base,
+        couplings=couplings,
+        drive=replace(base.drive, omega=252.83669951857598),
+        phonon=replace(base.phonon, enable=phonons),
+        numerics=replace(base.numerics, n_max_y=n_max_y, n_omega=401),
+        laser_detuning=12.0,
+    )
+    liouv, rho_oracle, oracle = full_space_oracle(cfg)
+    oracle["both"] = oracle["y-dipole"] + oracle["y-cavity"]
+
+    even, _ = HilbertSpec(n_max_y).parity_blocks()
+    rho = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol, block=even)
+    assert np.max(np.abs(rho - rho_oracle)) <= 1e-12
+
+    for source in ("y-dipole", "y-cavity", "both"):
+        got = compute_spectrum_y(replace(cfg, source=source)).intensity
+        want = np.clip(oracle[source], 0.0, None)
+        if want.max() > 0.0:
+            want = want / want.max()
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want), source
+
+
+def test_parity_breaking_term_fails_loudly(monkeypatch):
+    # a coherent y-mode drive eps (a + a+) flips P, so L couples the blocks
+    cfg = fast_config()
+    spec = HilbertSpec(cfg.numerics.n_max_y)
+    a = embed_photon_annihilator(spec)
+    clean = system._assemble_hamiltonian
+
+    def driven(*args):
+        return clean(*args) + 0.5 * (a + a.conj().T)
+
+    monkeypatch.setattr(system, "_assemble_hamiltonian", driven)
+    liouv = assemble_liouvillian(cfg)
+    even, _ = spec.parity_blocks()
+    inside = np.zeros(liouv.shape[0], dtype=bool)
+    inside[even] = True
+    cross = np.where(inside[:, None] != inside[None, :], np.abs(liouv), 0.0)
+    i, j = np.unravel_index(np.argmax(cross), cross.shape)
+    assert cross[i, j] > 0.1
+    with pytest.raises(SolverError, match=rf"couples the block .* \|L\[{i}, {j}\]\|"):
+        compute_spectrum_y(cfg)
