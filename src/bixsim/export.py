@@ -5,6 +5,12 @@ exactly; JSON carries the same arrays in one document.  Every export drops
 a .meta.json sidecar with the metadata dict (config hash, tool version).
 Nothing time- or host-dependent is written, so repeated exports of the
 same result are byte-identical.
+
+An existing file is overwritten in place rather than truncated first.  On
+ext4, truncating a file to zero and rewriting it makes the close flush the
+new data to disk and discard the old blocks, so a loop that exports to one
+directory would issue block I/O on every call; in place, repeated exports
+stay in the page cache until normal writeback.
 """
 
 from __future__ import annotations
@@ -30,10 +36,28 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _write_meta(meta: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+def _overwrite(path: str, write) -> None:
+    """Call write(fh) with path open for text, overwriting it in place."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        write(fh)
+        fh.flush()
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if os.fstat(fd).st_size > end:  # drop the tail of a longer old file
+            os.ftruncate(fd, end)
+
+
+def _write_csv(path: str, arr, header: str = "") -> None:
+    _overwrite(path, lambda fh: np.savetxt(fh, arr, fmt=_FMT, delimiter=",",
+                                           header=header, comments=""))
+
+
+def _write_json(path: str, payload) -> None:
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _overwrite(path, write)
 
 
 def _read_meta(path: str) -> dict:
@@ -57,7 +81,7 @@ def export_spectrum(
         path = os.path.join(out_dir, f"{stem}.csv")
         header = "offset_ueV,intensity"
         data = np.column_stack([result.omega_offsets, result.intensity])
-        np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+        _write_csv(path, data, header)
         written.append(path)
     elif fmt == "json":
         path = os.path.join(out_dir, f"{stem}.json")
@@ -66,14 +90,12 @@ def export_spectrum(
             "intensity": result.intensity.tolist(),
             "metadata": result.metadata,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         written.append(path)
     else:
         raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
     meta_path = os.path.join(out_dir, f"{stem}.meta.json")
-    _write_meta(dict(result.metadata), meta_path)
+    _write_json(meta_path, dict(result.metadata))
     written.append(meta_path)
     if render:
         written.append(render_spectrum(result, os.path.join(out_dir, f"{stem}.png")))
@@ -115,10 +137,10 @@ def export_map(
     if fmt == "csv":
         for name, arr in (("axis1", sweep.axis1), ("axis2", sweep.axis2)):
             path = os.path.join(out_dir, f"{stem}_{name}.csv")
-            np.savetxt(path, arr, fmt=_FMT, delimiter=",", header=name, comments="")
+            _write_csv(path, arr, name)
             written.append(path)
         path = os.path.join(out_dir, f"{stem}_values.csv")
-        np.savetxt(path, sweep.values, fmt=_FMT, delimiter=",")
+        _write_csv(path, sweep.values)
         written.append(path)
     elif fmt == "json":
         path = os.path.join(out_dir, f"{stem}.json")
@@ -128,14 +150,12 @@ def export_map(
             "values": sweep.values.tolist(),
             "metadata": meta,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         written.append(path)
     else:
         raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
     meta_path = os.path.join(out_dir, f"{stem}.meta.json")
-    _write_meta(meta, meta_path)
+    _write_json(meta_path, meta)
     written.append(meta_path)
     if render:
         written.append(render_heatmap(sweep, os.path.join(out_dir, f"{stem}.png")))

@@ -229,9 +229,14 @@ def build_kernels(
         x = w / (2.0 * K_B_UEV_PER_K * params.temperature)
         thermal = np.where(x < 1e-6, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
                            1.0 / np.tanh(np.where(x > 0, x, 1.0)))
+    # one n_t x n_nodes table, overwritten by cos and then by sin: a miss
+    # allocates one such block instead of three.  Freeing three at once
+    # could exceed the allocator's trim threshold, which returned the heap
+    # to the OS and made the next request fault those pages in again.
     phase = w[None, :] * t_grid[:, None]
-    re = np.cos(phase) @ (wts * gauss * thermal)
-    im = -np.sin(phase) @ (wts * gauss)
+    re = np.cos(phase, out=phase) @ (wts * gauss * thermal)
+    np.multiply(w[None, :], t_grid[:, None], out=phase)
+    im = -(np.sin(phase, out=phase) @ (wts * gauss))
     phi_t = re + 1j * im
     if abs(phi_t[-1]) > 1e-8:
         raise SolverError(

@@ -86,6 +86,43 @@ def test_gauss_legendre_table_computed_once_per_process(monkeypatch):
     assert calls == [800]
 
 
+def test_kernel_table_equals_separate_cos_and_sin_products():
+    # the phase table is reused in place for cos and sin; phi_t must be
+    # bit-identical to the products of freshly built cos and sin tables
+    from bixsim.phonons import K_B_UEV_PER_K, _gauss_legendre
+
+    for temperature, n_t in ((4.0, 1601), (6.8, 1601), (30.0, 201)):
+        params = replace(PARAMS, temperature=temperature)
+        kern = build_kernels(params, n_t=n_t)
+        nodes, weights = _gauss_legendre()
+        cut = 12.0 * params.omega_b
+        w = 0.5 * cut * (nodes + 1.0)
+        wts = 0.5 * cut * weights
+        gauss = params.alpha_p * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+        thermal = 1.0 / np.tanh(w / (2.0 * K_B_UEV_PER_K * temperature))
+        phase = w[None, :] * kern.t_grid[:, None]
+        expected = (np.cos(phase) @ (wts * gauss * thermal)
+                    + 1j * (-np.sin(phase) @ (wts * gauss)))
+        assert np.array_equal(kern.phi_t, expected)
+
+
+def test_kernel_miss_holds_one_phase_table():
+    import tracemalloc
+
+    from bixsim import phonons
+
+    phonons._gauss_legendre()  # the node table is built once per process
+    n_t = 1601
+    table = n_t * phonons._N_NODES * 8
+    tracemalloc.start()
+    try:
+        build_kernels.__wrapped__(PARAMS, n_t=n_t)  # a miss, bypassing the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table
+
+
 def test_kernel_grid_validation():
     with pytest.raises(ConfigurationError):
         build_kernels(PARAMS, n_t=200)  # needs odd count for Simpson weights

@@ -188,6 +188,83 @@ def test_export_is_byte_deterministic(tmp_path):
     ).read_bytes()
 
 
+def test_export_bytes_match_savetxt_and_json_dump(tmp_path):
+    import json
+
+    x = np.linspace(-2.0, 2.0, 41)
+    res = SpectrumResult(x, lorentzian(x, 0.3, 0.5, 2.0), {"config_hash": "xyz"})
+    m = SweepMap(np.arange(3.0), x, np.abs(np.outer(np.arange(1.0, 4.0), x)),
+                 "omega_drive", "per_row", {"config_hash": "xyz"})
+    export_spectrum(res, str(tmp_path / "s"))
+    export_spectrum(res, str(tmp_path / "s"), fmt="json")
+    export_map(m, str(tmp_path / "m"))
+    export_map(m, str(tmp_path / "m"), fmt="json")
+
+    def savetxt(arr, **kw):
+        path = tmp_path / "ref.csv"
+        np.savetxt(path, arr, fmt="%.17g", delimiter=",", **kw)
+        return path.read_bytes()
+
+    def dump(payload):
+        path = tmp_path / "ref.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path.read_bytes()
+
+    data = np.column_stack([x, res.intensity])
+    meta = {**m.metadata, "axis1_name": "omega_drive", "normalization": "per_row"}
+    expected = {
+        "s/spectrum.csv": savetxt(data, header="offset_ueV,intensity", comments=""),
+        "s/spectrum.meta.json": dump(res.metadata),
+        "s/spectrum.json": dump({"omega_offsets": x.tolist(),
+                                 "intensity": res.intensity.tolist(),
+                                 "metadata": res.metadata}),
+        "m/map_axis1.csv": savetxt(m.axis1, header="axis1", comments=""),
+        "m/map_axis2.csv": savetxt(m.axis2, header="axis2", comments=""),
+        "m/map_values.csv": savetxt(m.values),
+        "m/map.meta.json": dump(meta),
+        "m/map.json": dump({"axis1": m.axis1.tolist(), "axis2": m.axis2.tolist(),
+                            "values": m.values.tolist(), "metadata": meta}),
+    }
+    for name, want in expected.items():
+        assert (tmp_path / name).read_bytes() == want, name
+
+
+def test_export_overwrites_existing_files_in_place(tmp_path, monkeypatch):
+    import os
+
+    import bixsim.export
+
+    opened = {}
+    real_open = os.open
+
+    def recording_open(path, flags, *args):
+        opened[os.path.basename(path)] = flags
+        return real_open(path, flags, *args)
+
+    long_x = np.linspace(-2.0, 2.0, 101)
+    short_x = np.linspace(-2.0, 2.0, 41)
+    long_res = SpectrumResult(long_x, lorentzian(long_x, 0.3, 0.5, 2.0),
+                              {"config_hash": "a much longer metadata value"})
+    short_res = SpectrumResult(short_x, lorentzian(short_x, 0.1, 0.5, 2.0),
+                               {"config_hash": "xyz"})
+    out = tmp_path / "out"
+    fresh = tmp_path / "fresh"
+    export_spectrum(long_res, str(out))
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+    monkeypatch.setattr(bixsim.export.os, "open", recording_open)
+    export_spectrum(short_res, str(out))
+    monkeypatch.undo()
+    # never truncated to zero first: on ext4 that forces a flush per call
+    assert sorted(opened) == sorted(inodes)
+    assert not any(flags & os.O_TRUNC for flags in opened.values())
+    export_spectrum(short_res, str(fresh))
+    for name, ino in inodes.items():
+        assert (out / name).stat().st_ino == ino  # same file, not a new one
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_export_rejects_unknown_format(tmp_path):
     x = np.linspace(-1.0, 1.0, 5)
     res = SpectrumResult(x, np.zeros_like(x), {})
