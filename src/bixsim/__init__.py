@@ -24,7 +24,7 @@ from .hilbert import HilbertSpec
 from .liouville import (
     SpectrumResult,
     emission_spectrum,
-    lindblad_dissipator,
+    lindblad_generator,
     liouvillian,
     regression_spectrum,
     solver_hygiene,
@@ -79,7 +79,7 @@ __all__ = [
     "drive_for_splitting",
     "SpectrumResult",
     "liouvillian",
-    "lindblad_dissipator",
+    "lindblad_generator",
     "steady_state",
     "regression_spectrum",
     "emission_spectrum",

@@ -4,7 +4,9 @@ Vectorization is column stacking throughout: ``vec(rho)`` stacks the columns
 of rho, so ``vec(A rho B) = (B^T kron A) vec(rho)``.  A superoperator on a
 d-dimensional Hilbert space is a dense (d^2, d^2) complex matrix.
 
-The Lindblad dissipator convention is
+Every generator is given at operator level, L rho = K rho + rho K+ +
+Sum_n A_n rho B_n, and `liouvillian` is the one builder of its matrix, on
+all vec indices or on a block of them.  The Lindblad dissipator convention is
 
     D[O] rho = (rate / 2) * (2 O rho O+ - O+ O rho - rho O+ O)
 
@@ -13,8 +15,9 @@ excited state decays as exp(-rate * t), its coherence as exp(-rate * t / 2)).
 
 `steady_state` and `regression_spectrum` take an optional `block`: the vec
 indices of a sector that L leaves invariant, such as a parity block of a
-weak Z2 symmetry.  They then decompose only that square block of L, after
-checking that L does not couple it to the rest of the space.
+weak Z2 symmetry, and decompose only that square block of L.  The
+invariance is checked on the operators, before any block is built, by
+`check_parity`.
 """
 
 from __future__ import annotations
@@ -30,17 +33,15 @@ _HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
 _RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
 _STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
 _KERNEL_RTOL = 1e-10  # singular value or |eigenvalue| counted as kernel, relative
-_BLOCK_RTOL = 1e-12  # entries coupling a block to the rest, relative to max|L|
+_BLOCK_RTOL = 1e-12  # vector weight in or outside a block, relative to its max
+_PARITY_RTOL = 1e-12  # operator entries crossing parity, relative to max|op|
 
 __all__ = [
     "vec",
     "unvec",
-    "spre",
-    "spost",
-    "sandwich",
-    "lindblad_dissipator",
-    "hamiltonian_superop",
+    "lindblad_generator",
     "liouvillian",
+    "check_parity",
     "steady_state",
     "SpectrumResult",
     "regression_spectrum",
@@ -63,87 +64,79 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def spre(a: np.ndarray) -> np.ndarray:
-    """Superoperator for left multiplication, rho -> a rho."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0], dtype=complex), a)
+def lindblad_generator(h: np.ndarray, channels) -> tuple[np.ndarray, list]:
+    """K and sandwich pairs of rho -> -i[H, rho] + Sum rate D[c] rho.
 
-
-def spost(b: np.ndarray) -> np.ndarray:
-    """Superoperator for right multiplication, rho -> rho b."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
-
-
-def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> a rho b."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
-def lindblad_dissipator(op: np.ndarray, rate: float) -> np.ndarray:
-    """Lindblad dissipator superoperator for a single jump operator.
-
-    Implements (rate/2) (2 O rho O+ - O+ O rho - rho O+ O).  Negative rates
-    are rejected: they do not generate a completely positive map.
-    """
-    if rate < 0:
-        raise ConfigurationError(f"negative dissipation rate {rate}")
-    op = np.asarray(op, dtype=complex)
-    opd_op = op.conj().T @ op
-    return 0.5 * rate * (2.0 * sandwich(op, op.conj().T) - spre(opd_op) - spost(opd_op))
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Coherent part -i [H, rho] as a superoperator."""
-    return -1j * (spre(h) - spost(h))
-
-
-def liouvillian(
-    h: np.ndarray,
-    dissipators: list[np.ndarray] | None = None,
-    extra_terms: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Assemble L rho = -i[H, rho] + sum of dissipator superoperators.
-
-    `dissipators` are pre-built superoperators (e.g. from
-    `lindblad_dissipator`); `extra_terms` allows non-Lindblad but
-    trace-preserving contributions such as a polaron scattering block.
-    Raises if H is not Hermitian to a relative 1e-12.
+    `channels` holds (c, rate).  K = -iH - (1/2) Sum rate c+ c, and each
+    channel gives the pair (sqrt(rate) c, sqrt(rate) c+).  Raises
+    ConfigurationError if H is not Hermitian to a relative 1e-12, or for a
+    negative rate, which does not generate a completely positive map.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, rtol=_HERMIT_RTOL):
         raise ConfigurationError("Hamiltonian is not Hermitian within tolerance")
-    liouv = hamiltonian_superop(h)
-    for term in dissipators or []:
-        liouv = liouv + term
-    for term in extra_terms or []:
-        liouv = liouv + term
-    return liouv
+    k, pairs = -1j * h, []
+    for op, rate in channels:
+        if rate < 0:
+            raise ConfigurationError(f"negative dissipation rate {rate}")
+        c = np.sqrt(rate) * np.asarray(op, dtype=complex)
+        k -= 0.5 * (c.conj().T @ c)
+        pairs.append((c, c.conj().T))
+    return k, pairs
 
 
-def _block(liouv: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and sub-matrix of the sector `block` that L leaves invariant.
+def liouvillian(k: np.ndarray, pairs=(), block=None) -> np.ndarray:
+    """Matrix of rho -> K rho + rho K+ + Sum_(A, B) A rho B.
 
-    `block` holds column-stacked vec indices; None means one block holding
-    every index, which returns L itself.  Raises SolverError, naming the
-    largest offending entry, if L couples the block to the other indices
-    by more than 1e-12 max|L|.
+    With `block`, sorted vec indices, only the square block of L on them is
+    built; the caller makes sure L leaves it invariant (`check_parity`).
+    With rho[i, j] at vec index i + d j, each entry is gathered from the
+    flat d x d operators: L[r, c] = K[i_r, i_c] [j_r = j_c]
+    + [i_r = i_c] conj(K[j_r, j_c]) + Sum A[i_r, i_c] B[j_c, j_r].
     """
-    if block is None:
-        return np.arange(liouv.shape[0]), liouv
-    idx = np.asarray(block)
-    inside = np.zeros(liouv.shape[0], dtype=bool)
-    inside[idx] = True
-    mag = np.abs(liouv)
-    cross = np.where(inside[:, None] != inside[None, :], mag, 0.0)
-    i, j = np.unravel_index(np.argmax(cross), cross.shape)
-    if cross[i, j] > _BLOCK_RTOL * mag.max():
-        raise SolverError(
-            f"Liouvillian couples the block to the rest of the space: "
-            f"|L[{i}, {j}]| = {cross[i, j]:.3e} exceeds {_BLOCK_RTOL:.0e} * "
-            f"max|L| = {_BLOCK_RTOL * mag.max():.3e}; the parity symmetry is broken"
-        )
-    return idx, liouv[np.ix_(idx, idx)]
+    k = np.asarray(k, dtype=complex)
+    d = k.shape[0]
+    idx = np.arange(d * d) if block is None else np.asarray(block)
+    i, j = idx % d, idx // d
+    ii = i[:, None] * d + i[None, :]  # flat index of (i_r, i_c)
+    jj = j[:, None] * d + j[None, :]  # flat index of (j_r, j_c)
+    out = np.where(j[:, None] == j[None, :], k.reshape(-1)[ii], 0.0)
+    out += np.where(i[:, None] == i[None, :], k.conj().reshape(-1)[jj], 0.0)
+    for a, b in pairs:
+        out += np.ravel(a)[ii] * np.ravel(np.transpose(b))[jj]
+    return out
+
+
+def check_parity(parity: np.ndarray, k: np.ndarray, pairs=()) -> None:
+    """Raise SolverError unless L commutes with rho -> P rho P.
+
+    `parity` holds P = +-1 per basis state.  L keeps the even and odd
+    sectors of rho apart when K keeps P and the two operators of each pair
+    both keep it or both flip it.  An entry crosses when it exceeds 1e-12
+    of its operator's largest entry; the error names the operator (K, or
+    A_n / B_n of pair n) and its largest crossing entry.
+    """
+    keeps = np.equal.outer(parity, parity)
+    ops = [("K", k, True)]
+    for n, (a, b) in enumerate(pairs):
+        mag = np.abs(a) + np.abs(b)
+        even = mag[keeps].max(initial=0.0) >= mag[~keeps].max(initial=0.0)
+        ops += [(f"A_{n}", a, even), (f"B_{n}", b, even)]
+    for name, op, even in ops:
+        mag = np.abs(op)
+        cross = np.where(keeps == even, 0.0, mag)
+        i, j = np.unravel_index(np.argmax(cross), cross.shape)
+        if cross[i, j] > _PARITY_RTOL * mag.max():
+            raise SolverError(
+                f"{name} breaks the parity symmetry: |{name}[{i}, {j}]| = "
+                f"{cross[i, j]:.3e} {'flips' if even else 'keeps'} P, above "
+                f"{_PARITY_RTOL:.0e} * max|{name}| = {_PARITY_RTOL * mag.max():.3e}"
+            )
+
+
+def _restrict(liouv: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # `liouv` is L on the whole space, or already on `idx` when it has their size
+    return liouv if liouv.shape[0] == idx.size else liouv[np.ix_(idx, idx)]
 
 
 def steady_state(
@@ -151,19 +144,19 @@ def steady_state(
 ) -> np.ndarray:
     """Steady-state density matrix from the kernel of the Liouvillian.
 
-    The kernel is located by SVD.  With `block`, the column-stacked vec
-    indices of a sector that L leaves invariant (the even parity block of
-    `HilbertSpec.parity_blocks`), only that square block is decomposed and
-    its kernel vector is embedded back into d x d with zeros elsewhere;
-    the default is one block holding every index.  The caller then owns the
-    uniqueness check on the other sectors (`regression_spectrum` makes it
-    for the odd block).  Raises SolverError if L couples the block to the
-    rest, if the block's kernel is empty or degenerate at the given
-    relative tolerance, if the kernel vector is traceless, or if the
-    residual ||L vec(rho)|| of the full L exceeds 1e-9.
+    The kernel is located by SVD.  `block` holds the sorted vec indices of a
+    sector that L leaves invariant, such as the even parity block, and
+    `liouv` is the whole L or already its block there; the block's kernel
+    vector is embedded back into d x d with zeros elsewhere.  A block with
+    a steady state holds every diagonal entry of rho, so its last index is
+    d^2 - 1.  The caller owns the uniqueness check on the other sectors
+    (`regression_spectrum` makes it for the odd block).  Raises SolverError
+    if the kernel is empty or degenerate at the given relative tolerance,
+    if the kernel vector is traceless, or if ||liouv vec(rho)|| > 1e-9.
     """
     liouv = np.asarray(liouv, dtype=complex)
-    idx, sub = _block(liouv, block)
+    idx = np.arange(liouv.shape[0]) if block is None else np.asarray(block)
+    sub = _restrict(liouv, idx)
     _, s, vh = np.linalg.svd(sub)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
@@ -178,7 +171,7 @@ def steady_state(
         raise SolverError(
             f"steady state is not unique: Liouvillian kernel dimension {kdim}"
         )
-    kernel = np.zeros(liouv.shape[0], dtype=complex)
+    kernel = np.zeros(idx[-1] + 1 if sub is liouv else liouv.shape[0], dtype=complex)
     kernel[idx] = vh[-1].conj()
     rho = unvec(kernel)
     rho = 0.5 * (rho + rho.conj().T)
@@ -186,7 +179,8 @@ def steady_state(
     if abs(tr) < 1e-12:
         raise SolverError("kernel vector is traceless; no physical steady state")
     rho = rho / tr
-    residual = np.linalg.norm(liouv @ vec(rho))
+    rho_v = vec(rho)
+    residual = np.linalg.norm(liouv @ (rho_v[idx] if sub is liouv else rho_v))
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
@@ -216,17 +210,13 @@ class SpectrumResult:
             raise ConfigurationError("grid and intensity shapes differ")
 
 
-def _trace_row(a: np.ndarray) -> np.ndarray:
-    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
-    return np.asarray(a, dtype=complex).T.reshape(-1, order="F")
-
-
 def regression_spectrum(
     liouv: np.ndarray,
     pairs,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
     block=None,
+    norm: float | None = None,
 ) -> np.ndarray:
     """Summed quantum-regression spectrum of a sequence of (A, B) pairs.
 
@@ -237,30 +227,31 @@ def regression_spectrum(
     B rho_ss along the Liouvillian kernel is projected out, which removes
     the elastic (delta-function) line and leaves the incoherent spectrum.
 
-    `block` holds the column-stacked vec indices of a sector that L leaves
-    invariant and that holds every start vector B rho_ss; only that square
-    block of L is eigendecomposed, and the start vectors and trace rows are
-    restricted to it.  For the model's weak Z2 symmetry this is the odd
-    parity block of `HilbertSpec.parity_blocks`: rho_ss is even and every
-    source flips the parity.  The default is one block holding every index.
+    `block` holds the sorted vec indices of a sector that L leaves invariant
+    and that holds every start vector B rho_ss, and `liouv` is the whole L
+    or already its block there; only that block is eigendecomposed.  For
+    the model's weak Z2 symmetry this is the odd parity block: rho_ss is
+    even and every source flips the parity.  `norm`, the scale of the
+    guards below, is ||L||_F of the whole L; it defaults to that of `liouv`.
 
-    Raises SolverError if rho_ss is not stationary under L, if L couples
-    the block to the rest of the space or a start vector has weight outside
-    it, if a block that does not hold rho_ss has an eigenvalue within
-    1e-10 ||L|| of zero (a second stationary state that `steady_state`,
-    decomposing only its own block, cannot see), if the eigenbasis is
-    singular, or if some grid frequency coincides with an undamped
-    eigenvalue (add dissipation to every channel before asking for a
-    spectrum).
+    Raises SolverError if rho_ss is not stationary under `liouv`, if a start
+    vector has weight outside the block, if a block that does not hold
+    rho_ss has an eigenvalue within 1e-10 ||L|| of zero (a second
+    stationary state that `steady_state`, decomposing only its own block,
+    cannot see), if the eigenbasis is singular, or if some grid frequency
+    coincides with an undamped eigenvalue (add dissipation to every channel
+    before asking for a spectrum).
     """
     liouv = np.asarray(liouv, dtype=complex)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
-    scale = max(np.linalg.norm(liouv), 1.0)
-    if np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
+    idx = np.arange(rho_v.size) if block is None else np.asarray(block)
+    sub = _restrict(liouv, idx)
+    scale = max(np.linalg.norm(liouv) if norm is None else norm, 1.0)
+    drift = liouv @ (rho_v[idx] if sub is liouv else rho_v)
+    if np.linalg.norm(drift) > _STEADY_TOL * scale:
         raise SolverError("rho_ss is not a steady state of the given Liouvillian")
-    idx, sub = _block(liouv, block)
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
@@ -279,7 +270,8 @@ def regression_spectrum(
             f"index {k}, outside the block; B does not map rho_ss into it"
         )
     starts = starts[idx]
-    rows = np.array([_trace_row(op_a)[idx] for op_a, _ in pairs])
+    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
+    rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
 
     evals, vecs = np.linalg.eig(sub)
     # steady_state decomposed only the block holding rho_ss; a block without
@@ -319,6 +311,7 @@ def emission_spectrum(
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
     block=None,
+    norm: float | None = None,
 ) -> np.ndarray:
     """Summed normal-ordered emission spectrum of a sequence of sources.
 
@@ -326,13 +319,12 @@ def emission_spectrum(
     for the lowering operators s, which is the regression spectrum of the
     pairs (A, B) = (s+, s) evaluated at -w.  With this orientation a
     transition above the laser appears at positive offset, so red/blue
-    asymmetries read off the grid directly.  `block` is passed on to
-    `regression_spectrum`: the odd parity block for P-odd sources.
+    asymmetries read off the grid directly.  `block` and `norm` are passed
+    on to `regression_spectrum`: the odd parity block for P-odd sources.
     """
-    ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
+    pairs = [(np.asarray(s).conj().T, s) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    pairs = [(s.conj().T, s) for s in ops]
-    return regression_spectrum(liouv, pairs, rho_ss, -grid, block)
+    return regression_spectrum(liouv, pairs, rho_ss, -grid, block, norm)
 
 
 def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:

@@ -29,18 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, SolverError
-from .liouville import sandwich, spost, spre
 from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
     "PhononParams",
     "PhononKernels",
-    "spectral_density",
-    "phi",
-    "bracket_b",
     "build_kernels",
     "polaron_dissipator",
 ]
@@ -79,79 +74,6 @@ class PhononParams:
     def displacement_factor(self, involves_biexciton: bool) -> float:
         """Relative displacement jump of a one-step transition."""
         return self.xx_scaling - 1.0 if involves_biexciton else 1.0
-
-
-def spectral_density(omega, params: PhononParams):
-    """J(w) in ueV for w >= 0 (scalar or array)."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
-        raise ConfigurationError("spectral density defined for omega >= 0")
-    out = params.alpha_p * w**3 * np.exp(-(w**2) / (2.0 * params.omega_b**2))
-    return out if out.ndim else float(out)
-
-
-def _coth_over(x: float) -> float:
-    # coth(x) with the 1/x pole kept explicit for small arguments
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
-
-
-def _phi_integrands(params: PhononParams):
-    a = params.alpha_p
-    wb = params.omega_b
-    if params.temperature == 0.0:
-        thermal = lambda w: 1.0  # noqa: E731
-    else:
-        kt2 = 2.0 * K_B_UEV_PER_K * params.temperature
-
-        def thermal(w: float) -> float:
-            return _coth_over(w / kt2)
-
-    def weight(w: float) -> float:
-        # J(w)/w^2 * coth, finite (-> alpha * 2 k_B T) as w -> 0
-        if w == 0.0:
-            return a * kt2 / 1.0 if params.temperature > 0 else 0.0
-        return a * w * math.exp(-(w * w) / (2.0 * wb * wb)) * thermal(w)
-
-    def odd_weight(w: float) -> float:
-        return a * w * math.exp(-(w * w) / (2.0 * wb * wb))
-
-    return weight, odd_weight
-
-
-def phi(t: float, params: PhononParams, rtol: float = 1e-8) -> complex:
-    """Bath correlation function phi(t) by adaptive quadrature.
-
-    Real part: Int J/w^2 coth(w/2kT) cos(wt); imaginary part:
-    -Int J/w^2 sin(wt).  Raises SolverError when the quadrature cannot
-    reach the requested relative tolerance.
-    """
-    if params.alpha_p_ps2 == 0.0:
-        return 0.0 + 0.0j
-    weight, odd_weight = _phi_integrands(params)
-    cut = 12.0 * params.omega_b
-    scale = params.alpha_p * params.omega_b**2
-
-    def integrate(f, description):
-        val, err = quad(f, 0.0, cut, limit=400, epsabs=1e-13 * scale, epsrel=rtol)
-        if err > max(10.0 * rtol * abs(val), 1e-10 * scale):
-            raise SolverError(
-                f"phonon quadrature did not converge for {description} at t={t:g}: "
-                f"value {val:.3e}, error estimate {err:.3e}"
-            )
-        return val
-
-    re = integrate(lambda w: weight(w) * math.cos(w * t), "Re phi")
-    im = -integrate(lambda w: odd_weight(w) * math.sin(w * t), "Im phi")
-    return complex(re, im)
-
-
-def bracket_b(params: PhononParams) -> float:
-    """Thermal coupling renormalization <B> = exp(-phi(0)/2), in (0, 1]."""
-    if params.alpha_p_ps2 == 0.0:
-        return 1.0
-    return math.exp(-0.5 * phi(0.0, params).real)
 
 
 @dataclass(frozen=True)
@@ -257,8 +179,8 @@ def polaron_dissipator(
     h_system: np.ndarray,
     coupling_terms,
     kernels: PhononKernels,
-) -> np.ndarray:
-    """Second-order polaron-frame scattering superoperator.
+) -> tuple[np.ndarray, list]:
+    """Second-order polaron-frame scattering term, as K and sandwich pairs.
 
     Parameters
     ----------
@@ -276,8 +198,10 @@ def polaron_dissipator(
     with X_g the in-phase and X_u the out-of-phase quadrature of the
     coupling terms and X_m(-t) evaluated in the eigenbasis of h_system.
     Displacement classes (plain exciton vs biexciton steps) are handled
-    pairwise with their cross-correlations.  The result preserves trace
-    and Hermiticity by construction.
+    pairwise with their cross-correlations.  With N_m = Int dt G_m X_m(-t),
+    the term is returned in the form of `liouville.liouvillian`:
+    K = -Sum_m X_m N_m and the pairs (N_m, X_m) and (X_m, N_m+).  It
+    preserves trace and Hermiticity by construction.
     """
     h = np.asarray(h_system, dtype=complex)
     dim = h.shape[0]
@@ -287,11 +211,8 @@ def polaron_dissipator(
     # group coupling terms by displacement factor
     groups: dict[float, np.ndarray] = {}
     for op, factor in coupling_terms:
-        op = np.asarray(op, dtype=complex)
-        key = float(factor)
-        groups[key] = groups.get(key, np.zeros((dim, dim), dtype=complex)) + op
-    if not groups:
-        return np.zeros((dim * dim, dim * dim), dtype=complex)
+        groups[float(factor)] = groups.get(float(factor), 0.0) + np.asarray(op, complex)
+    quads = {f: (c + c.conj().T, 1j * (c - c.conj().T)) for f, c in groups.items()}
 
     energies, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     bohr = energies[:, None] - energies[None, :]
@@ -300,32 +221,18 @@ def polaron_dissipator(
     # phase[p, q, :] = exp(-i (E_p - E_q) t), flattened for fast contraction
     phase = np.exp(-1j * bohr[:, :, None] * t[None, None, :]).reshape(dim * dim, t.size)
 
-    quads = {}
-    for f, c in groups.items():
-        xg = c + c.conj().T
-        xu = 1j * (c - c.conj().T)
-        quads[f] = (xg, xu)
-
-    liouv = np.zeros((dim * dim, dim * dim), dtype=complex)
-    factors = sorted(groups)
-    for f_a in factors:
+    k = np.zeros((dim, dim), dtype=complex)
+    pairs = []
+    for f_a in sorted(groups):
         for m in (0, 1):
             x_a = quads[f_a][m]
             n_op = np.zeros((dim, dim), dtype=complex)
-            for f_b in factors:
-                g_corr, u_corr = kernels.correlations(f_a, f_b)
-                corr = (g_corr, u_corr)[m]
+            for f_b in sorted(groups):
+                corr = kernels.correlations(f_a, f_b)[m]
                 if not np.any(corr):
                     continue
-                x_b = quads[f_b][m]
                 half_ft = (phase @ (wts * corr)).reshape(dim, dim)
-                xb_tilde = v.conj().T @ x_b @ v
-                n_op += v @ (xb_tilde * half_ft) @ v.conj().T
-            nd = n_op.conj().T
-            liouv -= (
-                spre(x_a @ n_op)
-                - sandwich(n_op, x_a)
-                - sandwich(x_a, nd)
-                + spost(nd @ x_a)
-            )
-    return liouv
+                n_op += v @ ((v.conj().T @ quads[f_b][m] @ v) * half_ft) @ v.conj().T
+            k -= x_a @ n_op
+            pairs += [(n_op, x_a), (x_a, n_op.conj().T)]
+    return k, pairs

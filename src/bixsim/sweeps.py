@@ -2,28 +2,23 @@
 
 Each sweep evaluates the stationary spectrum row by row while one control
 parameter varies, and collects the rows into a SweepMap.  Rows are
-independent, so an optional thread pool distributes them; results are
-order-preserving and identical to the serial path.
+independent, so an optional thread pool distributes them, with no more
+workers than CPUs or rows; results are order-preserving and identical to
+the serial path.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .dressed import drive_for_splitting
 from .errors import ConfigurationError, SolverError
 from .liouville import SpectrumResult
-from .system import (
-    SystemConfig,
-    compute_spectrum_y,
-    config_hash,
-    delta_cl_x,
-    detunings,
-)
+from .system import SystemConfig, calibrate_drive, compute_spectrum_y, config_hash
 
 __all__ = [
     "SweepMap",
@@ -85,9 +80,12 @@ def _run_rows(configs, labels, label_name, threads):
         except SolverError as exc:
             raise SolverError(f"row at {label_name}={label:g} failed: {exc}") from exc
 
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     pairs = list(zip(configs, labels))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, pairs))
     else:
         rows = [work(p) for p in pairs]
@@ -127,15 +125,7 @@ def power_sweep(
     amplitude whose phonon-free doublet splitting equals max_splitting.
     """
     if omega_values is None:
-        det = detunings(cfg)
-        top = drive_for_splitting(
-            max_splitting,
-            det.delta3,
-            delta_cl_x(cfg),
-            cfg.rates.kappa_x,
-            cfg.couplings.g1x,
-            cfg.couplings.g2x,
-        )
+        top = calibrate_drive(cfg, max_splitting).drive.omega
         omega_values = np.linspace(0.0, top, n_rows)
     omega_values = np.asarray(omega_values, dtype=float)
     if omega_values.size < 2:

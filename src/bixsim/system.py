@@ -39,8 +39,9 @@ from .hilbert import (
 )
 from .liouville import (
     SpectrumResult,
+    check_parity,
     emission_spectrum,
-    lindblad_dissipator,
+    lindblad_generator,
     liouvillian,
     steady_state,
 )
@@ -175,27 +176,13 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        r = self.rates
-        for name in (
-            "gamma_x_g",
-            "gamma_y_g",
-            "gamma_xx_x",
-            "gamma_xx_y",
-            "dephasing_x_g",
-            "dephasing_y_g",
-            "dephasing_xx_x",
-            "dephasing_xx_y",
-            "kappa_x",
-            "kappa_y",
-        ):
-            if getattr(r, name) < 0:
-                raise ConfigurationError(f"rate {name} must be nonnegative")
+        for group, kind in ((self.rates, "rate"), (self.couplings, "coupling")):
+            for f in fields(group):
+                if getattr(group, f.name) < 0:
+                    raise ConfigurationError(f"{kind} {f.name} must be nonnegative")
         if self.rates.kappa_x <= 0:
             raise ConfigurationError("kappa_x must be positive (filter linewidth)")
         c = self.couplings
-        for name in ("g1x", "g2x", "g1y", "g2y"):
-            if getattr(c, name) < 0:
-                raise ConfigurationError(f"coupling {name} must be nonnegative")
         if self.source not in _SOURCES:
             raise ConfigurationError(
                 f"unknown source {self.source!r}; expected one of {_SOURCES}"
@@ -472,13 +459,12 @@ def _coupling_terms(cfg: SystemConfig, spec: HilbertSpec, kernels):
         f2 = kernels.params.displacement_factor(involves_biexciton=True)
         b1 = kernels.bracket(1.0)
         b2 = kernels.bracket(f2)
-    terms = [
+    return [
         (b1 * dp.eta1 * embed_qd_transition(spec, "G", "X"), 1.0),
         (b2 * dp.eta2 * embed_qd_transition(spec, "X", "XX"), f2),
         (b1 * c.g1y * (embed_qd_transition(spec, "G", "Y") @ a), 1.0),
         (b2 * c.g2y * (embed_qd_transition(spec, "Y", "XX") @ a), f2),
     ]
-    return terms
 
 
 def _kernels_for(cfg: SystemConfig):
@@ -516,33 +502,38 @@ def _assemble_hamiltonian(cfg, spec, kernels) -> np.ndarray:
     return h
 
 
-def assemble_liouvillian(cfg: SystemConfig) -> np.ndarray:
-    """Full generator: coherent part, Lindblad channels, phonon scattering."""
+def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
+    """K and sandwich pairs of the master equation, the input of `liouvillian`.
+
+    K = -iH - (1/2) Sum rate c+ c - Sum X_m N_m; the pairs are the Lindblad
+    jumps (sqrt(rate) c, sqrt(rate) c+) and, with phonons, the polaron pairs
+    (N_m, X_m) and (X_m, N_m+).
+    """
     spec = HilbertSpec(cfg.numerics.n_max_y)
     kernels = _kernels_for(cfg)
     h = _assemble_hamiltonian(cfg, spec, kernels)
-
     r = cfg.rates
-    dissipators = [
-        lindblad_dissipator(embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
-        lindblad_dissipator(embed_qd_transition(spec, "Y", "G"), r.gamma_y_g),
-        lindblad_dissipator(embed_qd_transition(spec, "XX", "X"), r.gamma_xx_x),
-        lindblad_dissipator(embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
-        lindblad_dissipator(embed_photon_annihilator(spec), r.kappa_y),
+    channels = [
+        (embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
+        (embed_qd_transition(spec, "Y", "G"), r.gamma_y_g),
+        (embed_qd_transition(spec, "XX", "X"), r.gamma_xx_x),
+        (embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
+        (embed_photon_annihilator(spec), r.kappa_y),
     ]
-    proj_rates, _ = dephasing_projector_rates(r)
-    for level, rate in proj_rates.items():
+    for level, rate in dephasing_projector_rates(r)[0].items():
         if rate > 0.0:
-            dissipators.append(
-                lindblad_dissipator(embed_qd_projector(spec, level), rate)
-            )
-
-    extras = []
+            channels.append((embed_qd_projector(spec, level), rate))
+    k, pairs = lindblad_generator(h, channels)
     if kernels is not None:
-        extras.append(
-            polaron_dissipator(h, _coupling_terms(cfg, spec, kernels), kernels)
-        )
-    return liouvillian(h, dissipators, extras)
+        terms = _coupling_terms(cfg, spec, kernels)
+        k_ph, pairs_ph = polaron_dissipator(h, terms, kernels)
+        k, pairs = k + k_ph, pairs + pairs_ph
+    return k, pairs
+
+
+def assemble_liouvillian(cfg: SystemConfig) -> np.ndarray:
+    """The whole d^2 x d^2 generator: coherent part, Lindblad channels, phonons."""
+    return liouvillian(*_generator(cfg))
 
 
 def source_operator(cfg: SystemConfig, which: str | None = None) -> np.ndarray:
@@ -570,25 +561,31 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
 
     The generator has the weak Z2 symmetry rho -> P rho P with
     P = (-1)^(n_y + [Y]), so it never couples the even and odd parity blocks
-    of rho (`HilbertSpec.parity_blocks`).  The steady state is solved in the
-    even block (one SVD there); both y sources flip P, so every s rho_ss lies
-    in the odd block, and one eigendecomposition of that block serves all
-    sources.  Two guards raise SolverError instead of splitting a model
-    that breaks the symmetry: L coupling the blocks by more than 1e-12
-    max|L|, and a start vector with weight outside the odd block.  The
-    steady state must be unique over the whole L: a kernel of the even
-    block other than one-dimensional, or a kernel eigenvalue in the odd
-    block, raises.
+    of rho (`HilbertSpec.parity_blocks`).  `check_parity` verifies that on
+    the operator list, naming any operator with an entry across parity;
+    then only the two blocks of L are built.  The steady state is solved in
+    the even block (one SVD there); both y sources flip P, so every
+    s rho_ss lies in the odd block, and one eigendecomposition of that
+    block serves all sources.  A start vector with weight outside the odd
+    block raises, and so does a steady state that is not unique over the
+    whole L: a kernel of the even block other than one-dimensional, or a
+    kernel eigenvalue in the odd block.
     """
     n = cfg.numerics
-    even, odd = HilbertSpec(n.n_max_y).parity_blocks()
-    liouv = assemble_liouvillian(cfg)
-    rho_ss = steady_state(liouv, kernel_rtol=n.steady_rtol, block=even)
+    spec = HilbertSpec(n.n_max_y)
+    k, pairs = _generator(cfg)
+    check_parity(spec.parity(), k, pairs)
+    even, odd = spec.parity_blocks()
+    l_even = liouvillian(k, pairs, even)
+    rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)
+    l_odd = liouvillian(k, pairs, odd)
+    norm = np.hypot(np.linalg.norm(l_even), np.linalg.norm(l_odd))  # ||L||
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
     sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
     ops = [source_operator(cfg, which) for which in sources]
-    total = np.clip(emission_spectrum(liouv, ops, rho_ss, grid, odd), 0.0, None)
+    total = emission_spectrum(l_odd, ops, rho_ss, grid, odd, norm)
+    total = np.clip(total, 0.0, None)
     if cfg.normalize and total.max() > 0.0:
         total = total / total.max()
 

@@ -80,6 +80,15 @@ def test_power_sweep_command(fast_config_path, tmp_path):
         assert (out / name).exists()
 
 
+def test_sweep_threads_below_one_is_config_error(fast_config_path, tmp_path, capsys):
+    rc = main([
+        "power-sweep", "--config", fast_config_path, "--rows", "3",
+        "--out", str(tmp_path / "out"), "--threads", "0",
+    ])
+    assert rc == EXIT_CONFIG
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
 def test_detuning_sweep_with_recalibration(fast_config_path, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([

@@ -165,9 +165,13 @@ def test_hamiltonian_and_polaron_quadratures_are_parity_even(xx_scaling):
         assert _parity_sign(spec, c + c.conj().T) == 1
         assert _parity_sign(spec, 1j * (c - c.conj().T)) == 1
 
-    # hence the scattering superoperator does not couple the parity blocks
-    dis = polaron_dissipator(h, terms, kernels)
-    even, odd = spec.parity_blocks()
-    assert np.max(np.abs(dis)) > 0.0
-    assert np.max(np.abs(dis[np.ix_(even, odd)])) < 1e-14 * np.max(np.abs(dis))
-    assert np.max(np.abs(dis[np.ix_(odd, even)])) < 1e-14 * np.max(np.abs(dis))
+    # hence every operator of the scattering term keeps P: its K part and
+    # both operators of each sandwich pair, up to rounding in the eigenbasis
+    k_ph, pairs = polaron_dissipator(h, terms, kernels)
+    assert len(pairs) == 4 * len(groups)
+    p = spec.parity()
+    flips = p[:, None] * p[None, :] < 0
+    for op in [k_ph] + [op for pair in pairs for op in pair]:
+        mag = np.abs(op)
+        assert mag.max() > 0.0
+        assert mag[flips].max() < 1e-14 * mag.max()

@@ -5,17 +5,16 @@ import pytest
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import expm
 
+from kron_oracle import hamiltonian_superop, sandwich, spost, spre
+
 from bixsim.errors import SolverError
 from bixsim.liouville import (
+    check_parity,
     emission_spectrum,
-    hamiltonian_superop,
-    lindblad_dissipator,
+    lindblad_generator,
     liouvillian,
     regression_spectrum,
-    sandwich,
     solver_hygiene,
-    spost,
-    spre,
     steady_state,
     unvec,
     vec,
@@ -49,7 +48,7 @@ def validate_density_matrix(rho, hermit_tol=1e-10, trace_tol=1e-10, eig_floor=-1
 
 def driven_tls(delta, eta, gamma):
     h = np.array([[0.0, eta], [eta, delta]], dtype=complex)
-    return liouvillian(h, [lindblad_dissipator(SIGMA, gamma)])
+    return liouvillian(*lindblad_generator(h, [(SIGMA, gamma)]))
 
 
 def test_vec_unvec_roundtrip():
@@ -71,7 +70,7 @@ def test_superop_identities():
 def test_free_decay_rates():
     # exact: populations decay at gamma, coherences at gamma/2
     gamma = 0.7
-    liouv = liouvillian(np.zeros((2, 2)), [lindblad_dissipator(SIGMA, gamma)])
+    liouv = liouvillian(*lindblad_generator(np.zeros((2, 2)), [(SIGMA, gamma)]))
     rho0 = np.array([[0.3, 0.4 - 0.1j], [0.4 + 0.1j, 0.7]], dtype=complex)
     for t in (0.3, 1.0, 4.0):
         rho = propagate(liouv, rho0, t)
@@ -106,17 +105,21 @@ def test_liouvillian_spectrum_matches_bloch_matrix():
     )
     lam_l = np.linalg.eigvals(liouv)
     lam_b = np.linalg.eigvals(bloch)
-    lam_l = np.sort_complex(lam_l[np.argsort(np.abs(lam_l))][1:])  # drop the zero
-    assert np.allclose(np.sort_complex(lam_b), lam_l, atol=1e-10)
+    lam_l = lam_l[np.argsort(np.abs(lam_l))][1:]  # drop the zero
+    # pair by imaginary part (0, +-2.06): the conjugate pair shares its real
+    # part, so sorting by real part first would pair them by rounding noise
+    assert np.allclose(lam_b[np.argsort(lam_b.imag)], lam_l[np.argsort(lam_l.imag)],
+                       atol=1e-10)
 
 
 def test_hamiltonian_superop_unitary_evolution():
     h = np.array([[0.0, 0.4], [0.4, 1.0]], dtype=complex)
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     t = 2.5
-    rho = propagate(hamiltonian_superop(h), rho0, t)
     u = expm(-1j * h * t)
-    assert np.allclose(rho, u @ rho0 @ u.conj().T, atol=1e-12)
+    for liouv in (hamiltonian_superop(h), liouvillian(-1j * h)):
+        rho = propagate(liouv, rho0, t)
+        assert np.allclose(rho, u @ rho0 @ u.conj().T, atol=1e-12)
 
 
 def test_propagation_preserves_density_matrix():
@@ -131,7 +134,7 @@ def test_steady_state_requires_unique_kernel():
     # a dark third level decoupled from the decay makes the kernel 2d
     sig = np.zeros((3, 3))
     sig[0, 1] = 1.0
-    liouv = liouvillian(np.zeros((3, 3)), [lindblad_dissipator(sig, 1.0)])
+    liouv = liouvillian(*lindblad_generator(np.zeros((3, 3)), [(sig, 1.0)]))
     with pytest.raises(SolverError, match="kernel"):
         steady_state(liouv)
 
@@ -139,8 +142,15 @@ def test_steady_state_requires_unique_kernel():
 def test_lindblad_rejects_negative_rate():
     from bixsim.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        lindblad_dissipator(SIGMA, -0.1)
+    with pytest.raises(ConfigurationError, match="negative dissipation rate"):
+        lindblad_generator(np.zeros((2, 2)), [(SIGMA, -0.1)])
+
+
+def test_lindblad_generator_rejects_non_hermitian_hamiltonian():
+    from bixsim.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="not Hermitian"):
+        lindblad_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), [(SIGMA, 0.1)])
 
 
 def test_regression_spectrum_against_time_integration():
@@ -188,7 +198,7 @@ def test_mollow_triplet_structure():
 
 def test_spectrum_requires_damping():
     h = np.diag([0.0, 1.0]).astype(complex)
-    liouv = hamiltonian_superop(h)
+    liouv = liouvillian(-1j * h)
     rho = np.diag([0.4, 0.6]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 21)  # includes the undamped Bohr frequency
     with pytest.raises(SolverError, match="dissipation"):
@@ -218,25 +228,28 @@ def test_solver_hygiene_report():
 # the even block, coherences (1, 2) the odd one.  H diagonal and jump operators
 # sigma, sigma+ flip or keep P, so these generators are block diagonal.
 EVEN, ODD = np.array([0, 3]), np.array([1, 2])
+P_TLS = np.array([1, -1])
 
 
-def pumped_tls(delta=0.7, gamma=0.6, pump=0.25):
+def pumped_tls(delta=0.7, gamma=0.6, pump=0.25, pump_op=SIGMA.T):
+    """K and sandwich pairs of a decaying, incoherently pumped two-level system."""
     h = np.diag([0.0, delta]).astype(complex)
-    return liouvillian(
-        h,
-        [lindblad_dissipator(SIGMA, gamma), lindblad_dissipator(SIGMA.T, pump)],
-    )
+    return lindblad_generator(h, [(SIGMA, gamma), (pump_op, pump)])
 
 
 def test_block_path_matches_full_space_on_symmetric_tls():
-    liouv = pumped_tls()
+    k, pairs = pumped_tls()
+    check_parity(P_TLS, k, pairs)
+    liouv = liouvillian(k, pairs)
     rho_full = steady_state(liouv)
-    rho_block = steady_state(liouv, block=EVEN)
+    rho_block = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     assert np.max(np.abs(rho_block - rho_full)) < 1e-14
     assert rho_block[0, 1] == 0.0 and rho_block[1, 0] == 0.0
     grid = np.linspace(-3.0, 3.0, 61)
     s_full = emission_spectrum(liouv, [SIGMA], rho_full, grid)
-    s_block = emission_spectrum(liouv, [SIGMA], rho_block, grid, ODD)
+    s_block = emission_spectrum(
+        liouvillian(k, pairs, ODD), [SIGMA], rho_block, grid, ODD, np.linalg.norm(liouv)
+    )
     assert np.max(np.abs(s_block - s_full)) < 1e-12 * np.max(s_full)
 
 
@@ -246,46 +259,76 @@ def test_even_block_kernel_must_be_one_dimensional():
     # stationary (rho_02 rotates at 0.3)
     sig = np.zeros((3, 3))
     sig[0, 1] = 1.0
-    liouv = liouvillian(np.diag([0.0, 1.0, 0.3]), [lindblad_dissipator(sig, 1.0)])
+    k, pairs = lindblad_generator(np.diag([0.0, 1.0, 0.3]), [(sig, 1.0)])
+    check_parity(np.array([1, -1, 1]), k, pairs)
+    even = [0, 2, 4, 6, 8]
     with pytest.raises(SolverError, match="not unique: Liouvillian kernel dimension 2"):
-        steady_state(liouv, block=[0, 2, 4, 6, 8])
+        steady_state(liouvillian(k, pairs, even), block=even)
 
 
 def test_odd_block_kernel_raises():
     # the even block has a unique kernel, the odd one a zero eigenvalue that
     # the even-block SVD cannot see
-    liouv = pumped_tls()
-    liouv[np.ix_(ODD, ODD)] = np.diag([0.0, -2.0])
-    rho = steady_state(liouv, block=EVEN)
+    k, pairs = pumped_tls()
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     grid = np.linspace(-3.0, 3.0, 61)
     with pytest.raises(SolverError, match="not unique: 1 eigenvalue"):
-        emission_spectrum(liouv, [SIGMA], rho, grid, ODD)
+        emission_spectrum(np.diag([0.0, -2.0]), [SIGMA], rho, grid, ODD)
 
 
 def test_resolvent_guard_on_undamped_odd_block():
     # unique kernel, but the coherences are undamped at omega = +-0.7
-    liouv = pumped_tls(delta=0.7)
-    liouv[np.ix_(ODD, ODD)] = np.diag([0.7j, -0.7j])
-    rho = steady_state(liouv, block=EVEN)
+    k, pairs = pumped_tls(delta=0.7)
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     grid = np.linspace(-1.4, 1.4, 5)
     with pytest.raises(SolverError, match="resolvent singular"):
-        emission_spectrum(liouv, [SIGMA], rho, grid, ODD)
+        emission_spectrum(np.diag([0.7j, -0.7j]), [SIGMA], rho, grid, ODD)
 
 
 def test_block_coupling_raises_and_names_the_entry():
-    liouv = pumped_tls()
-    liouv[3, 1] += 1e-6  # rho_01 feeds rho_11
-    with pytest.raises(SolverError, match=r"\|L\[3, 1\]\| = 1\.000e-06"):
-        steady_state(liouv, block=EVEN)
+    # a pump jump operator of mixed parity: its even entry |0><0| makes
+    # c rho c+ feed rho_10 from rho_00, coupling the blocks
+    mixed = SIGMA.T + 1e-6 * np.diag([1.0, 0.0])
+    k, pairs = pumped_tls(pump_op=mixed)
+    with pytest.raises(SolverError, match=r"\|A_1\[0, 0\]\| = 5\.000e-07 keeps P"):
+        check_parity(P_TLS, k, pairs)
+    liouv = liouvillian(k, pairs)
+    assert abs(liouv[1, 0]) == pytest.approx(0.25e-6)
     rho = steady_state(liouv)  # the full-space solve does not need the symmetry
-    with pytest.raises(SolverError, match=r"L\[3, 1\]"):
-        regression_spectrum(liouv, [(SIGMA.T, SIGMA)], rho, [0.5], ODD)
+    assert abs(rho[1, 0]) > 0.0
 
 
 def test_start_vector_outside_block_raises():
     # sigma_z keeps P, so sigma_z rho_ss lies in the even block
-    liouv = pumped_tls()
-    rho = steady_state(liouv, block=EVEN)
+    k, pairs = pumped_tls()
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     sz = np.diag([1.0, -1.0])
     with pytest.raises(SolverError, match="start vector 1 .* outside the block"):
-        regression_spectrum(liouv, [(SIGMA.T, SIGMA), (sz, sz)], rho, [0.5], ODD)
+        regression_spectrum(
+            liouvillian(k, pairs, ODD), [(SIGMA.T, SIGMA), (sz, sz)], rho, [0.5], ODD
+        )
+
+
+@pytest.mark.parametrize("block", [None, EVEN, ODD], ids=["full", "even", "odd"])
+def test_builder_matches_kron_products_on_random_operators(block):
+    rng = np.random.default_rng(4)
+
+    def rand(d):
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    k = rand(2)
+    pairs = [(rand(2), rand(2)) for _ in range(3)]
+    oracle = spre(k) + spost(k.conj().T) + sum(sandwich(a, b) for a, b in pairs)
+    idx = np.arange(4) if block is None else block
+    got = liouvillian(k, pairs, block)
+    assert np.max(np.abs(got - oracle[np.ix_(idx, idx)])) < 1e-14 * np.abs(oracle).max()
+
+
+def test_parity_check_names_the_operator():
+    k, pairs = pumped_tls()
+    check_parity(P_TLS, k, pairs)  # the symmetric generator passes
+    with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):
+        check_parity(P_TLS, k + 0.3 * SIGMA, pairs)
+    # A keeps P while B flips it: the pair maps the even block to the odd one
+    with pytest.raises(SolverError, match=r"\|B_0\[1, 0\]\| = 1\.000e\+00 flips P"):
+        check_parity(P_TLS, k, [(np.eye(2), SIGMA.T)] + pairs)

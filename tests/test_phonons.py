@@ -1,24 +1,100 @@
 """Phonon influence functional and polaron scattering term."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bixsim.errors import ConfigurationError, SolverError
-from bixsim.liouville import unvec, vec
-from bixsim.phonons import (
-    PhononParams,
-    bracket_b,
-    build_kernels,
-    phi,
-    polaron_dissipator,
-    spectral_density,
-)
-from bixsim.units import alpha_ps2_to_internal
+from bixsim.liouville import liouvillian, unvec, vec
+from bixsim.phonons import PhononParams, build_kernels, polaron_dissipator
+from bixsim.units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 PARAMS = PhononParams(alpha_p_ps2=0.06, omega_b=1000.0, temperature=6.8, xx_scaling=2.0)
 COLD = PhononParams(alpha_p_ps2=0.06, omega_b=1000.0, temperature=0.0, xx_scaling=2.0)
+
+
+# -- adaptive-quadrature oracle of the tabulated kernels ------------------------
+
+
+def spectral_density(omega, params):
+    """J(w) in ueV for w >= 0 (scalar or array)."""
+    w = np.asarray(omega, dtype=float)
+    if np.any(w < 0):
+        raise ConfigurationError("spectral density defined for omega >= 0")
+    out = params.alpha_p * w**3 * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+    return out if out.ndim else float(out)
+
+
+def _coth_over(x):
+    # coth(x) with the 1/x pole kept explicit for small arguments
+    if x < 1e-6:
+        return 1.0 / x + x / 3.0
+    return 1.0 / math.tanh(x)
+
+
+def _phi_integrands(params):
+    a = params.alpha_p
+    wb = params.omega_b
+    if params.temperature == 0.0:
+        thermal = lambda w: 1.0  # noqa: E731
+    else:
+        kt2 = 2.0 * K_B_UEV_PER_K * params.temperature
+
+        def thermal(w: float) -> float:
+            return _coth_over(w / kt2)
+
+    def weight(w: float) -> float:
+        # J(w)/w^2 * coth, finite (-> alpha * 2 k_B T) as w -> 0
+        if w == 0.0:
+            return a * kt2 / 1.0 if params.temperature > 0 else 0.0
+        return a * w * math.exp(-(w * w) / (2.0 * wb * wb)) * thermal(w)
+
+    def odd_weight(w: float) -> float:
+        return a * w * math.exp(-(w * w) / (2.0 * wb * wb))
+
+    return weight, odd_weight
+
+
+def phi(t, params, rtol=1e-8):
+    """Bath correlation function phi(t) by adaptive quadrature.
+
+    Real part: Int J/w^2 coth(w/2kT) cos(wt); imaginary part:
+    -Int J/w^2 sin(wt).  Raises SolverError when the quadrature cannot
+    reach the requested relative tolerance.
+    """
+    if params.alpha_p_ps2 == 0.0:
+        return 0.0 + 0.0j
+    weight, odd_weight = _phi_integrands(params)
+    cut = 12.0 * params.omega_b
+    scale = params.alpha_p * params.omega_b**2
+
+    def integrate(f, description):
+        val, err = quad(f, 0.0, cut, limit=400, epsabs=1e-13 * scale, epsrel=rtol)
+        if err > max(10.0 * rtol * abs(val), 1e-10 * scale):
+            raise SolverError(
+                f"phonon quadrature did not converge for {description} at t={t:g}: "
+                f"value {val:.3e}, error estimate {err:.3e}"
+            )
+        return val
+
+    re = integrate(lambda w: weight(w) * math.cos(w * t), "Re phi")
+    im = -integrate(lambda w: odd_weight(w) * math.sin(w * t), "Im phi")
+    return complex(re, im)
+
+
+def bracket_b(params):
+    """Thermal coupling renormalization <B> = exp(-phi(0)/2), in (0, 1]."""
+    if params.alpha_p_ps2 == 0.0:
+        return 1.0
+    return math.exp(-0.5 * phi(0.0, params).real)
+
+
+def polaron_superop(h, terms, kern):
+    """The scattering term as a d^2 x d^2 superoperator."""
+    return liouvillian(*polaron_dissipator(h, terms, kern))
 
 
 def test_spectral_density_shape():
@@ -158,7 +234,7 @@ def _four_level_setup(eta1=150.0, eta2=180.0):
 def test_polaron_dissipator_preserves_trace_and_hermiticity():
     kern = build_kernels(PARAMS, n_t=401)
     h, terms = _four_level_setup()
-    dis = polaron_dissipator(h, terms, kern)
+    dis = polaron_superop(h, terms, kern)
     # trace row annihilated
     row = vec(np.eye(4, dtype=complex)).conj().T @ dis
     assert np.max(np.abs(row)) < 1e-10 * max(np.max(np.abs(dis)), 1.0)
@@ -176,7 +252,7 @@ def test_polaron_dissipator_preserves_trace_and_hermiticity():
 def test_polaron_dissipator_vanishes_without_coupling():
     kern = build_kernels(PhononParams(0.0, 1000.0, 6.8, 2.0), n_t=201)
     h, terms = _four_level_setup()
-    dis = polaron_dissipator(h, terms, kern)
+    dis = polaron_superop(h, terms, kern)
     assert np.max(np.abs(dis)) < 1e-14
 
 
@@ -185,7 +261,7 @@ def test_polaron_dissipator_damps_dressed_coherences():
     # basis: adding it to a purely coherent evolution creates decay
     kern = build_kernels(PARAMS, n_t=401)
     h, terms = _four_level_setup()
-    dis = polaron_dissipator(h, terms, kern)
+    dis = polaron_superop(h, terms, kern)
     evals = np.linalg.eigvals(dis)
     assert evals.real.min() < -1e-3  # some channels genuinely dissipate
     assert evals.real.max() < 1e-10  # none amplify

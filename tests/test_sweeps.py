@@ -88,6 +88,44 @@ def test_threaded_rows_identical_to_serial():
     assert np.array_equal(serial.values, threaded.values)
 
 
+@pytest.mark.parametrize(
+    "threads, cpus, rows, workers",
+    [(41, 2, 5, 2), (4, 8, 3, 3), (2, 2, 5, 2), (41, 1, 5, None), (1, 8, 5, None)],
+)
+def test_sweep_workers_capped_by_cpus_and_rows(monkeypatch, threads, cpus, rows, workers):
+    from bixsim import sweeps
+
+    started = []
+
+    class RecordingPool:
+        # stands in for ThreadPoolExecutor: records max_workers, starts no thread
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweeps, "_raw_row", lambda cfg: np.ones(3))
+    values = sweeps._run_rows([None] * rows, list(range(rows)), "Omega", threads)
+    assert values.shape == (rows, 3)
+    assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_sweep_rejects_fewer_than_one_thread(threads):
+    omegas = np.linspace(50.0, 260.0, 3)
+    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+        power_sweep(small_config(), omega_values=omegas, threads=threads)
+
+
 def test_sweeps_are_deterministic():
     cfg = small_config()
     omegas = np.linspace(50.0, 260.0, 3)

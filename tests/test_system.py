@@ -6,11 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bixsim import system
+import tracemalloc
+
+from kron_oracle import generator_superop, hamiltonian_superop, lindblad_dissipator
+
+from bixsim import liouville, system
 from bixsim.dressed import dressed_eigenvalues, transition_catalog
 from bixsim.errors import ConfigurationError, SolverError
-from bixsim.hilbert import HilbertSpec, embed_photon_annihilator, identity
+from bixsim.hilbert import (
+    HilbertSpec,
+    embed_photon_annihilator,
+    embed_qd_projector,
+    embed_qd_transition,
+    identity,
+)
 from bixsim.liouville import steady_state, unvec, vec
+from bixsim.phonons import polaron_dissipator
 from bixsim.system import (
     Rates,
     SystemConfig,
@@ -346,7 +357,7 @@ def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
 
 
 def test_parity_breaking_term_fails_loudly(monkeypatch):
-    # a coherent y-mode drive eps (a + a+) flips P, so L couples the blocks
+    # a coherent y-mode drive eps (a + a+) flips P, so K no longer keeps it
     cfg = fast_config()
     spec = HilbertSpec(cfg.numerics.n_max_y)
     a = embed_photon_annihilator(spec)
@@ -356,12 +367,122 @@ def test_parity_breaking_term_fails_loudly(monkeypatch):
         return clean(*args) + 0.5 * (a + a.conj().T)
 
     monkeypatch.setattr(system, "_assemble_hamiltonian", driven)
-    liouv = assemble_liouvillian(cfg)
-    even, _ = spec.parity_blocks()
-    inside = np.zeros(liouv.shape[0], dtype=bool)
-    inside[even] = True
-    cross = np.where(inside[:, None] != inside[None, :], np.abs(liouv), 0.0)
+    k, _ = system._generator(cfg)
+    p = spec.parity()
+    cross = np.where(p[:, None] != p[None, :], np.abs(k), 0.0)
     i, j = np.unravel_index(np.argmax(cross), cross.shape)
     assert cross[i, j] > 0.1
-    with pytest.raises(SolverError, match=rf"couples the block .* \|L\[{i}, {j}\]\|"):
+    with pytest.raises(SolverError, match=rf"K breaks the parity .* \|K\[{i}, {j}\]\|"):
         compute_spectrum_y(cfg)
+
+
+def kron_oracle_liouvillian(cfg):
+    """L as a sum of one Kronecker-product superoperator per term."""
+    spec = HilbertSpec(cfg.numerics.n_max_y)
+    kernels = system._kernels_for(cfg)
+    h = system.build_reduced_hamiltonian(cfg)
+    r = cfg.rates
+    channels = [
+        (embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
+        (embed_qd_transition(spec, "Y", "G"), r.gamma_y_g),
+        (embed_qd_transition(spec, "XX", "X"), r.gamma_xx_x),
+        (embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
+        (embed_photon_annihilator(spec), r.kappa_y),
+    ]
+    for level, rate in dephasing_projector_rates(r)[0].items():
+        if rate > 0.0:
+            channels.append((embed_qd_projector(spec, level), rate))
+    liouv = hamiltonian_superop(h)
+    for op, rate in channels:
+        liouv = liouv + lindblad_dissipator(op, rate)
+    if kernels is not None:
+        terms = system._coupling_terms(cfg, spec, kernels)
+        liouv = liouv + generator_superop(*polaron_dissipator(h, terms, kernels))
+    return liouv
+
+
+@pytest.mark.parametrize("xx_scaling", [2.0, 2.5])
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("n_max_y", [0, 1, 2, 6])
+def test_liouvillian_and_parity_blocks_match_kron_oracle(n_max_y, phonons, xx_scaling):
+    base = default_config()
+    couplings = base.couplings
+    if n_max_y == 0:  # without a photon rung the y mode must be uncoupled
+        couplings = replace(couplings, g1y=0.0, g2y=0.0)
+    cfg = replace(
+        base,
+        couplings=couplings,
+        drive=replace(base.drive, omega=252.83669951857598),
+        phonon=replace(base.phonon, enable=phonons, xx_scaling=xx_scaling),
+        numerics=replace(base.numerics, n_max_y=n_max_y),
+        laser_detuning=12.0,
+    )
+    oracle = kron_oracle_liouvillian(cfg)
+    tol = 1e-13 * np.abs(oracle).max()
+    assert np.max(np.abs(assemble_liouvillian(cfg) - oracle)) <= tol
+    spec = HilbertSpec(n_max_y)
+    k, pairs = system._generator(cfg)
+    for block in spec.parity_blocks():
+        got = liouville.liouvillian(k, pairs, block)
+        assert np.max(np.abs(got - oracle[np.ix_(block, block)])) <= tol
+
+
+def test_spectrum_assembly_peak_memory(monkeypatch):
+    # the tracemalloc peak of what compute_spectrum_y allocates before its
+    # steady-state solve and between that solve and the spectrum, i.e. the
+    # assembly of the matrices it solves; the whole 784 x 784 L takes 9.8 MB
+    class Assembled(Exception):
+        pass
+
+    peaks = []
+    solve = system.steady_state
+
+    def steady_state_after_peak(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        rho = solve(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return rho
+
+    def stop_before_spectrum(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise Assembled
+
+    monkeypatch.setattr(system, "steady_state", steady_state_after_peak)
+    monkeypatch.setattr(system, "emission_spectrum", stop_before_spectrum)
+    cfg = fast_config(numerics=replace(default_config().numerics, n_max_y=6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Assembled):
+            compute_spectrum_y(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert max(peaks) <= 20e6
+
+
+def test_spectrum_reaches_the_traced_layers(monkeypatch):
+    # the benchmark's tracer wraps these module attributes; a phonon-on
+    # spectrum must still call each of them
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("liouvillian", "polaron_dissipator", "steady_state"):
+        count(system, name)
+    count(liouville, "regression_spectrum")
+    cfg = fast_config(phonon=default_config().phonon)
+    assert cfg.phonon.enable
+    compute_spectrum_y(cfg)
+    assert calls == {
+        "liouvillian": 2,  # the even and the odd parity block
+        "polaron_dissipator": 1,
+        "steady_state": 1,
+        "regression_spectrum": 1,
+    }
