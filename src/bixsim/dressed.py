@@ -64,6 +64,11 @@ class DetuningSet:
     delta3: float
     delta4: float
 
+    @property
+    def delta_xy(self) -> float:
+        """Fine-structure splitting between the x and y excitons."""
+        return self.delta3 - self.delta2
+
 
 @dataclass(frozen=True)
 class DriveParams:

@@ -15,13 +15,16 @@ excited state decays as exp(-rate * t), its coherence as exp(-rate * t / 2)).
 
 `steady_state` and `regression_spectrum` take an optional `block`: the vec
 indices of a sector that L leaves invariant, such as a parity block of a
-weak Z2 symmetry, and decompose only that square block of L.  The
-invariance is checked on the operators, before any block is built, by
-`check_parity`.
+weak Z2 symmetry, and decompose only that square block of L, which
+`liouvillian` builds directly (`steady_state` also cuts it from a whole
+L).  The invariance is checked on the operators, before any block is
+built, by `check_parity`: K must keep the parity P of each basis state,
+and the A and B of each pair must both keep it or both flip it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,17 +88,25 @@ def lindblad_generator(h: np.ndarray, channels) -> tuple[np.ndarray, list]:
     return k, pairs
 
 
-def liouvillian(k: np.ndarray, pairs=(), block=None) -> np.ndarray:
+def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
     """Matrix of rho -> K rho + rho K+ + Sum_(A, B) A rho B.
 
+    `pairs` holds the (A, B) operators, each d x d like K; pass () for none.
     With `block`, sorted vec indices, only the square block of L on them is
     built; the caller makes sure L leaves it invariant (`check_parity`).
     With rho[i, j] at vec index i + d j, each entry is gathered from the
     flat d x d operators: L[r, c] = K[i_r, i_c] [j_r = j_c]
     + [i_r = i_c] conj(K[j_r, j_c]) + Sum A[i_r, i_c] B[j_c, j_r].
+    Raises ConfigurationError for a pair that is not two operators of the
+    shape of K, such as a superoperator.
     """
     k = np.asarray(k, dtype=complex)
     d = k.shape[0]
+    for pair in pairs:
+        if len(pair) != 2 or any(np.shape(op) != k.shape for op in pair):
+            raise ConfigurationError(
+                f"pairs must hold (A, B) operators of shape {k.shape}"
+            )
     idx = np.arange(d * d) if block is None else np.asarray(block)
     i, j = idx % d, idx // d
     ii = i[:, None] * d + i[None, :]  # flat index of (i_r, i_c)
@@ -134,11 +145,6 @@ def check_parity(parity: np.ndarray, k: np.ndarray, pairs=()) -> None:
             )
 
 
-def _restrict(liouv: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # `liouv` is L on the whole space, or already on `idx` when it has their size
-    return liouv if liouv.shape[0] == idx.size else liouv[np.ix_(idx, idx)]
-
-
 def steady_state(
     liouv: np.ndarray, kernel_rtol: float = _KERNEL_RTOL, block=None
 ) -> np.ndarray:
@@ -146,17 +152,30 @@ def steady_state(
 
     The kernel is located by SVD.  `block` holds the sorted vec indices of a
     sector that L leaves invariant, such as the even parity block, and
-    `liouv` is the whole L or already its block there; the block's kernel
-    vector is embedded back into d x d with zeros elsewhere.  A block with
-    a steady state holds every diagonal entry of rho, so its last index is
-    d^2 - 1.  The caller owns the uniqueness check on the other sectors
-    (`regression_spectrum` makes it for the odd block).  Raises SolverError
-    if the kernel is empty or degenerate at the given relative tolerance,
-    if the kernel vector is traceless, or if ||liouv vec(rho)|| > 1e-9.
+    `liouv` is the whole L or, when it has the block's size, already its
+    block there; the block's kernel vector is embedded back into d x d with
+    zeros elsewhere.  A block with a steady state holds every diagonal
+    entry of rho, so its last index is d^2 - 1.  The caller owns the
+    uniqueness check on the other sectors (`regression_spectrum` makes it
+    for the odd block).  Raises SolverError if a block given with its part
+    of L is unsorted or misses a diagonal entry, if the kernel is empty or
+    degenerate at the given relative tolerance, if the kernel vector is
+    traceless, or if ||liouv vec(rho)|| > 1e-9.
     """
     liouv = np.asarray(liouv, dtype=complex)
     idx = np.arange(liouv.shape[0]) if block is None else np.asarray(block)
-    sub = _restrict(liouv, idx)
+    size = liouv.shape[0]  # d^2
+    cut = block is not None and size == idx.size  # liouv is already the block
+    if cut:
+        size = int(idx[-1]) + 1
+        d = math.isqrt(size)
+        holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
+        if d * d != size or not holds or np.any(np.diff(idx) <= 0):
+            raise SolverError(
+                "a block given with its part of L must be sorted vec indices "
+                "holding every diagonal entry of rho, the last being d^2 - 1"
+            )
+    sub = liouv if cut or block is None else liouv[np.ix_(idx, idx)]
     _, s, vh = np.linalg.svd(sub)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
@@ -171,7 +190,7 @@ def steady_state(
         raise SolverError(
             f"steady state is not unique: Liouvillian kernel dimension {kdim}"
         )
-    kernel = np.zeros(idx[-1] + 1 if sub is liouv else liouv.shape[0], dtype=complex)
+    kernel = np.zeros(size, dtype=complex)
     kernel[idx] = vh[-1].conj()
     rho = unvec(kernel)
     rho = 0.5 * (rho + rho.conj().T)
@@ -180,7 +199,7 @@ def steady_state(
         raise SolverError("kernel vector is traceless; no physical steady state")
     rho = rho / tr
     rho_v = vec(rho)
-    residual = np.linalg.norm(liouv @ (rho_v[idx] if sub is liouv else rho_v))
+    residual = np.linalg.norm(liouv @ (rho_v[idx] if cut else rho_v))
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
@@ -210,6 +229,11 @@ class SpectrumResult:
             raise ConfigurationError("grid and intensity shapes differ")
 
 
+def _trace_row(a: np.ndarray) -> np.ndarray:
+    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
+    return np.asarray(a, dtype=complex).T.reshape(-1, order="F")
+
+
 def regression_spectrum(
     liouv: np.ndarray,
     pairs,
@@ -228,29 +252,32 @@ def regression_spectrum(
     the elastic (delta-function) line and leaves the incoherent spectrum.
 
     `block` holds the sorted vec indices of a sector that L leaves invariant
-    and that holds every start vector B rho_ss, and `liouv` is the whole L
-    or already its block there; only that block is eigendecomposed.  For
-    the model's weak Z2 symmetry this is the odd parity block: rho_ss is
-    even and every source flips the parity.  `norm`, the scale of the
-    guards below, is ||L||_F of the whole L; it defaults to that of `liouv`.
+    and that holds every start vector B rho_ss, and `liouv` is then L
+    restricted to that block, the only part eigendecomposed.  For the
+    model's weak Z2 symmetry this is the odd parity block: rho_ss is even
+    and every source flips the parity.  `norm`, the scale of the guards
+    below, is ||L||_F of the whole L; it defaults to that of `liouv`.
 
-    Raises SolverError if rho_ss is not stationary under `liouv`, if a start
-    vector has weight outside the block, if a block that does not hold
-    rho_ss has an eigenvalue within 1e-10 ||L|| of zero (a second
-    stationary state that `steady_state`, decomposing only its own block,
-    cannot see), if the eigenbasis is singular, or if some grid frequency
-    coincides with an undamped eigenvalue (add dissipation to every channel
-    before asking for a spectrum).
+    Raises SolverError if rho_ss is not stationary under a whole `liouv`
+    (with `block`, the residual check of `steady_state` on the block that
+    holds rho_ss covers this), if a start vector has weight outside the
+    block, if a block that does not hold rho_ss has an eigenvalue within
+    1e-10 ||L|| of zero (a second stationary state that `steady_state`,
+    decomposing only its own block, cannot see), if the eigenbasis is
+    singular, or if some grid frequency coincides with an undamped
+    eigenvalue (add dissipation to every channel before asking for a
+    spectrum).  Raises ConfigurationError if `liouv` does not have the
+    block's size.
     """
     liouv = np.asarray(liouv, dtype=complex)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
     idx = np.arange(rho_v.size) if block is None else np.asarray(block)
-    sub = _restrict(liouv, idx)
+    if liouv.shape[0] != idx.size:
+        raise ConfigurationError("with a block, pass L restricted to the block")
     scale = max(np.linalg.norm(liouv) if norm is None else norm, 1.0)
-    drift = liouv @ (rho_v[idx] if sub is liouv else rho_v)
-    if np.linalg.norm(drift) > _STEADY_TOL * scale:
+    if block is None and np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
         raise SolverError("rho_ss is not a steady state of the given Liouvillian")
 
     # left kernel of a trace-preserving L is the trace functional, so the
@@ -270,10 +297,9 @@ def regression_spectrum(
             f"index {k}, outside the block; B does not map rho_ss into it"
         )
     starts = starts[idx]
-    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
-    rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
+    rows = np.array([_trace_row(op_a)[idx] for op_a, _ in pairs])
 
-    evals, vecs = np.linalg.eig(sub)
+    evals, vecs = np.linalg.eig(liouv)
     # steady_state decomposed only the block holding rho_ss; a block without
     # rho_ss must have no kernel, or the steady state is not unique
     if np.abs(rho_v[idx]).max() <= _BLOCK_RTOL * np.abs(rho_v).max():
@@ -322,8 +348,9 @@ def emission_spectrum(
     asymmetries read off the grid directly.  `block` and `norm` are passed
     on to `regression_spectrum`: the odd parity block for P-odd sources.
     """
-    pairs = [(np.asarray(s).conj().T, s) for s in lowering_ops]
+    ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    pairs = [(s.conj().T, s) for s in ops]
     return regression_spectrum(liouv, pairs, rho_ss, -grid, block, norm)
 
 

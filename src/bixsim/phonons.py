@@ -211,8 +211,11 @@ def polaron_dissipator(
     # group coupling terms by displacement factor
     groups: dict[float, np.ndarray] = {}
     for op, factor in coupling_terms:
-        groups[float(factor)] = groups.get(float(factor), 0.0) + np.asarray(op, complex)
-    quads = {f: (c + c.conj().T, 1j * (c - c.conj().T)) for f, c in groups.items()}
+        op = np.asarray(op, dtype=complex)
+        key = float(factor)
+        groups[key] = groups.get(key, np.zeros((dim, dim), dtype=complex)) + op
+    if not groups:
+        return np.zeros((dim, dim), dtype=complex), []
 
     energies, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     bohr = energies[:, None] - energies[None, :]
@@ -221,18 +224,28 @@ def polaron_dissipator(
     # phase[p, q, :] = exp(-i (E_p - E_q) t), flattened for fast contraction
     phase = np.exp(-1j * bohr[:, :, None] * t[None, None, :]).reshape(dim * dim, t.size)
 
+    quads = {}
+    for f, c in groups.items():
+        xg = c + c.conj().T
+        xu = 1j * (c - c.conj().T)
+        quads[f] = (xg, xu)
+
     k = np.zeros((dim, dim), dtype=complex)
     pairs = []
-    for f_a in sorted(groups):
+    factors = sorted(groups)
+    for f_a in factors:
         for m in (0, 1):
             x_a = quads[f_a][m]
             n_op = np.zeros((dim, dim), dtype=complex)
-            for f_b in sorted(groups):
-                corr = kernels.correlations(f_a, f_b)[m]
+            for f_b in factors:
+                g_corr, u_corr = kernels.correlations(f_a, f_b)
+                corr = (g_corr, u_corr)[m]
                 if not np.any(corr):
                     continue
+                x_b = quads[f_b][m]
                 half_ft = (phase @ (wts * corr)).reshape(dim, dim)
-                n_op += v @ ((v.conj().T @ quads[f_b][m] @ v) * half_ft) @ v.conj().T
+                xb_tilde = v.conj().T @ x_b @ v
+                n_op += v @ (xb_tilde * half_ft) @ v.conj().T
             k -= x_a @ n_op
             pairs += [(n_op, x_a), (x_a, n_op.conj().T)]
     return k, pairs

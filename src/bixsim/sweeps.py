@@ -16,9 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import find_peaks
 
+from .dressed import drive_for_splitting
 from .errors import ConfigurationError, SolverError
 from .liouville import SpectrumResult
-from .system import SystemConfig, calibrate_drive, compute_spectrum_y, config_hash
+from .system import (
+    SystemConfig,
+    compute_spectrum_y,
+    config_hash,
+    delta_cl_x,
+    detunings,
+)
 
 __all__ = [
     "SweepMap",
@@ -125,7 +132,15 @@ def power_sweep(
     amplitude whose phonon-free doublet splitting equals max_splitting.
     """
     if omega_values is None:
-        top = calibrate_drive(cfg, max_splitting).drive.omega
+        det = detunings(cfg)
+        top = drive_for_splitting(
+            max_splitting,
+            det.delta3,
+            delta_cl_x(cfg),
+            cfg.rates.kappa_x,
+            cfg.couplings.g1x,
+            cfg.couplings.g2x,
+        )
         omega_values = np.linspace(0.0, top, n_rows)
     omega_values = np.asarray(omega_values, dtype=float)
     if omega_values.size < 2:

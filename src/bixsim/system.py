@@ -176,13 +176,27 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        for group, kind in ((self.rates, "rate"), (self.couplings, "coupling")):
-            for f in fields(group):
-                if getattr(group, f.name) < 0:
-                    raise ConfigurationError(f"{kind} {f.name} must be nonnegative")
+        r = self.rates
+        for name in (
+            "gamma_x_g",
+            "gamma_y_g",
+            "gamma_xx_x",
+            "gamma_xx_y",
+            "dephasing_x_g",
+            "dephasing_y_g",
+            "dephasing_xx_x",
+            "dephasing_xx_y",
+            "kappa_x",
+            "kappa_y",
+        ):
+            if getattr(r, name) < 0:
+                raise ConfigurationError(f"rate {name} must be nonnegative")
         if self.rates.kappa_x <= 0:
             raise ConfigurationError("kappa_x must be positive (filter linewidth)")
         c = self.couplings
+        for name in ("g1x", "g2x", "g1y", "g2y"):
+            if getattr(c, name) < 0:
+                raise ConfigurationError(f"coupling {name} must be nonnegative")
         if self.source not in _SOURCES:
             raise ConfigurationError(
                 f"unknown source {self.source!r}; expected one of {_SOURCES}"
@@ -459,12 +473,13 @@ def _coupling_terms(cfg: SystemConfig, spec: HilbertSpec, kernels):
         f2 = kernels.params.displacement_factor(involves_biexciton=True)
         b1 = kernels.bracket(1.0)
         b2 = kernels.bracket(f2)
-    return [
+    terms = [
         (b1 * dp.eta1 * embed_qd_transition(spec, "G", "X"), 1.0),
         (b2 * dp.eta2 * embed_qd_transition(spec, "X", "XX"), f2),
         (b1 * c.g1y * (embed_qd_transition(spec, "G", "Y") @ a), 1.0),
         (b2 * c.g2y * (embed_qd_transition(spec, "Y", "XX") @ a), f2),
     ]
+    return terms
 
 
 def _kernels_for(cfg: SystemConfig):
@@ -520,7 +535,8 @@ def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
         (embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
         (embed_photon_annihilator(spec), r.kappa_y),
     ]
-    for level, rate in dephasing_projector_rates(r)[0].items():
+    proj_rates, _ = dephasing_projector_rates(r)
+    for level, rate in proj_rates.items():
         if rate > 0.0:
             channels.append((embed_qd_projector(spec, level), rate))
     k, pairs = lindblad_generator(h, channels)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from kron_oracle import hamiltonian_superop, sandwich, spost, spre
 
-from bixsim.errors import SolverError
+from bixsim.errors import ConfigurationError, SolverError
 from bixsim.liouville import (
     check_parity,
     emission_spectrum,
@@ -117,7 +117,7 @@ def test_hamiltonian_superop_unitary_evolution():
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     t = 2.5
     u = expm(-1j * h * t)
-    for liouv in (hamiltonian_superop(h), liouvillian(-1j * h)):
+    for liouv in (hamiltonian_superop(h), liouvillian(-1j * h, ())):
         rho = propagate(liouv, rho0, t)
         assert np.allclose(rho, u @ rho0 @ u.conj().T, atol=1e-12)
 
@@ -198,7 +198,7 @@ def test_mollow_triplet_structure():
 
 def test_spectrum_requires_damping():
     h = np.diag([0.0, 1.0]).astype(complex)
-    liouv = liouvillian(-1j * h)
+    liouv = liouvillian(-1j * h, ())
     rho = np.diag([0.4, 0.6]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 21)  # includes the undamped Bohr frequency
     with pytest.raises(SolverError, match="dissipation"):
@@ -251,6 +251,8 @@ def test_block_path_matches_full_space_on_symmetric_tls():
         liouvillian(k, pairs, ODD), [SIGMA], rho_block, grid, ODD, np.linalg.norm(liouv)
     )
     assert np.max(np.abs(s_block - s_full)) < 1e-12 * np.max(s_full)
+    with pytest.raises(ConfigurationError, match="restricted to the block"):
+        emission_spectrum(liouv, [SIGMA], rho_block, grid, ODD)
 
 
 def test_even_block_kernel_must_be_one_dimensional():
@@ -307,6 +309,27 @@ def test_start_vector_outside_block_raises():
         regression_spectrum(
             liouvillian(k, pairs, ODD), [(SIGMA.T, SIGMA), (sz, sz)], rho, [0.5], ODD
         )
+
+
+def test_steady_state_rejects_a_block_without_the_diagonal():
+    # the odd block holds no diagonal entry of rho, and an unsorted even block
+    # does not say where each kernel entry goes; both raise before any solve
+    k, pairs = pumped_tls()
+    with pytest.raises(SolverError, match="holding every diagonal entry"):
+        steady_state(liouvillian(k, pairs, ODD), block=ODD)
+    flipped = EVEN[::-1]
+    with pytest.raises(SolverError, match="must be sorted vec indices"):
+        steady_state(liouvillian(k, pairs, flipped), block=flipped)
+
+
+def test_builder_rejects_a_bare_hamiltonian_or_superoperators():
+    # neither H alone nor a list of superoperators is a generator in K + pairs
+    # form; both fail loudly instead of building a wrong L
+    h = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(TypeError, match="pairs"):
+        liouvillian(h)
+    with pytest.raises(ConfigurationError, match=r"pairs must hold \(A, B\)"):
+        liouvillian(h, [hamiltonian_superop(h)])
 
 
 @pytest.mark.parametrize("block", [None, EVEN, ODD], ids=["full", "even", "odd"])
