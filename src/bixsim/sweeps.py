@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dressed import drive_for_splitting
 from .errors import ConfigurationError, SolverError
@@ -219,6 +218,31 @@ def phonon_comparison(cfg: SystemConfig) -> tuple[SpectrumResult, SpectrumResult
     return rescale(res_on, "phonons-on"), rescale(res_off, "phonons-off")
 
 
+def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of y with prominence >= min_prominence.
+
+    The same indices as scipy.signal.find_peaks(y, prominence=min_prominence):
+    a flat top counts once, at its middle sample (left + right) // 2, and the
+    end samples never count.  The prominence is the height of a peak above
+    the higher of its two side minima, each taken from the peak out to the
+    first strictly higher sample or the end of y.
+    """
+    if y.size < 3:
+        return np.array([], dtype=int)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(y)) + 1))  # equal runs
+    level = y[starts]
+    top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    keep = []
+    for i in ((starts[1:-1] + starts[2:] - 1) // 2)[top]:
+        higher = np.flatnonzero(y[:i] > y[i])
+        left = y[higher[-1] + 1 if higher.size else 0 : i + 1].min()
+        higher = np.flatnonzero(y[i:] > y[i])
+        right = y[i : i + higher[0] if higher.size else None].min()
+        if y[i] - max(left, right) >= min_prominence:
+            keep.append(int(i))
+    return np.array(keep, dtype=int)
+
+
 @dataclass(frozen=True)
 class PeakReport:
     """Peak positions/heights plus cluster splittings of a single spectrum."""
@@ -253,7 +277,7 @@ def extract_peaks(
     if top <= 0.0:
         empty = np.array([])
         return PeakReport(empty, empty, empty.copy(), empty.copy(), 0.0, 0.0)
-    idx, _ = find_peaks(y, prominence=min_prominence * top)
+    idx = _find_peaks(y, min_prominence * top)
     positions = []
     heights = []
     for i in idx:

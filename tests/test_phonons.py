@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bixsim import system
 from bixsim.errors import ConfigurationError, SolverError
+from bixsim.hilbert import HilbertSpec
 from bixsim.liouville import liouvillian, unvec, vec
 from bixsim.phonons import PhononParams, build_kernels, polaron_dissipator
 from bixsim.units import K_B_UEV_PER_K, alpha_ps2_to_internal
@@ -92,6 +94,71 @@ def bracket_b(params):
     return math.exp(-0.5 * phi(0.0, params).real)
 
 
+def gauss_legendre_phi(params, t, nodes, weights):
+    """phi on the grid t by Gauss-Legendre quadrature, fresh cos and sin tables."""
+    cut = 12.0 * params.omega_b
+    w = 0.5 * cut * (nodes + 1.0)
+    wts = 0.5 * cut * weights
+    gauss = params.alpha_p * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+    thermal = 1.0 / np.tanh(w / (2.0 * K_B_UEV_PER_K * params.temperature))
+    phase = w[None, :] * t[:, None]
+    return (np.cos(phase) @ (wts * gauss * thermal)
+            + 1j * (-np.sin(phase) @ (wts * gauss)))
+
+
+# -- complex-exponential oracle of the polaron scattering term -------------------
+
+
+def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
+    """K and pairs of `polaron_dissipator`, from a (d^2, n_t) table of exp(-i w t).
+
+    Each half-sided transform is the product of that complex phase table
+    with the Simpson-weighted correlation, one product per correlation.
+    """
+    h = np.asarray(h, dtype=complex)
+    dim = h.shape[0]
+    groups = {}
+    for op, factor in coupling_terms:
+        groups[float(factor)] = groups.get(float(factor), 0) + np.asarray(op, complex)
+    energies, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    bohr = energies[:, None] - energies[None, :]
+    t = kernels.t_grid
+    wts = np.ones(t.size)
+    wts[1:-1:2] = 4.0
+    wts[2:-1:2] = 2.0
+    wts *= (t[1] - t[0]) / 3.0
+    phase = np.exp(-1j * bohr[:, :, None] * t[None, None, :]).reshape(dim * dim, t.size)
+    quads = {f: (c + c.conj().T, 1j * (c - c.conj().T)) for f, c in groups.items()}
+    k = np.zeros((dim, dim), dtype=complex)
+    pairs = []
+    for f_a in sorted(groups):
+        for m in (0, 1):
+            x_a = quads[f_a][m]
+            n_op = np.zeros((dim, dim), dtype=complex)
+            for f_b in sorted(groups):
+                corr = kernels.correlations(f_a, f_b)[m]
+                half_ft = (phase @ (wts * corr)).reshape(dim, dim)
+                n_op += v @ ((v.conj().T @ quads[f_b][m] @ v) * half_ft) @ v.conj().T
+            k -= x_a @ n_op
+            pairs += [(n_op, x_a), (x_a, n_op.conj().T)]
+    return k, pairs
+
+
+def _polaron_inputs(n_max_y, xx_scaling):
+    """H, coupling terms and kernels of the driven baseline system."""
+    base = system.default_config()
+    cfg = replace(
+        base,
+        drive=replace(base.drive, omega=252.83669951857598),
+        phonon=replace(base.phonon, enable=True, xx_scaling=xx_scaling),
+        numerics=replace(base.numerics, n_max_y=n_max_y),
+        laser_detuning=12.0,
+    )
+    kernels = system._kernels_for(cfg)
+    terms = system._coupling_terms(cfg, HilbertSpec(n_max_y), kernels)
+    return system.build_reduced_hamiltonian(cfg), terms, kernels
+
+
 def polaron_superop(h, terms, kern):
     """The scattering term as a d^2 x d^2 superoperator."""
     return liouvillian(*polaron_dissipator(h, terms, kern))
@@ -143,6 +210,31 @@ def test_kernel_tabulation_matches_quadrature():
         assert kern.phi_t[k] == pytest.approx(direct, rel=1e-6, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.03, 0.06, 0.12])
+@pytest.mark.parametrize("omega_b", [500.0, 1000.0])
+@pytest.mark.parametrize("temperature", [4.0, 6.8, 15.0, 30.0])
+def test_kernel_node_count_is_converged(temperature, omega_b, alpha):
+    # the default table against the adaptive integral and an 800-node table
+    params = PhononParams(alpha, omega_b, temperature, 2.0)
+    kern = build_kernels(params)
+    scale = abs(kern.phi_t[0])
+    for k in (0, 100, 400, 800, 1600):
+        direct = phi(float(kern.t_grid[k]), params)
+        assert abs(kern.phi_t[k] - direct) <= 1e-10 * scale
+    fine = gauss_legendre_phi(params, kern.t_grid, *np.polynomial.legendre.leggauss(800))
+    assert np.max(np.abs(kern.phi_t - fine)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_cold_bath_has_not_decayed_by_the_default_grid_end(temperature):
+    # below a few kelvin phi keeps a slow tail (at T = 0 about -alpha_p / t^2)
+    # that the default 10 / omega_b grid cuts off; the build must say so
+    params = replace(PARAMS, temperature=temperature)
+    assert abs(phi(10.0 / params.omega_b, params)) > 1e-4
+    with pytest.raises(SolverError, match="extend t_max"):
+        build_kernels(params)
+
+
 def test_gauss_legendre_table_computed_once_per_process(monkeypatch):
     from bixsim import phonons
 
@@ -159,26 +251,18 @@ def test_gauss_legendre_table_computed_once_per_process(monkeypatch):
     for temperature in (4.0, 6.8, 12.0, 20.0):
         build_kernels(replace(PARAMS, temperature=temperature), n_t=201)
     assert build_kernels.cache_info().misses == 4
-    assert calls == [800]
+    assert calls == [phonons._N_NODES]
 
 
 def test_kernel_table_equals_separate_cos_and_sin_products():
     # the phase table is reused in place for cos and sin; phi_t must be
     # bit-identical to the products of freshly built cos and sin tables
-    from bixsim.phonons import K_B_UEV_PER_K, _gauss_legendre
+    from bixsim.phonons import _gauss_legendre
 
     for temperature, n_t in ((4.0, 1601), (6.8, 1601), (30.0, 201)):
         params = replace(PARAMS, temperature=temperature)
         kern = build_kernels(params, n_t=n_t)
-        nodes, weights = _gauss_legendre()
-        cut = 12.0 * params.omega_b
-        w = 0.5 * cut * (nodes + 1.0)
-        wts = 0.5 * cut * weights
-        gauss = params.alpha_p * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
-        thermal = 1.0 / np.tanh(w / (2.0 * K_B_UEV_PER_K * temperature))
-        phase = w[None, :] * kern.t_grid[:, None]
-        expected = (np.cos(phase) @ (wts * gauss * thermal)
-                    + 1j * (-np.sin(phase) @ (wts * gauss)))
+        expected = gauss_legendre_phi(params, kern.t_grid, *_gauss_legendre())
         assert np.array_equal(kern.phi_t, expected)
 
 
@@ -254,6 +338,33 @@ def test_polaron_dissipator_vanishes_without_coupling():
     h, terms = _four_level_setup()
     dis = polaron_superop(h, terms, kern)
     assert np.max(np.abs(dis)) < 1e-14
+
+
+@pytest.mark.parametrize("xx_scaling", [2.0, 2.5])
+@pytest.mark.parametrize("n_max_y", [2, 6])
+def test_polaron_transforms_match_complex_exp_oracle(n_max_y, xx_scaling):
+    h, terms, kernels = _polaron_inputs(n_max_y, xx_scaling)
+    k, pairs = polaron_dissipator(h, terms, kernels)
+    k_ref, pairs_ref = complex_exp_polaron_dissipator(h, terms, kernels)
+    assert len(pairs) == len(pairs_ref) == (4 if xx_scaling == 2.0 else 8)
+    for op, ref in zip([k, *(o for p in pairs for o in p)],
+                       [k_ref, *(o for p in pairs_ref for o in p)]):
+        assert np.max(np.abs(op - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_polaron_dissipator_peak_memory():
+    # the real half tables cover the pairs p < q only: 378 x 1601 float64
+    # (4.8 MB) at n_max_y=6, where a complex d^2 x n_t table is 20 MB
+    import tracemalloc
+
+    h, terms, kernels = _polaron_inputs(6, 2.0)
+    tracemalloc.start()
+    try:
+        polaron_dissipator(h, terms, kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_polaron_dissipator_damps_dressed_coherences():

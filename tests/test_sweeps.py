@@ -1,5 +1,8 @@
 """Sweep maps, peak extraction, export round-trips, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from bixsim.export import export_map, export_spectrum, import_map, import_spectr
 from bixsim.liouville import SpectrumResult
 from bixsim.sweeps import (
     SweepMap,
+    _find_peaks,
     detuning_sweep,
     extract_peaks,
     phonon_comparison,
@@ -51,6 +55,65 @@ def test_extract_peaks_empty_spectrum():
     x = np.linspace(-1.0, 1.0, 11)
     rep = extract_peaks(SpectrumResult(x, np.zeros_like(x), {}))
     assert rep.n_peaks == 0
+
+
+def scipy_peaks(y, prominence):
+    from scipy.signal import find_peaks
+
+    return find_peaks(y, prominence=prominence)[0]
+
+
+def test_find_peaks_matches_scipy_on_random_arrays():
+    rng = np.random.default_rng(11)
+    for k in range(400):
+        n = int(rng.integers(0, 80))
+        if k % 2:  # integer-valued: many plateaus, some at the ends
+            y = rng.integers(0, 4, size=n).astype(float)
+        else:
+            y = rng.normal(size=n)
+        prominence = float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.0]))
+        assert np.array_equal(_find_peaks(y, prominence), scipy_peaks(y, prominence))
+
+
+@pytest.mark.parametrize("y, expected", [
+    ([0, 2, 2, 2, 0], [2]),  # flat top: the middle sample
+    ([0, 2, 2, 2, 2, 0], [2]),  # even width: (left + right) // 2
+    ([2, 2, 1, 3, 3, 3], []),  # plateaus touching either end never count
+    ([0, 1, 1, 2, 0], [3]),  # a shelf on the way up is no peak
+    ([0, 3, 1, 2, 1, 3, 0], [1, 5]),  # the middle bump has prominence 1
+    ([5], []),
+    ([], []),
+])
+def test_find_peaks_plateaus_match_scipy(y, expected):
+    y = np.asarray(y, dtype=float)
+    assert _find_peaks(y, 1.5).tolist() == expected
+    for prominence in (0.0, 1.0, 1.5):
+        assert np.array_equal(_find_peaks(y, prominence), scipy_peaks(y, prominence))
+
+
+def test_find_peaks_matches_scipy_on_every_map_row():
+    cfg = default_config()
+    cfg = replace(cfg, drive=replace(cfg.drive, omega=252.83669951857598))
+    found = 0
+    for m in (power_sweep(cfg, n_rows=21), detuning_sweep(cfg, n_rows=21)):
+        assert m.values.shape[0] == 21
+        for row in m.values:
+            prominence = 0.01 * row.max()
+            idx = _find_peaks(row, prominence)
+            assert np.array_equal(idx, scipy_peaks(row, prominence))
+            found += idx.size
+    assert found > 60  # two to five lines per row, the dark zero-drive row aside
+
+
+def test_import_loads_no_scipy():
+    import bixsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
+    code = ("import sys, bixsim, bixsim.cli, bixsim.export; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_power_sweep_shapes_and_normalization():
