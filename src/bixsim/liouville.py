@@ -20,6 +20,18 @@ weak Z2 symmetry, and decompose only that square block of L, which
 L).  The invariance is checked on the operators, before any block is
 built, by `check_parity`: K must keep the parity P of each basis state,
 and the A and B of each pair must both keep it or both flip it.
+
+Both decompose L in the Hermitian basis of the vec indices they are given,
+where it is a real matrix: a physical generator preserves Hermiticity,
+L(rho+) = L(rho)+.  The partner of vec index r = i + d j (rho[i, j]) is
+p = j + d i, and for each pair with i < j the unitary T maps
+x_r = (v_r + v_p) / sqrt(2), x_p = (v_r - v_p) / (i sqrt(2)); diagonal
+entries stay.  T vec(H) is real for every Hermitian H, so L_h = T L T+ is
+real, and a real SVD and a real `eig` replace complex ones; their vectors
+are mapped back with T+.  T has two nonzeros per row and is applied as
+row and column combinations, never formed.  L_h with an imaginary entry
+above 1e-12 of its largest entry raises SolverError: such an L does not
+preserve Hermiticity, and no physical generator does that.
 """
 
 from __future__ import annotations
@@ -38,6 +50,8 @@ _STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
 _KERNEL_RTOL = 1e-10  # singular value or |eigenvalue| counted as kernel, relative
 _BLOCK_RTOL = 1e-12  # vector weight in or outside a block, relative to its max
 _PARITY_RTOL = 1e-12  # operator entries crossing parity, relative to max|op|
+_HERMITICITY_RTOL = 1e-12  # |Im L_h| in the Hermitian basis, relative to max|L_h|
+_SQRT_HALF = math.sqrt(0.5)
 
 __all__ = [
     "vec",
@@ -145,12 +159,70 @@ def check_parity(parity: np.ndarray, k: np.ndarray, pairs=()) -> None:
             )
 
 
+def _hermitian_pairs(idx: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b) in `idx` of rho[i, j] and rho[j, i], for each i < j.
+
+    Raises SolverError if `idx` holds some rho[i, j] without rho[j, i]: the
+    Hermitian basis needs a block closed under rho -> rho+, as every parity
+    block is (P_i P_j is symmetric in i and j).
+    """
+    i, j = idx % d, idx // d
+    where = np.full(d * d, -1)
+    where[idx] = np.arange(idx.size)
+    partner = where[j + d * i]
+    if np.any(partner < 0):
+        n = np.argmax(partner < 0)
+        raise SolverError(
+            f"the block holds vec index {idx[n]} but not its partner "
+            f"{j[n] + d * i[n]}; it must be closed under rho -> rho+"
+        )
+    a = np.flatnonzero(i < j)
+    return a, partner[a]
+
+
+def _real_hermitian(liouv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L_h = T L T+ in the Hermitian basis of the pairs (a, b), as a real matrix.
+
+    Rows are combined first, then columns.  Raises SolverError, naming the
+    largest entry, if |Im L_h| exceeds 1e-12 max|L_h|: L then does not
+    preserve Hermiticity.
+    """
+    m = np.array(liouv, dtype=complex)
+    ra, rb = m[a], m[b]
+    m[a] = (ra + rb) * _SQRT_HALF
+    m[b] = (rb - ra) * (1j * _SQRT_HALF)
+    ca, cb = m[:, a], m[:, b]
+    m[:, a] = (ca + cb) * _SQRT_HALF
+    m[:, b] = (ca - cb) * (1j * _SQRT_HALF)
+    imag = np.abs(m.imag)
+    k, n = np.unravel_index(np.argmax(imag), imag.shape)
+    bound = _HERMITICITY_RTOL * np.abs(m).max()
+    if imag[k, n] > bound:
+        raise SolverError(
+            f"L does not preserve Hermiticity: |Im L_h[{k}, {n}]| = "
+            f"{imag[k, n]:.3e} in the Hermitian basis, above "
+            f"{_HERMITICITY_RTOL:.0e} * max|L_h| = {bound:.3e}"
+        )
+    return np.ascontiguousarray(m.real)
+
+
+def _from_hermitian(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T+ x: a vector, or the columns of a matrix, back in vec entries."""
+    v = np.array(x, dtype=complex)
+    xa, xb = v[a], v[b]
+    v[a] = (xa + 1j * xb) * _SQRT_HALF
+    v[b] = (xa - 1j * xb) * _SQRT_HALF
+    return v
+
+
 def steady_state(
     liouv: np.ndarray, kernel_rtol: float = _KERNEL_RTOL, block=None
 ) -> np.ndarray:
     """Steady-state density matrix from the kernel of the Liouvillian.
 
-    The kernel is located by SVD.  `block` holds the sorted vec indices of a
+    The kernel is located by a real SVD of L in the Hermitian basis of the
+    decomposed indices (see the module docstring), and the kernel vector is
+    mapped back to vec entries.  `block` holds the sorted vec indices of a
     sector that L leaves invariant, such as the even parity block, and
     `liouv` is the whole L or, when it has the block's size, already its
     block there; the block's kernel vector is embedded back into d x d with
@@ -160,15 +232,17 @@ def steady_state(
     for the odd block).  Raises SolverError if a block given with its part
     of L is unsorted or misses a diagonal entry, if the kernel is empty or
     degenerate at the given relative tolerance, if the kernel vector is
-    traceless, or if ||liouv vec(rho)|| > 1e-9.
+    traceless, if ||liouv vec(rho)|| > 1e-9, if the block is not closed
+    under rho -> rho+, or if L does not preserve Hermiticity.
     """
     liouv = np.asarray(liouv, dtype=complex)
     idx = np.arange(liouv.shape[0]) if block is None else np.asarray(block)
-    size = liouv.shape[0]  # d^2
-    cut = block is not None and size == idx.size  # liouv is already the block
+    cut = block is not None and liouv.shape[0] == idx.size  # liouv is the block
+    size = int(idx[-1]) + 1 if cut else liouv.shape[0]  # d^2
+    d = math.isqrt(size)
+    if not cut and d * d != size:
+        raise ConfigurationError("Liouvillian size is not a perfect square")
     if cut:
-        size = int(idx[-1]) + 1
-        d = math.isqrt(size)
         holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
         if d * d != size or not holds or np.any(np.diff(idx) <= 0):
             raise SolverError(
@@ -176,7 +250,8 @@ def steady_state(
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
     sub = liouv if cut or block is None else liouv[np.ix_(idx, idx)]
-    _, s, vh = np.linalg.svd(sub)
+    a, b = _hermitian_pairs(idx, d)
+    _, s, vh = np.linalg.svd(_real_hermitian(sub, a, b))
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise SolverError("Liouvillian is identically zero")
@@ -191,7 +266,7 @@ def steady_state(
             f"steady state is not unique: Liouvillian kernel dimension {kdim}"
         )
     kernel = np.zeros(size, dtype=complex)
-    kernel[idx] = vh[-1].conj()
+    kernel[idx] = _from_hermitian(vh[-1], a, b)
     rho = unvec(kernel)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
@@ -229,11 +304,6 @@ class SpectrumResult:
             raise ConfigurationError("grid and intensity shapes differ")
 
 
-def _trace_row(a: np.ndarray) -> np.ndarray:
-    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
-    return np.asarray(a, dtype=complex).T.reshape(-1, order="F")
-
-
 def regression_spectrum(
     liouv: np.ndarray,
     pairs,
@@ -247,9 +317,13 @@ def regression_spectrum(
     Returns S(w) = Sum_(A, B) Re Int_0^inf dt e^{iwt} <A(t) B(0)>, evaluated
     without time stepping through the resolvent,
     S(w) = Sum Re Tr[A (-iw - L)^{-1} vec(B rho_ss)].  One eigendecomposition
-    serves every pair and every grid frequency.  The component of each
-    B rho_ss along the Liouvillian kernel is projected out, which removes
-    the elastic (delta-function) line and leaves the incoherent spectrum.
+    serves every pair and every grid frequency: a real `eig` of L in the
+    Hermitian basis of the decomposed indices (see the module docstring),
+    whose eigenvectors are mapped back to vec entries; the start vectors
+    B rho_ss and the trace rows of A stay in vec entries.  The component of
+    each B rho_ss along the Liouvillian kernel is projected out, which
+    removes the elastic (delta-function) line and leaves the incoherent
+    spectrum.
 
     `block` holds the sorted vec indices of a sector that L leaves invariant
     and that holds every start vector B rho_ss, and `liouv` is then L
@@ -266,8 +340,9 @@ def regression_spectrum(
     decomposing only its own block, cannot see), if the eigenbasis is
     singular, or if some grid frequency coincides with an undamped
     eigenvalue (add dissipation to every channel before asking for a
-    spectrum).  Raises ConfigurationError if `liouv` does not have the
-    block's size.
+    spectrum).  Raises SolverError too if the block is not closed under
+    rho -> rho+ or if L does not preserve Hermiticity.  Raises
+    ConfigurationError if `liouv` does not have the block's size.
     """
     liouv = np.asarray(liouv, dtype=complex)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
@@ -297,9 +372,12 @@ def regression_spectrum(
             f"index {k}, outside the block; B does not map rho_ss into it"
         )
     starts = starts[idx]
-    rows = np.array([_trace_row(op_a)[idx] for op_a, _ in pairs])
+    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
+    rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
 
-    evals, vecs = np.linalg.eig(liouv)
+    a, b = _hermitian_pairs(idx, rho_ss.shape[0])
+    evals, vecs = np.linalg.eig(_real_hermitian(liouv, a, b))
+    vecs = _from_hermitian(vecs, a, b)
     # steady_state decomposed only the block holding rho_ss; a block without
     # rho_ss must have no kernel, or the steady state is not unique
     if np.abs(rho_v[idx]).max() <= _BLOCK_RTOL * np.abs(rho_v).max():

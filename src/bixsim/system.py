@@ -582,10 +582,13 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     then only the two blocks of L are built.  The steady state is solved in
     the even block (one SVD there); both y sources flip P, so every
     s rho_ss lies in the odd block, and one eigendecomposition of that
-    block serves all sources.  A start vector with weight outside the odd
-    block raises, and so does a steady state that is not unique over the
-    whole L: a kernel of the even block other than one-dimensional, or a
-    kernel eigenvalue in the odd block.
+    block serves all sources.  Both blocks are closed under rho -> rho+, and
+    the generator preserves Hermiticity, so each is decomposed as a real
+    matrix in its Hermitian basis (a real SVD and a real `eig`, see
+    `liouville`).  A start vector with weight outside the odd block raises,
+    and so do a steady state that is not unique over the whole L (a kernel
+    of the even block other than one-dimensional, or a kernel eigenvalue in
+    the odd block) and a block whose L has an imaginary part in that basis.
     """
     n = cfg.numerics
     spec = HilbertSpec(n.n_max_y)

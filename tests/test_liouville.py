@@ -5,10 +5,20 @@ import pytest
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import expm
 
-from kron_oracle import hamiltonian_superop, sandwich, spost, spre
+from kron_oracle import (
+    complex_regression_spectra,
+    complex_steady_state,
+    hamiltonian_superop,
+    sandwich,
+    spost,
+    spre,
+)
 
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.liouville import (
+    _from_hermitian,
+    _hermitian_pairs,
+    _real_hermitian,
     check_parity,
     emission_spectrum,
     lindblad_generator,
@@ -270,12 +280,30 @@ def test_even_block_kernel_must_be_one_dimensional():
 
 def test_odd_block_kernel_raises():
     # the even block has a unique kernel, the odd one a zero eigenvalue that
-    # the even-block SVD cannot see
+    # the even-block SVD cannot see; [[-1, 1], [1, -1]] has eigenvalues
+    # {0, -2} and preserves Hermiticity: it maps (rho_10, rho_01) to
+    # (rho_01 - rho_10, rho_10 - rho_01), conjugates when the inputs are
     k, pairs = pumped_tls()
     rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     grid = np.linspace(-3.0, 3.0, 61)
+    odd_block = np.array([[-1.0, 1.0], [1.0, -1.0]])
     with pytest.raises(SolverError, match="not unique: 1 eigenvalue"):
+        emission_spectrum(odd_block, [SIGMA], rho, grid, ODD)
+
+
+def test_block_breaking_hermiticity_raises_and_names_the_entry():
+    # diag(0, -2) on (rho_10, rho_01) damps rho_01 but not rho_10, so it maps
+    # a Hermitian rho to a non-Hermitian one; L_h then has the entry +-i
+    k, pairs = pumped_tls()
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
+    grid = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(
+        SolverError,
+        match=r"L does not preserve Hermiticity: \|Im L_h\[0, 1\]\| = 1\.000e\+00",
+    ):
         emission_spectrum(np.diag([0.0, -2.0]), [SIGMA], rho, grid, ODD)
+    with pytest.raises(SolverError, match="does not preserve Hermiticity"):
+        steady_state(np.diag([0.0, 1.0, -1.0, 0.0]))
 
 
 def test_resolvent_guard_on_undamped_odd_block():
@@ -355,3 +383,93 @@ def test_parity_check_names_the_operator():
     # A keeps P while B flips it: the pair maps the even block to the odd one
     with pytest.raises(SolverError, match=r"\|B_0\[1, 0\]\| = 1\.000e\+00 flips P"):
         check_parity(P_TLS, k, [(np.eye(2), SIGMA.T)] + pairs)
+
+
+# -- the Hermitian basis ---------------------------------------------------------
+# Four levels with P = diag(1, -1, 1, -1): a Lindblad generator with H keeping
+# P and jump operators of either parity, plus a weak pair (A, B) with its
+# partner (B+, A+), so L(rho+) = L(rho)+ while A != B+, as in the polaron
+# dissipator; K takes -(1/2)(B A + A+ B+) to keep the trace.
+P_4 = np.array([1, -1, 1, -1])
+
+
+def random_parity_generator(seed):
+    rng = np.random.default_rng(seed)
+    keeps = np.equal.outer(P_4, P_4)
+
+    def rand(mask):
+        return np.where(mask, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 0)
+
+    h = rand(keeps)
+    channels = [(rand(~keeps), 1.0) for _ in range(3)] + [(rand(keeps), 0.5)]
+    k, pairs = lindblad_generator(h + h.conj().T, channels)
+    a, b = 0.1 * rand(~keeps), 0.1 * rand(~keeps)
+    pairs += [(a, b), (b.conj().T, a.conj().T)]
+    return k - 0.5 * (b @ a + a.conj().T @ b.conj().T), pairs
+
+
+def parity_blocks_4():
+    r = np.arange(16)
+    even = (P_4[r % 4] * P_4[r // 4]) > 0
+    return np.flatnonzero(even), np.flatnonzero(~even)
+
+
+@pytest.mark.parametrize("which", ["full", "even", "odd"])
+def test_hermitian_basis_is_unitary_and_makes_l_real(which):
+    even, odd = parity_blocks_4()
+    idx = {"full": np.arange(16), "even": even, "odd": odd}[which]
+    a, b = _hermitian_pairs(idx, 4)
+    t_h = _from_hermitian(np.eye(idx.size), a, b)  # T+, column by column
+    t = t_h.conj().T
+    assert np.max(np.abs(t @ t_h - np.eye(idx.size))) < 1e-15
+    assert np.all(np.count_nonzero(t, axis=1) <= 2)
+
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x = t @ vec(h + h.conj().T)[idx]
+    assert np.max(np.abs(x.imag)) <= 1e-15 * np.max(np.abs(x))
+
+    k, pairs = random_parity_generator(6)
+    liouv = liouvillian(k, pairs, None if which == "full" else idx)
+    l_h = _real_hermitian(liouv, a, b)
+    assert l_h.dtype == np.float64
+    assert np.max(np.abs(l_h - t @ liouv @ t_h)) <= 1e-14 * np.max(np.abs(liouv))
+
+
+def test_hermitian_basis_needs_a_block_closed_under_adjoint():
+    # vec index 1 is rho_10; its partner rho_01 is vec index 2
+    with pytest.raises(SolverError, match="vec index 1 but not its partner 2"):
+        steady_state(np.eye(4), block=[0, 1])
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_hermitian_basis_matches_complex_decompositions(seed):
+    # steady state and spectra on the whole L and on both parity blocks against
+    # a complex SVD and a complex eig of the same matrix
+    k, pairs = random_parity_generator(seed)
+    even, odd = parity_blocks_4()
+    whole = liouvillian(k, pairs)
+    norm = np.linalg.norm(whole)
+    l_even, l_odd = liouvillian(k, pairs, even), liouvillian(k, pairs, odd)
+
+    rho = steady_state(whole)
+    for got, want in [
+        (rho, complex_steady_state(whole, np.arange(16), 4)),
+        (steady_state(l_even, block=even), complex_steady_state(l_even, even, 4)),
+    ]:
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    rng = np.random.default_rng(seed)
+    flips = np.where(np.equal.outer(P_4, P_4), 0, rng.normal(size=(4, 4)))
+    grid = np.linspace(-5.0, 5.0, 101)
+    for liouv, idx, ops in [
+        (whole, np.arange(16), [flips, flips @ flips.T]),
+        (l_odd, odd, [flips]),
+        (l_even, even, [flips @ flips.T]),  # a P-even pair, on the block with rho
+    ]:
+        pairs_ab = [(op.conj().T, op) for op in ops]
+        block = None if liouv is whole else idx
+        got = regression_spectrum(liouv, pairs_ab, rho, grid, block, norm)
+        want = complex_regression_spectra(liouv, pairs_ab, rho, grid, idx, 1e-10 * norm)
+        want = want.sum(axis=0)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -116,6 +116,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_spectrum_request_loads_no_scipy(tmp_path):
+    # a whole request (phonon-on spectrum, peaks, export) stays numpy-only, so
+    # a first request pays no scipy import
+    import bixsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from bixsim.export import export_spectrum\n"
+        "from bixsim.sweeps import extract_peaks\n"
+        "from bixsim.system import compute_spectrum_y, default_config\n"
+        "cfg = default_config()\n"
+        "cfg = replace(cfg, phonon=replace(cfg.phonon, enable=True),\n"
+        "              numerics=replace(cfg.numerics, n_max_y=2))\n"
+        "res = compute_spectrum_y(cfg)\n"
+        "assert res.metadata['phonons']\n"
+        "extract_peaks(res)\n"
+        "export_spectrum(res, sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "spectrum.csv").exists()
+
+
 def test_power_sweep_shapes_and_normalization():
     cfg = small_config()
     omegas = np.linspace(0.0, 260.0, 4)

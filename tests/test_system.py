@@ -8,7 +8,13 @@ import pytest
 
 import tracemalloc
 
-from kron_oracle import generator_superop, hamiltonian_superop, lindblad_dissipator
+from kron_oracle import (
+    complex_regression_spectra,
+    complex_steady_state,
+    generator_superop,
+    hamiltonian_superop,
+    lindblad_dissipator,
+)
 
 from bixsim import liouville, system
 from bixsim.dressed import dressed_eigenvalues, transition_catalog
@@ -286,14 +292,31 @@ def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
     eig = np.linalg.eig
 
     def counting_eig(a):
-        calls.append(np.shape(a))
+        calls.append((np.shape(a), np.asarray(a).dtype))
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     cfg = fast_config(source=source)
     compute_spectrum_y(cfg)
     _, odd = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
-    assert calls == [(odd.size, odd.size)]  # the odd block, not (d^2, d^2)
+    # the odd block, not (d^2, d^2), and real: L in the Hermitian basis
+    assert calls == [((odd.size, odd.size), np.float64)]
+
+
+def test_one_svd_per_spectrum(monkeypatch):
+    # the steady state is one real SVD of the even block in the Hermitian basis
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = fast_config(source="both")
+    compute_spectrum_y(cfg)
+    even, _ = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
+    assert calls == [((even.size, even.size), np.float64)]
 
 
 def full_space_oracle(cfg):
@@ -354,6 +377,54 @@ def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
         if want.max() > 0.0:
             want = want / want.max()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want), source
+
+
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("n_max_y", [0, 1, 2, 4, 6])
+def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
+    # the real SVD and eig in the Hermitian basis against a complex SVD and a
+    # complex eig of the same matrix: rho_ss on the whole L and the even block,
+    # the three sources' spectra on the whole L and the odd block
+    base = default_config()
+    couplings = base.couplings
+    if n_max_y == 0:  # without a photon rung the y mode must be uncoupled
+        couplings = replace(couplings, g1y=0.0, g2y=0.0)
+    cfg = replace(
+        base,
+        couplings=couplings,
+        drive=replace(base.drive, omega=252.83669951857598),
+        phonon=replace(base.phonon, enable=phonons),
+        numerics=replace(base.numerics, n_max_y=n_max_y, n_omega=401),
+        laser_detuning=12.0,
+    )
+    spec = HilbertSpec(n_max_y)
+    d = spec.dim
+    k, pairs = system._generator(cfg)
+    even, odd = spec.parity_blocks()
+    whole = liouville.liouvillian(k, pairs)
+    l_even, l_odd = (liouville.liouvillian(k, pairs, b) for b in (even, odd))
+    norm = np.linalg.norm(whole)
+    rtol = cfg.numerics.steady_rtol
+    rho = steady_state(l_even, kernel_rtol=rtol, block=even)
+    for got, want in [
+        (steady_state(whole, kernel_rtol=rtol),
+         complex_steady_state(whole, np.arange(d * d), d)),
+        (rho, complex_steady_state(l_even, even, d)),
+    ]:
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    n = cfg.numerics
+    grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
+    ops = [source_operator(cfg, w) for w in ("y-dipole", "y-cavity")]
+    ab = [(s.conj().T, s) for s in ops]
+    for liouv, idx, block in [(whole, np.arange(d * d), None), (l_odd, odd, odd)]:
+        oracle = complex_regression_spectra(liouv, ab, rho, -grid, idx, 1e-10 * norm)
+        for rows in ([0], [1], [0, 1]):  # y-dipole, y-cavity, both
+            got = liouville.emission_spectrum(
+                liouv, [ops[r] for r in rows], rho, grid, block, norm
+            )
+            want = oracle[rows].sum(axis=0)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
 
 
 def test_parity_breaking_term_fails_loudly(monkeypatch):
