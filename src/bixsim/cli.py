@@ -107,12 +107,7 @@ def _cmd_spectrum(args):
 
 def _cmd_power_sweep(args):
     cfg = _load(args)
-    sweep = power_sweep(
-        cfg,
-        n_rows=args.rows,
-        max_splitting=args.max_splitting,
-        threads=args.threads,
-    )
+    sweep = power_sweep(cfg, n_rows=args.rows, max_splitting=args.max_splitting)
     paths = export_map(sweep, args.out, fmt=args.format, stem="power", render=args.render)
     print(f"power sweep: {sweep.axis1.size} rows, Omega in "
           f"[{sweep.axis1[0]:g}, {sweep.axis1[-1]:g}] ueV")
@@ -125,7 +120,7 @@ def _cmd_detuning_sweep(args):
     cfg = _load(args)
     if args.zero_splitting is not None:
         cfg = calibrate_drive(replace(cfg, laser_detuning=0.0), args.zero_splitting)
-    sweep = detuning_sweep(cfg, n_rows=args.rows, span=args.span, threads=args.threads)
+    sweep = detuning_sweep(cfg, n_rows=args.rows, span=args.span)
     paths = export_map(
         sweep, args.out, fmt=args.format, stem="detuning", render=args.render
     )
@@ -207,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=41, help="number of drive values")
     p.add_argument("--max-splitting", type=float, default=300.0,
                    help="target doublet splitting at the top row (ueV)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_power_sweep)
 
     p = sub.add_parser("detuning-sweep", help="spectrum map versus laser detuning")
@@ -217,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half range of the detuning axis (default 2 kappa_x)")
     p.add_argument("--zero-splitting", type=float, default=None,
                    help="recalibrate the drive to this zero-detuning splitting")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_detuning_sweep)
 
     p = sub.add_parser("phonon-compare", help="spectra with and without phonons")

@@ -24,6 +24,7 @@ y-polarized dipole and is absent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,6 +191,13 @@ def _closed_form(det: DetuningSet, drive: DriveParams):
     return np.array([0.0, det.delta2, lam3, lam4]), vectors
 
 
+def _best_assignment(overlap: np.ndarray) -> tuple[int, int, int]:
+    """Column per row of a 3x3 overlap, of largest total out of all six."""
+    return max(
+        itertools.permutations(range(3)), key=lambda p: overlap[(0, 1, 2), p].sum()
+    )
+
+
 def _numerical(det: DetuningSet, drive: DriveParams):
     """General-case diagonalization with branch matching.
 
@@ -219,12 +227,7 @@ def _numerical(det: DetuningSet, drive: DriveParams):
         refs = np.stack([dark, ex, bright], axis=1)
 
     overlap = np.abs(refs.conj().T @ v) ** 2  # rows: refs, cols: eigvecs
-    from scipy.optimize import linear_sum_assignment
-
-    row, col = linear_sum_assignment(-overlap)
-    assign = dict(zip(row, col))
-
-    order3 = [assign[0], assign[1], assign[2]]  # dark-like, x-like, remaining
+    order3 = _best_assignment(overlap)  # dark-like, x-like, remaining
     lam1, lam3, lam4 = w[order3[0]], w[order3[1]], w[order3[2]]
 
     vectors = np.zeros((4, 4), dtype=complex)

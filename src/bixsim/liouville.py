@@ -16,10 +16,10 @@ excited state decays as exp(-rate * t), its coherence as exp(-rate * t / 2)).
 `steady_state` and `regression_spectrum` take an optional `block`: the vec
 indices of a sector that L leaves invariant, such as a parity block of a
 weak Z2 symmetry, and decompose only that square block of L, which
-`liouvillian` builds directly (`steady_state` also cuts it from a whole
-L).  The invariance is checked on the operators, before any block is
-built, by `check_parity`: K must keep the parity P of each basis state,
-and the A and B of each pair must both keep it or both flip it.
+`liouvillian` builds directly.  The invariance is checked on the
+operators, before any block is built, by `check_parity`: K must keep the
+parity P of each basis state, and the A and B of each pair must both keep
+it or both flip it.
 
 Both decompose L in the Hermitian basis of the vec indices they are given,
 where it is a real matrix: a physical generator preserves Hermiticity,
@@ -224,34 +224,34 @@ def steady_state(
     decomposed indices (see the module docstring), and the kernel vector is
     mapped back to vec entries.  `block` holds the sorted vec indices of a
     sector that L leaves invariant, such as the even parity block, and
-    `liouv` is the whole L or, when it has the block's size, already its
-    block there; the block's kernel vector is embedded back into d x d with
-    zeros elsewhere.  A block with a steady state holds every diagonal
-    entry of rho, so its last index is d^2 - 1.  The caller owns the
-    uniqueness check on the other sectors (`regression_spectrum` makes it
-    for the odd block).  Raises SolverError if a block given with its part
-    of L is unsorted or misses a diagonal entry, if the kernel is empty or
-    degenerate at the given relative tolerance, if the kernel vector is
-    traceless, if ||liouv vec(rho)|| > 1e-9, if the block is not closed
-    under rho -> rho+, or if L does not preserve Hermiticity.
+    `liouv` is then L restricted to that block; the block's kernel vector
+    is embedded back into d x d with zeros elsewhere.  A block with a
+    steady state holds every diagonal entry of rho, so its last index is
+    d^2 - 1.  The caller owns the uniqueness check on the other sectors
+    (`regression_spectrum` makes it for the odd block).  Raises
+    ConfigurationError if `liouv` does not have the block's size.  Raises
+    SolverError if the block is unsorted or misses a diagonal entry, if the
+    kernel is empty or degenerate at the given relative tolerance, if the
+    kernel vector is traceless, if ||liouv vec(rho)|| > 1e-9, if the block
+    is not closed under rho -> rho+, or if L does not preserve Hermiticity.
     """
     liouv = np.asarray(liouv, dtype=complex)
     idx = np.arange(liouv.shape[0]) if block is None else np.asarray(block)
-    cut = block is not None and liouv.shape[0] == idx.size  # liouv is the block
-    size = int(idx[-1]) + 1 if cut else liouv.shape[0]  # d^2
+    if liouv.shape[0] != idx.size:
+        raise ConfigurationError("with a block, pass L restricted to the block")
+    size = liouv.shape[0] if block is None else int(idx[-1]) + 1  # d^2
     d = math.isqrt(size)
-    if not cut and d * d != size:
+    if block is None and d * d != size:
         raise ConfigurationError("Liouvillian size is not a perfect square")
-    if cut:
+    if block is not None:
         holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
         if d * d != size or not holds or np.any(np.diff(idx) <= 0):
             raise SolverError(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
-    sub = liouv if cut or block is None else liouv[np.ix_(idx, idx)]
     a, b = _hermitian_pairs(idx, d)
-    _, s, vh = np.linalg.svd(_real_hermitian(sub, a, b))
+    _, s, vh = np.linalg.svd(_real_hermitian(liouv, a, b))
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise SolverError("Liouvillian is identically zero")
@@ -274,7 +274,7 @@ def steady_state(
         raise SolverError("kernel vector is traceless; no physical steady state")
     rho = rho / tr
     rho_v = vec(rho)
-    residual = np.linalg.norm(liouv @ (rho_v[idx] if cut else rho_v))
+    residual = np.linalg.norm(liouv @ rho_v[idx])
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
@@ -380,7 +380,8 @@ def regression_spectrum(
     vecs = _from_hermitian(vecs, a, b)
     # steady_state decomposed only the block holding rho_ss; a block without
     # rho_ss must have no kernel, or the steady state is not unique
-    if np.abs(rho_v[idx]).max() <= _BLOCK_RTOL * np.abs(rho_v).max():
+    holds_rho = np.abs(rho_v[idx]).max() > _BLOCK_RTOL * np.abs(rho_v).max()
+    if not holds_rho:
         n_kernel = int(np.sum(np.abs(evals) <= _KERNEL_RTOL * scale))
         if n_kernel:
             raise SolverError(
@@ -392,6 +393,10 @@ def regression_spectrum(
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Liouvillian eigenbasis is singular: {exc}") from exc
     weights = np.sum((rows @ vecs) * amp.T, axis=0)
+    # the starts were projected off the kernel mode, so its weight is rounding
+    # that the grid point omega = 0 would blow up; drop it by index
+    if holds_rho:
+        weights[np.argmin(np.abs(evals))] = 0.0
 
     # resolvent[i, n] = weights[n] / (-i w_i - evals[n]), built in place
     resolvent = -1j * omega_grid[:, None] - evals

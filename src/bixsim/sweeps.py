@@ -1,30 +1,18 @@
 """Power and detuning sweeps of the emission spectrum, plus peak analysis.
 
 Each sweep evaluates the stationary spectrum row by row while one control
-parameter varies, and collects the rows into a SweepMap.  Rows are
-independent, so an optional thread pool distributes them, with no more
-workers than CPUs or rows; results are order-preserving and identical to
-the serial path.
+parameter varies, and collects the rows, in order, into a SweepMap.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dressed import drive_for_splitting
 from .errors import ConfigurationError, SolverError
 from .liouville import SpectrumResult
-from .system import (
-    SystemConfig,
-    compute_spectrum_y,
-    config_hash,
-    delta_cl_x,
-    detunings,
-)
+from .system import SystemConfig, calibrate_drive, compute_spectrum_y, config_hash
 
 __all__ = [
     "SweepMap",
@@ -68,33 +56,18 @@ class SweepMap:
         object.__setattr__(self, "axis2", a2)
         object.__setattr__(self, "values", vals)
 
-    def row(self, i: int) -> SpectrumResult:
-        meta = dict(self.metadata)
-        meta[self.axis1_name] = float(self.axis1[i])
-        return SpectrumResult(self.axis2.copy(), self.values[i].copy(), meta)
-
 
 def _raw_row(cfg: SystemConfig) -> np.ndarray:
     return compute_spectrum_y(replace(cfg, normalize=False)).intensity
 
 
-def _run_rows(configs, labels, label_name, threads):
-    def work(pair):
-        cfg, label = pair
+def _run_rows(configs, labels, label_name):
+    rows = []
+    for cfg, label in zip(configs, labels):
         try:
-            return _raw_row(cfg)
+            rows.append(_raw_row(cfg))
         except SolverError as exc:
             raise SolverError(f"row at {label_name}={label:g} failed: {exc}") from exc
-
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
-    pairs = list(zip(configs, labels))
-    workers = min(threads, os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, pairs))
-    else:
-        rows = [work(p) for p in pairs]
     return np.array(rows)
 
 
@@ -123,7 +96,6 @@ def power_sweep(
     n_rows: int = 41,
     max_splitting: float = 300.0,
     normalization: str = "per-row",
-    threads: int = 1,
 ) -> SweepMap:
     """Spectrum map versus bare drive amplitude.
 
@@ -131,15 +103,7 @@ def power_sweep(
     amplitude whose phonon-free doublet splitting equals max_splitting.
     """
     if omega_values is None:
-        det = detunings(cfg)
-        top = drive_for_splitting(
-            max_splitting,
-            det.delta3,
-            delta_cl_x(cfg),
-            cfg.rates.kappa_x,
-            cfg.couplings.g1x,
-            cfg.couplings.g2x,
-        )
+        top = calibrate_drive(cfg, max_splitting).drive.omega
         omega_values = np.linspace(0.0, top, n_rows)
     omega_values = np.asarray(omega_values, dtype=float)
     if omega_values.size < 2:
@@ -148,7 +112,7 @@ def power_sweep(
         replace(cfg, drive=replace(cfg.drive, omega=float(w), eta1=None, eta2=None))
         for w in omega_values
     ]
-    values = _run_rows(configs, omega_values, "Omega", threads)
+    values = _run_rows(configs, omega_values, "Omega")
     values = _normalize_map(values, normalization)
     meta = {
         "base_config_hash": config_hash(cfg),
@@ -164,7 +128,6 @@ def detuning_sweep(
     n_rows: int = 41,
     span: float | None = None,
     normalization: str = "per-row",
-    threads: int = 1,
 ) -> SweepMap:
     """Spectrum map versus laser detuning at fixed drive power.
 
@@ -179,7 +142,7 @@ def detuning_sweep(
     if detuning_values.size < 2:
         raise ConfigurationError("detuning sweep needs at least two rows")
     configs = [replace(cfg, laser_detuning=float(d)) for d in detuning_values]
-    values = _run_rows(configs, detuning_values, "laser_detuning", threads)
+    values = _run_rows(configs, detuning_values, "laser_detuning")
     values = _normalize_map(values, normalization)
     meta = {
         "base_config_hash": config_hash(cfg),

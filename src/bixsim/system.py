@@ -162,7 +162,7 @@ class Numerics:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full model description; immutable so sweep workers can share it."""
+    """Full model description; immutable, so sweeps vary it with `replace`."""
 
     energies: EnergyLevels = field(default_factory=EnergyLevels)
     couplings: Couplings = field(default_factory=Couplings)
@@ -176,27 +176,13 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        r = self.rates
-        for name in (
-            "gamma_x_g",
-            "gamma_y_g",
-            "gamma_xx_x",
-            "gamma_xx_y",
-            "dephasing_x_g",
-            "dephasing_y_g",
-            "dephasing_xx_x",
-            "dephasing_xx_y",
-            "kappa_x",
-            "kappa_y",
-        ):
-            if getattr(r, name) < 0:
-                raise ConfigurationError(f"rate {name} must be nonnegative")
+        for kind, group in (("rate", self.rates), ("coupling", self.couplings)):
+            for f in fields(group):
+                if getattr(group, f.name) < 0:
+                    raise ConfigurationError(f"{kind} {f.name} must be nonnegative")
         if self.rates.kappa_x <= 0:
             raise ConfigurationError("kappa_x must be positive (filter linewidth)")
         c = self.couplings
-        for name in ("g1x", "g2x", "g1y", "g2y"):
-            if getattr(c, name) < 0:
-                raise ConfigurationError(f"coupling {name} must be nonnegative")
         if self.source not in _SOURCES:
             raise ConfigurationError(
                 f"unknown source {self.source!r}; expected one of {_SOURCES}"

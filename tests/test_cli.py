@@ -73,20 +73,11 @@ def test_power_sweep_command(fast_config_path, tmp_path):
     out = tmp_path / "out"
     rc = main([
         "power-sweep", "--config", fast_config_path, "--rows", "3",
-        "--out", str(out), "--threads", "2",
+        "--out", str(out),
     ])
     assert rc == EXIT_OK
     for name in ("power_axis1.csv", "power_axis2.csv", "power_values.csv"):
         assert (out / name).exists()
-
-
-def test_sweep_threads_below_one_is_config_error(fast_config_path, tmp_path, capsys):
-    rc = main([
-        "power-sweep", "--config", fast_config_path, "--rows", "3",
-        "--out", str(tmp_path / "out"), "--threads", "0",
-    ])
-    assert rc == EXIT_CONFIG
-    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 def test_detuning_sweep_with_recalibration(fast_config_path, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from bixsim.dressed import (
     DetuningSet,
     DriveParams,
+    _best_assignment,
     adiabatic_alpha,
     build_atom_hamiltonian,
     dressed_eigenvalues,
@@ -96,6 +97,23 @@ def test_numerical_branch_engages_off_resonance():
     assert np.allclose(
         np.sort(sol.eigenvalues), np.sort(np.linalg.eigvalsh(h)), atol=1e-9
     )
+
+
+def test_best_assignment_matches_linear_sum_assignment():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        overlap = np.abs(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) ** 2
+        assert _best_assignment(overlap) == tuple(linear_sum_assignment(-overlap)[1])
+    # without drive the references are the bare G, X and XX levels themselves
+    _, v = np.linalg.eigh(np.diag([0.0, 990.0, 37.0]))
+    overlap = np.abs(v) ** 2
+    assert _best_assignment(overlap) == tuple(linear_sum_assignment(-overlap)[1])
+    assert _best_assignment(overlap) == (0, 2, 1)
+    sol = dressed_eigenvalues(DetuningSet(965.0, 990.0, 37.0), DriveParams(0.0, 0.0))
+    assert sol.numerical
+    assert np.array_equal(sol.eigenvalues, [0.0, 965.0, 990.0, 37.0])
 
 
 def test_catalog_has_six_antisymmetric_lines():

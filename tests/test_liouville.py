@@ -439,7 +439,7 @@ def test_hermitian_basis_is_unitary_and_makes_l_real(which):
 def test_hermitian_basis_needs_a_block_closed_under_adjoint():
     # vec index 1 is rho_10; its partner rho_01 is vec index 2
     with pytest.raises(SolverError, match="vec index 1 but not its partner 2"):
-        steady_state(np.eye(4), block=[0, 1])
+        steady_state(np.eye(3), block=[0, 1, 3])
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

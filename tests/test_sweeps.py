@@ -117,8 +117,9 @@ def test_import_loads_no_scipy():
 
 
 def test_spectrum_request_loads_no_scipy(tmp_path):
-    # a whole request (phonon-on spectrum, peaks, export) stays numpy-only, so
-    # a first request pays no scipy import
+    # a whole request (phonon-on spectrum, peaks, export) and the numerical
+    # branch of the dressed ladder stay numpy-only, so a first request pays no
+    # scipy import
     import bixsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
@@ -127,7 +128,10 @@ def test_spectrum_request_loads_no_scipy(tmp_path):
         "from dataclasses import replace\n"
         "from bixsim.export import export_spectrum\n"
         "from bixsim.sweeps import extract_peaks\n"
+        "from bixsim.dressed import DetuningSet, DriveParams, dressed_eigenvalues\n"
         "from bixsim.system import compute_spectrum_y, default_config\n"
+        "off_resonance = DetuningSet(965.0, 990.0, 37.0)\n"
+        "assert dressed_eigenvalues(off_resonance, DriveParams(150.0, 180.0)).numerical\n"
         "cfg = default_config()\n"
         "cfg = replace(cfg, phonon=replace(cfg.phonon, enable=True),\n"
         "              numerics=replace(cfg.numerics, n_max_y=2))\n"
@@ -169,52 +173,6 @@ def test_power_sweep_global_normalization_keeps_relative_weights():
 def test_power_sweep_needs_two_rows():
     with pytest.raises(ConfigurationError):
         power_sweep(small_config(), omega_values=[100.0])
-
-
-def test_threaded_rows_identical_to_serial():
-    cfg = small_config()
-    omegas = np.linspace(50.0, 260.0, 5)
-    serial = power_sweep(cfg, omega_values=omegas, threads=1)
-    threaded = power_sweep(cfg, omega_values=omegas, threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-
-
-@pytest.mark.parametrize(
-    "threads, cpus, rows, workers",
-    [(41, 2, 5, 2), (4, 8, 3, 3), (2, 2, 5, 2), (41, 1, 5, None), (1, 8, 5, None)],
-)
-def test_sweep_workers_capped_by_cpus_and_rows(monkeypatch, threads, cpus, rows, workers):
-    from bixsim import sweeps
-
-    started = []
-
-    class RecordingPool:
-        # stands in for ThreadPoolExecutor: records max_workers, starts no thread
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sweeps, "_raw_row", lambda cfg: np.ones(3))
-    values = sweeps._run_rows([None] * rows, list(range(rows)), "Omega", threads)
-    assert values.shape == (rows, 3)
-    assert started == ([] if workers is None else [workers])
-
-
-@pytest.mark.parametrize("threads", [0, -2])
-def test_sweep_rejects_fewer_than_one_thread(threads):
-    omegas = np.linspace(50.0, 260.0, 3)
-    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
-        power_sweep(small_config(), omega_values=omegas, threads=threads)
 
 
 def test_sweeps_are_deterministic():

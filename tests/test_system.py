@@ -89,6 +89,20 @@ def test_drive_overdetermined_rejected():
         replace(cfg, drive=replace(cfg.drive, omega=0.0, eta1=1.0, eta2=None))
 
 
+@pytest.mark.parametrize(
+    "group, name",
+    [("rates", name) for name in (
+        "gamma_x_g", "gamma_y_g", "gamma_xx_x", "gamma_xx_y", "dephasing_x_g",
+        "dephasing_y_g", "dephasing_xx_x", "dephasing_xx_y", "kappa_x", "kappa_y",
+    )] + [("couplings", name) for name in ("g1x", "g2x", "g1y", "g2y")],
+)
+def test_negative_rate_or_coupling_is_named(group, name):
+    cfg = default_config()
+    kind = {"rates": "rate", "couplings": "coupling"}[group]
+    with pytest.raises(ConfigurationError, match=f"^{kind} {name} must be nonnegative$"):
+        replace(cfg, **{group: replace(getattr(cfg, group), **{name: -0.1})})
+
+
 def test_validation_rejects_bad_values():
     cfg = default_config()
     with pytest.raises(ConfigurationError):
@@ -368,7 +382,9 @@ def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
     oracle["both"] = oracle["y-dipole"] + oracle["y-cavity"]
 
     even, _ = HilbertSpec(n_max_y).parity_blocks()
-    rho = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol, block=even)
+    rho = steady_state(
+        liouv[np.ix_(even, even)], kernel_rtol=cfg.numerics.steady_rtol, block=even
+    )
     assert np.max(np.abs(rho - rho_oracle)) <= 1e-12
 
     for source in ("y-dipole", "y-cavity", "both"):
@@ -425,6 +441,48 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
             )
             want = oracle[rows].sum(axis=0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["whole-L", "even-block"])
+@pytest.mark.parametrize("n_max_y", [2, 4])
+def test_even_pair_on_the_block_of_rho_ss_is_finite_at_omega_zero(n_max_y, whole):
+    # a P-even pair (s+ s, s+ s) on a block that holds rho_ss: the kernel mode's
+    # rounding weight met its ~1e-15 eigenvalue at the grid point omega = 0
+    base = default_config()
+    cfg = replace(
+        base,
+        drive=replace(base.drive, omega=252.84),
+        phonon=replace(base.phonon, enable=False),
+        numerics=replace(base.numerics, n_max_y=n_max_y),
+        laser_detuning=12.0,
+    )
+    spec = HilbertSpec(n_max_y)
+    k, pairs = system._generator(cfg)
+    even, _ = spec.parity_blocks()
+    block = None if whole else even
+    idx = np.arange(spec.dim**2) if whole else even
+    liouv = liouville.liouvillian(k, pairs, block)
+    rho = steady_state(
+        liouville.liouvillian(k, pairs, even), kernel_rtol=cfg.numerics.steady_rtol,
+        block=even,
+    )
+    s = source_operator(cfg, "y-dipole")
+    n_op = s.conj().T @ s
+    n = cfg.numerics
+    grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
+    got = liouville.regression_spectrum(liouv, [(n_op, n_op)], rho, grid, block)
+    assert np.isfinite(got[grid == 0.0]).all() and np.count_nonzero(grid == 0.0) == 1
+
+    # a direct solve per frequency away from 0
+    b_rho = n_op @ rho
+    start = (vec(b_rho) - np.trace(b_rho) * vec(rho))[idx]
+    row = vec(n_op.T)[idx]
+    at = [i for i in range(0, grid.size, 80) if grid[i] != 0.0]
+    want = np.array([
+        (row @ np.linalg.solve(-1j * grid[i] * np.eye(idx.size) - liouv, start)).real
+        for i in at
+    ])
+    assert np.max(np.abs(got[at] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_parity_breaking_term_fails_loudly(monkeypatch):
