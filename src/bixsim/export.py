@@ -1,10 +1,11 @@
 """Deterministic on-disk formats for spectra and sweep maps.
 
-CSV columns are written with 17 significant digits so floats round-trip
-exactly; JSON carries the same arrays in one document.  Every export drops
-a .meta.json sidecar with the metadata dict (config hash, tool version).
-Nothing time- or host-dependent is written, so repeated exports of the
-same result are byte-identical.
+Both go through one writer, `_export`: CSV tables at 17 significant digits
+(floats round-trip exactly) or one JSON document of the same arrays, then a
+.meta.json sidecar with the metadata dict (config hash, tool version) and
+an optional PNG.  An unknown format is rejected before any directory is
+made.  Nothing time- or host-dependent is written, so repeated exports of
+the same result are byte-identical.
 
 An existing file is overwritten in place rather than truncated first.  On
 ext4, truncating a file to zero and rewriting it makes the close flush the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import numpy as np
 
@@ -67,6 +69,28 @@ def _read_meta(path: str) -> dict:
         return json.load(fh)
 
 
+def _export(out_dir, fmt, stem, tables, arrays, meta, draw) -> list[str]:
+    """Write the csv tables (suffix, array, header) or the json arrays, then the
+    meta sidecar and draw's PNG if given; returns the paths in that order."""
+    if fmt not in ("csv", "json"):
+        raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    if fmt == "csv":
+        for suffix, arr, header in tables:
+            written.append(os.path.join(out_dir, f"{stem}{suffix}.csv"))
+            _write_csv(written[-1], arr, header)
+    else:
+        written.append(os.path.join(out_dir, f"{stem}.json"))
+        doc = {name: arr.tolist() for name, arr in arrays.items()}
+        _write_json(written[-1], {**doc, "metadata": meta})
+    written.append(os.path.join(out_dir, f"{stem}.meta.json"))
+    _write_json(written[-1], meta)
+    if draw is not None:
+        written.append(draw(os.path.join(out_dir, f"{stem}.png")))
+    return written
+
+
 def export_spectrum(
     result: SpectrumResult,
     out_dir: str,
@@ -75,31 +99,11 @@ def export_spectrum(
     render: bool = False,
 ) -> list[str]:
     """Write one spectrum to out_dir; returns the created paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if fmt == "csv":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        header = "offset_ueV,intensity"
-        data = np.column_stack([result.omega_offsets, result.intensity])
-        _write_csv(path, data, header)
-        written.append(path)
-    elif fmt == "json":
-        path = os.path.join(out_dir, f"{stem}.json")
-        payload = {
-            "omega_offsets": result.omega_offsets.tolist(),
-            "intensity": result.intensity.tolist(),
-            "metadata": result.metadata,
-        }
-        _write_json(path, payload)
-        written.append(path)
-    else:
-        raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
-    meta_path = os.path.join(out_dir, f"{stem}.meta.json")
-    _write_json(meta_path, dict(result.metadata))
-    written.append(meta_path)
-    if render:
-        written.append(render_spectrum(result, os.path.join(out_dir, f"{stem}.png")))
-    return written
+    x, y = result.omega_offsets, result.intensity
+    tables = [("", np.column_stack([x, y]), "offset_ueV,intensity")]
+    arrays = {"omega_offsets": x, "intensity": y}
+    draw = partial(render_spectrum, result) if render else None
+    return _export(out_dir, fmt, stem, tables, arrays, dict(result.metadata), draw)
 
 
 def import_spectrum(path: str) -> SpectrumResult:
@@ -129,37 +133,13 @@ def export_map(
     CSV splits the map into {stem}_axis1/axis2/values.csv; JSON keeps one
     document.  The sidecar records axis names and normalization.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    meta = dict(sweep.metadata)
-    meta["axis1_name"] = sweep.axis1_name
-    meta["normalization"] = sweep.normalization
-    written = []
-    if fmt == "csv":
-        for name, arr in (("axis1", sweep.axis1), ("axis2", sweep.axis2)):
-            path = os.path.join(out_dir, f"{stem}_{name}.csv")
-            _write_csv(path, arr, name)
-            written.append(path)
-        path = os.path.join(out_dir, f"{stem}_values.csv")
-        _write_csv(path, sweep.values)
-        written.append(path)
-    elif fmt == "json":
-        path = os.path.join(out_dir, f"{stem}.json")
-        payload = {
-            "axis1": sweep.axis1.tolist(),
-            "axis2": sweep.axis2.tolist(),
-            "values": sweep.values.tolist(),
-            "metadata": meta,
-        }
-        _write_json(path, payload)
-        written.append(path)
-    else:
-        raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
-    meta_path = os.path.join(out_dir, f"{stem}.meta.json")
-    _write_json(meta_path, meta)
-    written.append(meta_path)
-    if render:
-        written.append(render_heatmap(sweep, os.path.join(out_dir, f"{stem}.png")))
-    return written
+    meta = {**sweep.metadata, "axis1_name": sweep.axis1_name,
+            "normalization": sweep.normalization}
+    tables = [("_axis1", sweep.axis1, "axis1"), ("_axis2", sweep.axis2, "axis2"),
+              ("_values", sweep.values, "")]
+    arrays = {"axis1": sweep.axis1, "axis2": sweep.axis2, "values": sweep.values}
+    draw = partial(render_heatmap, sweep) if render else None
+    return _export(out_dir, fmt, stem, tables, arrays, meta, draw)
 
 
 def import_map(out_dir_or_json: str, stem: str = "map") -> SweepMap:

@@ -1,7 +1,8 @@
 """Power and detuning sweeps of the emission spectrum, plus peak analysis.
 
-Each sweep evaluates the stationary spectrum row by row while one control
-parameter varies, and collects the rows, in order, into a SweepMap.
+Both sweeps run one row loop, `_sweep`: each row sets one config field (the
+drive amplitude or the laser detuning) and is one `compute_spectrum_y`; the
+rows, in order, form a SweepMap, and a failing row names its axis value.
 """
 
 from __future__ import annotations
@@ -57,20 +58,6 @@ class SweepMap:
         object.__setattr__(self, "values", vals)
 
 
-def _raw_row(cfg: SystemConfig) -> np.ndarray:
-    return compute_spectrum_y(replace(cfg, normalize=False)).intensity
-
-
-def _run_rows(configs, labels, label_name):
-    rows = []
-    for cfg, label in zip(configs, labels):
-        try:
-            rows.append(_raw_row(cfg))
-        except SolverError as exc:
-            raise SolverError(f"row at {label_name}={label:g} failed: {exc}") from exc
-    return np.array(rows)
-
-
 def _normalize_map(values: np.ndarray, normalization: str) -> np.ndarray:
     if normalization == "none":
         return values
@@ -90,6 +77,25 @@ def _normalize_map(values: np.ndarray, normalization: str) -> np.ndarray:
     )
 
 
+def _sweep(cfg, values, vary, normalization, *, kind, label, axis1_name) -> SweepMap:
+    """Map of the raw spectra of vary(cfg, v) for v in values, one row each."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ConfigurationError("a sweep needs at least two rows")
+    rows = []
+    for v in values:
+        row = replace(vary(cfg, float(v)), normalize=False)
+        try:
+            rows.append(compute_spectrum_y(row))
+        except SolverError as exc:
+            raise SolverError(f"row at {label}={v:g} failed: {exc}") from exc
+    meta = {"base_config_hash": config_hash(cfg), "sweep": kind,
+            "normalization": normalization}
+    intensity = _normalize_map(np.array([r.intensity for r in rows]), normalization)
+    return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name,
+                    normalization, meta)
+
+
 def power_sweep(
     cfg: SystemConfig,
     omega_values=None,
@@ -105,21 +111,12 @@ def power_sweep(
     if omega_values is None:
         top = calibrate_drive(cfg, max_splitting).drive.omega
         omega_values = np.linspace(0.0, top, n_rows)
-    omega_values = np.asarray(omega_values, dtype=float)
-    if omega_values.size < 2:
-        raise ConfigurationError("power sweep needs at least two drive values")
-    configs = [
-        replace(cfg, drive=replace(cfg.drive, omega=float(w), eta1=None, eta2=None))
-        for w in omega_values
-    ]
-    values = _run_rows(configs, omega_values, "Omega")
-    values = _normalize_map(values, normalization)
-    meta = {
-        "base_config_hash": config_hash(cfg),
-        "sweep": "power",
-        "normalization": normalization,
-    }
-    return SweepMap(omega_values, _grid(cfg), values, "omega_drive", normalization, meta)
+
+    def vary(c, w):
+        return replace(c, drive=replace(c.drive, omega=w, eta1=None, eta2=None))
+
+    return _sweep(cfg, omega_values, vary, normalization,
+                  kind="power", label="Omega", axis1_name="omega_drive")
 
 
 def detuning_sweep(
@@ -138,25 +135,12 @@ def detuning_sweep(
     if detuning_values is None:
         half = 2.0 * cfg.rates.kappa_x if span is None else span
         detuning_values = np.linspace(-half, half, n_rows)
-    detuning_values = np.asarray(detuning_values, dtype=float)
-    if detuning_values.size < 2:
-        raise ConfigurationError("detuning sweep needs at least two rows")
-    configs = [replace(cfg, laser_detuning=float(d)) for d in detuning_values]
-    values = _run_rows(configs, detuning_values, "laser_detuning")
-    values = _normalize_map(values, normalization)
-    meta = {
-        "base_config_hash": config_hash(cfg),
-        "sweep": "detuning",
-        "normalization": normalization,
-    }
-    return SweepMap(
-        detuning_values, _grid(cfg), values, "laser_detuning", normalization, meta
-    )
 
+    def vary(c, d):
+        return replace(c, laser_detuning=d)
 
-def _grid(cfg: SystemConfig) -> np.ndarray:
-    n = cfg.numerics
-    return np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
+    return _sweep(cfg, detuning_values, vary, normalization, kind="detuning",
+                  label="laser_detuning", axis1_name="laser_detuning")
 
 
 def phonon_comparison(cfg: SystemConfig) -> tuple[SpectrumResult, SpectrumResult]:

@@ -402,42 +402,37 @@ def calibrate_drive(cfg: SystemConfig, target_splitting: float) -> SystemConfig:
 
 # -- dephasing ----------------------------------------------------------------
 
-_TRANSITION_PAIRS = (
-    ("dephasing_x_g", "X", "G"),
-    ("dephasing_y_g", "Y", "G"),
-    ("dephasing_xx_x", "XX", "X"),
-    ("dephasing_xx_y", "XX", "Y"),
-)
-_LEVEL_ORDER = ("G", "Y", "X", "XX")
-
-
-def dephasing_projector_rates(rates: Rates) -> tuple[dict, float]:
-    """Level-projector dephasing rates from per-transition targets.
+def dephasing_projector_rates(rates: Rates) -> dict:
+    """Level-projector dephasing rates (G, Y, X, XX) from per-transition targets.
 
     A projector dissipator on level s with rate r_s damps the coherence
-    between a and b at (r_a + r_b)/2, so the four transition targets give a
-    linear system for the four level rates.  The system has a one-parameter
-    family when consistent; the minimum-norm least-squares solution is used
-    and the residual returned (zero for the uniform default).  Negative
-    solutions beyond rounding are rejected.
+    between a and b at (r_a + r_b)/2.  Four level rates meet the four
+    transition targets only when t_xg + t_xxy = t_yg + t_xxx; the solutions
+    then form the family G = g, X = 2 t_xg - g, Y = 2 t_yg - g,
+    XX = 2 t_xxx - 2 t_xg + g.  The minimum-norm g = t_xg + (t_yg - t_xxx)/2
+    is clipped into the range where all four rates are nonnegative.
+    Unequal sums, or an empty range, raise ConfigurationError.
     """
-    a = np.zeros((4, 4))
-    b = np.zeros(4)
-    for row, (name, hi, lo) in enumerate(_TRANSITION_PAIRS):
-        a[row, _LEVEL_ORDER.index(hi)] = 0.5
-        a[row, _LEVEL_ORDER.index(lo)] = 0.5
-        b[row] = getattr(rates, name)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(a @ sol - b)))
-    out = {}
-    for level, val in zip(_LEVEL_ORDER, sol):
-        if val < -1e-9:
-            raise ConfigurationError(
-                "per-transition dephasing targets cannot be realized with "
-                f"nonnegative projector rates (level {level}: {val:.3e})"
-            )
-        out[level] = max(float(val), 0.0)
-    return out, residual
+    t_xg, t_yg = rates.dephasing_x_g, rates.dephasing_y_g
+    t_xxx, t_xxy = rates.dephasing_xx_x, rates.dephasing_xx_y
+    tol = 1e-12 * max(abs(t_xg), abs(t_yg), abs(t_xxx), abs(t_xxy))
+    if abs((t_xg + t_xxy) - (t_yg + t_xxx)) > tol:
+        raise ConfigurationError(
+            "per-transition dephasing targets are inconsistent: "
+            f"dephasing_x_g + dephasing_xx_y = {t_xg + t_xxy:g} but "
+            f"dephasing_y_g + dephasing_xx_x = {t_yg + t_xxx:g}; "
+            "level projectors need equal sums"
+        )
+    lo, hi = max(0.0, 2.0 * t_xg - 2.0 * t_xxx), min(2.0 * t_xg, 2.0 * t_yg)
+    if lo > hi + tol:
+        raise ConfigurationError(
+            "per-transition dephasing targets cannot be realized with "
+            "nonnegative projector rates"
+        )
+    g = min(max(t_xg + 0.5 * (t_yg - t_xxx), lo), hi)
+    levels = {"G": g, "Y": 2.0 * t_yg - g, "X": 2.0 * t_xg - g,
+              "XX": 2.0 * t_xxx - 2.0 * t_xg + g}
+    return {level: max(rate, 0.0) for level, rate in levels.items()}
 
 
 # -- Hamiltonian and Liouvillian ---------------------------------------------
@@ -486,10 +481,12 @@ def build_reduced_hamiltonian(cfg: SystemConfig) -> np.ndarray:
     couplings, renormalized by the phonon factor when phonons are enabled.
     """
     spec = HilbertSpec(cfg.numerics.n_max_y)
-    return _assemble_hamiltonian(cfg, spec, _kernels_for(cfg))
+    terms = _coupling_terms(cfg, spec, _kernels_for(cfg))
+    return _assemble_hamiltonian(cfg, spec, terms)
 
 
-def _assemble_hamiltonian(cfg, spec, kernels) -> np.ndarray:
+def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
+    """Level and y-mode detunings plus op + op+ for each of `_coupling_terms`."""
     det = detunings(cfg)
     a = embed_photon_annihilator(spec)
     h = (
@@ -498,7 +495,7 @@ def _assemble_hamiltonian(cfg, spec, kernels) -> np.ndarray:
         + det.delta2 * embed_qd_projector(spec, "Y")
         + delta_cl_y(cfg) * (a.conj().T @ a)
     )
-    for op, _ in _coupling_terms(cfg, spec, kernels):
+    for op, _ in terms:
         h = h + op + op.conj().T
     return h
 
@@ -512,7 +509,8 @@ def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
     """
     spec = HilbertSpec(cfg.numerics.n_max_y)
     kernels = _kernels_for(cfg)
-    h = _assemble_hamiltonian(cfg, spec, kernels)
+    terms = _coupling_terms(cfg, spec, kernels)
+    h = _assemble_hamiltonian(cfg, spec, terms)
     r = cfg.rates
     channels = [
         (embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
@@ -521,13 +519,11 @@ def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
         (embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
         (embed_photon_annihilator(spec), r.kappa_y),
     ]
-    proj_rates, _ = dephasing_projector_rates(r)
-    for level, rate in proj_rates.items():
+    for level, rate in dephasing_projector_rates(r).items():
         if rate > 0.0:
             channels.append((embed_qd_projector(spec, level), rate))
     k, pairs = lindblad_generator(h, channels)
     if kernels is not None:
-        terms = _coupling_terms(cfg, spec, kernels)
         k_ph, pairs_ph = polaron_dissipator(h, terms, kernels)
         k, pairs = k + k_ph, pairs + pairs_ph
     return k, pairs

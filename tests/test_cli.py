@@ -162,6 +162,18 @@ def test_undamped_model_is_solver_error(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_render_without_matplotlib_is_config_error(tmp_path, capsys):
+    try:
+        import matplotlib  # noqa: F401
+    except ImportError:
+        pass
+    else:
+        pytest.skip("matplotlib is installed")
+    rc = main(["spectrum", "--render", "--grid", "41", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "needs matplotlib" in capsys.readouterr().err
+
+
 def test_bad_grid_value(fast_config_path, capsys):
     rc = main(["dressed", "--config", fast_config_path, "--grid", "2"])
     assert rc == EXIT_CONFIG

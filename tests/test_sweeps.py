@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bixsim.errors import ConfigurationError
+from bixsim.errors import ConfigurationError, SolverError
 from bixsim.export import export_map, export_spectrum, import_map, import_spectrum
 from bixsim.liouville import SpectrumResult
 from bixsim.sweeps import (
@@ -209,6 +209,32 @@ def test_detuning_sweep_point_symmetry_of_symmetrized_model():
     assert np.max(np.abs(m.values - flipped)) < 1e-12 * max(m.values.max(), 1e-300)
 
 
+def test_failing_sweep_row_names_its_axis_value(monkeypatch):
+    import bixsim.sweeps
+
+    real = bixsim.sweeps.compute_spectrum_y
+    calls = []
+
+    def fails_on_row_2(cfg):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise SolverError("no steady state found")
+        return real(cfg)
+
+    monkeypatch.setattr(bixsim.sweeps, "compute_spectrum_y", fails_on_row_2)
+    cfg = small_config()
+    with pytest.raises(SolverError,
+                       match=r"^row at Omega=130 failed: no steady state found$"):
+        power_sweep(cfg, omega_values=[0.0, 130.0, 260.0])
+    assert [c.drive.omega for c in calls] == [0.0, 130.0]  # one call per row
+    calls.clear()
+    with pytest.raises(SolverError,
+                       match=r"^row at laser_detuning=-12\.5 failed: no steady"):
+        detuning_sweep(cfg, detuning_values=[-25.0, -12.5, 0.0])
+    assert [c.laser_detuning for c in calls] == [-25.0, -12.5]
+    assert not any(c.normalize for c in calls)
+
+
 def test_phonon_comparison_shares_common_scale():
     cfg = replace(small_config(), numerics=replace(small_config().numerics,
                                                    n_omega=161))
@@ -356,4 +382,31 @@ def test_export_rejects_unknown_format(tmp_path):
     x = np.linspace(-1.0, 1.0, 5)
     res = SpectrumResult(x, np.zeros_like(x), {})
     with pytest.raises(ConfigurationError):
-        export_spectrum(res, str(tmp_path), fmt="xml")
+        export_spectrum(res, str(tmp_path / "s"), fmt="xml")
+    sweep = SweepMap(np.arange(2.0), x, np.zeros((2, 5)), "x", "none", {})
+    with pytest.raises(ConfigurationError):
+        export_map(sweep, str(tmp_path / "m"), fmt="xml")
+    assert not any(tmp_path.iterdir())  # rejected before any directory is made
+
+
+def test_export_render_appends_png_after_sidecar(tmp_path, monkeypatch):
+    import bixsim.export
+
+    drawn = []
+
+    def stub(obj, path):
+        drawn.append((obj, path))
+        return path
+
+    monkeypatch.setattr(bixsim.export, "render_spectrum", stub)
+    monkeypatch.setattr(bixsim.export, "render_heatmap", stub)
+    x = np.linspace(-1.0, 1.0, 5)
+    res = SpectrumResult(x, np.ones_like(x), {})
+    sweep = SweepMap(np.arange(2.0), x, np.ones((2, 5)), "x", "none", {})
+    got = export_spectrum(res, str(tmp_path), stem="s", render=True)
+    assert got == [str(tmp_path / n) for n in ("s.csv", "s.meta.json", "s.png")]
+    got = export_map(sweep, str(tmp_path), fmt="json", stem="m", render=True)
+    assert got == [str(tmp_path / n) for n in ("m.json", "m.meta.json", "m.png")]
+    assert [path for _, path in drawn] == [str(tmp_path / "s.png"),
+                                           str(tmp_path / "m.png")]
+    assert drawn[0][0] is res and drawn[1][0] is sweep

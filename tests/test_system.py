@@ -118,8 +118,7 @@ def test_validation_rejects_bad_values():
 
 
 def test_dephasing_solver_symmetric_case():
-    rates, residual = dephasing_projector_rates(default_config().rates)
-    assert residual < 1e-12
+    rates = dephasing_projector_rates(default_config().rates)
     for level in ("G", "Y", "X", "XX"):
         assert rates[level] == pytest.approx(8.2, rel=1e-12)
 
@@ -128,8 +127,7 @@ def test_dephasing_solver_general_case():
     # consistent targets satisfy t_xg + t_xxy = t_yg + t_xxx
     r = Rates(dephasing_x_g=6.0, dephasing_y_g=7.0, dephasing_xx_x=9.0,
               dephasing_xx_y=10.0)
-    rates, residual = dephasing_projector_rates(r)
-    assert residual < 1e-12
+    rates = dephasing_projector_rates(r)
     assert 0.5 * (rates["X"] + rates["G"]) == pytest.approx(6.0, rel=1e-12)
     assert 0.5 * (rates["Y"] + rates["G"]) == pytest.approx(7.0, rel=1e-12)
     assert 0.5 * (rates["XX"] + rates["X"]) == pytest.approx(9.0, rel=1e-12)
@@ -140,6 +138,34 @@ def test_dephasing_solver_rejects_unrealizable_targets():
     r = Rates(dephasing_x_g=0.0, dephasing_y_g=0.0, dephasing_xx_x=0.0,
               dephasing_xx_y=20.0)
     with pytest.raises(ConfigurationError, match="dephasing"):
+        dephasing_projector_rates(r)
+
+
+def test_dephasing_solver_rejects_inconsistent_targets():
+    # four level rates fix the targets only if t_xg + t_xxy = t_yg + t_xxx
+    r = Rates(dephasing_x_g=2.0, dephasing_y_g=8.2, dephasing_xx_x=8.2,
+              dephasing_xx_y=8.2)
+    with pytest.raises(ConfigurationError, match=r"dephasing.*10\.2.*16\.4"):
+        dephasing_projector_rates(r)
+    cfg = fast_config()
+    with pytest.raises(ConfigurationError, match="dephasing"):
+        compute_spectrum_y(replace(cfg, rates=replace(cfg.rates, dephasing_x_g=2.0)))
+
+
+def test_dephasing_solver_clips_into_nonnegative_range():
+    # the minimum-norm solution has G = -2; G = 0 realizes the targets exactly
+    r = Rates(dephasing_x_g=2.0, dephasing_y_g=2.0, dephasing_xx_x=10.0,
+              dephasing_xx_y=10.0)
+    rates = dephasing_projector_rates(r)
+    assert rates == {"G": 0.0, "Y": 4.0, "X": 4.0, "XX": 16.0}
+    assert 0.5 * (rates["X"] + rates["G"]) == 2.0
+    assert 0.5 * (rates["Y"] + rates["G"]) == 2.0
+    assert 0.5 * (rates["XX"] + rates["X"]) == 10.0
+    assert 0.5 * (rates["XX"] + rates["Y"]) == 10.0
+    # equal sums, but no g keeps G >= 0 and XX = 2 t_xxx - 2 t_xg + g >= 0
+    r = Rates(dephasing_x_g=0.0, dephasing_y_g=0.0, dephasing_xx_x=-1.0,
+              dephasing_xx_y=-1.0)
+    with pytest.raises(ConfigurationError, match="nonnegative projector rates"):
         dephasing_projector_rates(r)
 
 
@@ -518,7 +544,7 @@ def kron_oracle_liouvillian(cfg):
         (embed_qd_transition(spec, "XX", "Y"), r.gamma_xx_y),
         (embed_photon_annihilator(spec), r.kappa_y),
     ]
-    for level, rate in dephasing_projector_rates(r)[0].items():
+    for level, rate in dephasing_projector_rates(r).items():
         if rate > 0.0:
             channels.append((embed_qd_projector(spec, level), rate))
     liouv = hamiltonian_superop(h)
