@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .dressed import dressed_eigenvalues, transition_catalog
 from .errors import ConfigurationError, SolverError
-from .export import export_map, export_spectrum
+from .export import _pyplot, export_map, export_spectrum
 from .hilbert import HilbertSpec, identity
 from .liouville import solver_hygiene, steady_state, vec
 from .sweeps import detuning_sweep, extract_peaks, phonon_comparison, power_sweep
@@ -228,6 +228,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "render", False):
+            _pyplot()  # fail before any spectrum is computed or file written
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

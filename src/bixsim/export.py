@@ -50,8 +50,24 @@ def _overwrite(path: str, write) -> None:
 
 
 def _write_csv(path: str, arr, header: str = "") -> None:
-    _overwrite(path, lambda fh: np.savetxt(fh, arr, fmt=_FMT, delimiter=",",
-                                           header=header, comments=""))
+    """The bytes np.savetxt(arr, fmt=_FMT, delimiter=",", comments="") writes:
+    an optional header line, then one line per row (per value for 1-D).
+    Rows are formatted by one join per chunk of about 4096 values, so a
+    wide map never holds its whole text."""
+    rows = np.asarray(arr, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    step = max(1, 4096 // max(rows.shape[1], 1))
+
+    def write(fh):
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step].tolist()
+            fh.write("".join([line % tuple(row) for row in chunk]))
+
+    _overwrite(path, write)
 
 
 def _write_json(path: str, payload) -> None:

@@ -1,4 +1,4 @@
-"""Dense superoperator algebra: Lindblad generators, steady states, spectra.
+"""Superoperator algebra: Lindblad generators, steady states, spectra.
 
 Vectorization is column stacking throughout: ``vec(rho)`` stacks the columns
 of rho, so ``vec(A rho B) = (B^T kron A) vec(rho)``.  A superoperator on a
@@ -13,30 +13,35 @@ all vec indices or on a block of them.  The Lindblad dissipator convention is
 so `rate` is the full population decay rate of the channel (a two-level
 excited state decays as exp(-rate * t), its coherence as exp(-rate * t / 2)).
 
-`steady_state` and `regression_spectrum` take an optional `block`: the vec
-indices of a sector that L leaves invariant, such as a parity block of a
-weak Z2 symmetry, and decompose only that square block of L, which
-`liouvillian` builds directly.  The invariance is checked on the
-operators, before any block is built, by `check_parity`: K must keep the
-parity P of each basis state, and the A and B of each pair must both keep
-it or both flip it.
+The builder scatters products of operator entries: A[a, b] B[e, f] lands at
+L[a + d f, b + d e], made only from the nonzero entries of A and B and
+summed by bincount.  A block is a parity sector of a weak Z2 symmetry: the
+vec indices of rho[i, j] with P_i P_j = +1 (even) or -1 (odd).  K must keep
+P, and the A and B of each pair must both keep it or both flip it; an entry
+that would put a product across the sectors raises SolverError, naming its
+operator, while the block is built.
 
-Both decompose L in the Hermitian basis of the vec indices they are given,
-where it is a real matrix: a physical generator preserves Hermiticity,
-L(rho+) = L(rho)+.  The partner of vec index r = i + d j (rho[i, j]) is
-p = j + d i, and for each pair with i < j the unitary T maps
-x_r = (v_r + v_p) / sqrt(2), x_p = (v_r - v_p) / (i sqrt(2)); diagonal
-entries stay.  T vec(H) is real for every Hermitian H, so L_h = T L T+ is
-real, and a real SVD and a real `eig` replace complex ones; their vectors
-are mapped back with T+.  T has two nonzeros per row and is applied as
-row and column combinations, never formed.  L_h with an imaginary entry
-above 1e-12 of its largest entry raises SolverError: such an L does not
-preserve Hermiticity, and no physical generator does that.
+`steady_state` and `regression_spectrum` take the whole complex L in vec
+entries, or with `block` the block that `liouvillian` built, and work in the
+Hermitian basis of its vec indices, where L is a real matrix: a physical
+generator preserves Hermiticity, L(rho+) = L(rho)+.  The partner of vec
+index r = i + d j (rho[i, j]) is p = j + d i, and for each pair with i < j
+the unitary T maps x_r = (v_r + v_p) / sqrt(2), x_p = (v_r - v_p) /
+(i sqrt(2)); diagonal entries stay.  T vec(H) is real for every Hermitian
+H, so L_h = T L T+ is real.  T has at most two nonzeros per column and is
+never formed: each entry of L lands in L_h as up to four real entries, and
+vectors are mapped with T or T+ entry by entry.  The basis lists the
+diagonal entries first, then the rho[i, j] with i < j, then their partners.
+L_h with an imaginary entry above 1e-12 of its largest entry raises
+SolverError: such an L does not preserve Hermiticity, and no physical
+generator does that.  The steady state is one real LU solve of L_h with a
+diagonal row replaced by the trace row, the spectrum one real `eig`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +52,7 @@ from .hilbert import is_hermitian
 _HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
 _RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
 _STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
-_KERNEL_RTOL = 1e-10  # singular value or |eigenvalue| counted as kernel, relative
+_KERNEL_RTOL = 1e-10  # kernel gap or |eigenvalue| counted as kernel, relative
 _BLOCK_RTOL = 1e-12  # vector weight in or outside a block, relative to its max
 _PARITY_RTOL = 1e-12  # operator entries crossing parity, relative to max|op|
 _HERMITICITY_RTOL = 1e-12  # |Im L_h| in the Hermitian basis, relative to max|L_h|
@@ -58,7 +63,6 @@ __all__ = [
     "unvec",
     "lindblad_generator",
     "liouvillian",
-    "check_parity",
     "steady_state",
     "SpectrumResult",
     "regression_spectrum",
@@ -106,13 +110,16 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
     """Matrix of rho -> K rho + rho K+ + Sum_(A, B) A rho B.
 
     `pairs` holds the (A, B) operators, each d x d like K; pass () for none.
-    With `block`, sorted vec indices, only the square block of L on them is
-    built; the caller makes sure L leaves it invariant (`check_parity`).
-    With rho[i, j] at vec index i + d j, each entry is gathered from the
-    flat d x d operators: L[r, c] = K[i_r, i_c] [j_r = j_c]
-    + [i_r = i_c] conj(K[j_r, j_c]) + Sum A[i_r, i_c] B[j_c, j_r].
-    Raises ConfigurationError for a pair that is not two operators of the
-    shape of K, such as a superoperator.
+    Without `block`, returns the whole complex (d^2, d^2) L in vec entries.
+    With `block`, the sorted vec indices of a parity sector of rho, returns
+    the square block of L on them as the real matrix L_h in the block's
+    Hermitian basis, which `steady_state` and `regression_spectrum` take
+    with the same `block`.  Both come from the nonzero products of
+    `_products`: summed into vec entries by one bincount each for the real
+    and imaginary parts, or scattered into L_h by `_hermitian_scatter`.
+    Raises SolverError from either (an operator across the parity sectors,
+    an L_h with an imaginary part), and ConfigurationError for a pair that
+    is not two operators of the shape of K, such as a superoperator.
     """
     k = np.asarray(k, dtype=complex)
     d = k.shape[0]
@@ -122,47 +129,90 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
                 f"pairs must hold (A, B) operators of shape {k.shape}"
             )
     idx = np.arange(d * d) if block is None else np.asarray(block)
-    i, j = idx % d, idx // d
-    ii = i[:, None] * d + i[None, :]  # flat index of (i_r, i_c)
-    jj = j[:, None] * d + j[None, :]  # flat index of (j_r, j_c)
-    out = np.where(j[:, None] == j[None, :], k.reshape(-1)[ii], 0.0)
-    out += np.where(i[:, None] == i[None, :], k.conj().reshape(-1)[jj], 0.0)
-    for a, b in pairs:
-        out += np.ravel(a)[ii] * np.ravel(np.transpose(b))[jj]
-    return out
+    rows, cols, vals = _products(k, pairs, idx)
+    if block is not None:
+        return _hermitian_scatter(rows, cols, vals, idx, d)
+    flat = rows * d * d + cols
+    re = np.bincount(flat, vals.real, d**4)
+    return (re + 1j * np.bincount(flat, vals.imag, d**4)).reshape(d * d, d * d)
 
 
-def check_parity(parity: np.ndarray, k: np.ndarray, pairs=()) -> None:
-    """Raise SolverError unless L commutes with rho -> P rho P.
+def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
+    """Vec rows, vec columns and values of the products of L in rows `idx`.
 
-    `parity` holds P = +-1 per basis state.  L keeps the even and odd
-    sectors of rho apart when K keeps P and the two operators of each pair
-    both keep it or both flip it.  An entry crosses when it exceeds 1e-12
-    of its operator's largest entry; the error names the operator (K, or
-    A_n / B_n of pair n) and its largest crossing entry.
+    The pair (A, B) puts A[a, b] B[e, f] at L[a + d f, b + d e]; K rho and
+    rho K+ are the pairs (K, 1) and (1, K+).  `idx` must be a parity sector
+    of rho, or all of it: rho[i, j] lies in it exactly when P_i P_j has one
+    sign, so rho[i, 0] gives each state's parity relative to state 0 and no
+    P is passed.  K must keep P, and the two operators of a pair must both
+    keep it or both flip it, like the pair's largest entry; otherwise some
+    product has its row in one sector and its column in the other.  Then
+    SolverError names the first such operator in the order K, A_0, B_0,
+    A_1, ... and its largest entry of the wrong kind, if that exceeds 1e-12
+    of the operator's largest entry; smaller ones are rounding and dropped.
+
+    All operators are handled at once: their nonzero entries are grouped
+    by pair and by the parity of A's row a (B's column f), and each A entry
+    meets the B entries of the group that puts a + d f in `idx`.
     """
-    keeps = np.equal.outer(parity, parity)
-    ops = [("K", k, True)]
-    for n, (a, b) in enumerate(pairs):
-        mag = np.abs(a) + np.abs(b)
-        even = mag[keeps].max(initial=0.0) >= mag[~keeps].max(initial=0.0)
-        ops += [(f"A_{n}", a, even), (f"B_{n}", b, even)]
-    for name, op, even in ops:
-        mag = np.abs(op)
-        cross = np.where(keeps == even, 0.0, mag)
-        i, j = np.unravel_index(np.argmax(cross), cross.shape)
-        if cross[i, j] > _PARITY_RTOL * mag.max():
-            raise SolverError(
-                f"{name} breaks the parity symmetry: |{name}[{i}, {j}]| = "
-                f"{cross[i, j]:.3e} {'flips' if even else 'keeps'} P, above "
-                f"{_PARITY_RTOL:.0e} * max|{name}| = {_PARITY_RTOL * mag.max():.3e}"
-            )
+    d = k.shape[0]
+    inside = np.zeros(d * d, dtype=bool)
+    inside[idx] = True
+    same = inside[:d] == inside[0]  # P_i == P_0
+    sector = (same[:, None] == same[None, :]) == inside[0]
+    if not np.array_equal(inside.reshape((d, d), order="F"), sector):
+        raise SolverError("a block of L must be one parity sector of rho")
+    ops = np.array([k] + [op for pair in pairs for op in pair], dtype=complex)
+    op, r, c = np.nonzero(ops)  # op 0 is K, 1 + 2n is A_n, 2 + 2n is B_n
+    v = ops[op, r, c]
+    mag, keeps = np.abs(v), same[r] == same[c]
+    top = np.zeros((len(ops), 2))  # largest entry that flips, keeps P
+    np.maximum.at(top, (op, keeps.astype(int)), mag)
+    pair_top = top[1:].reshape(-1, 2, 2).max(axis=1)
+    want = np.concatenate([[True], np.repeat(pair_top[:, 1] >= pair_top[:, 0], 2)])
+    wrong = keeps != want[op]
+    above = wrong & (mag > _PARITY_RTOL * top.max(axis=1)[op])
+    if above.any():
+        bad = op[above].min()
+        n = np.flatnonzero(wrong & (op == bad))
+        n = n[np.argmax(mag[n])]
+        name = "K" if bad == 0 else f"{'BA'[bad % 2]}_{(bad - 1) // 2}"
+        bound = _PARITY_RTOL * top[bad].max()
+        raise SolverError(
+            f"{name} breaks the parity symmetry: |{name}[{r[n]}, {c[n]}]| = "
+            f"{mag[n]:.3e} {'flips' if want[bad] else 'keeps'} P, above "
+            f"{_PARITY_RTOL:.0e} * max|{name}| = {bound:.3e}"
+        )
+    op, r, c, v = op[~wrong], r[~wrong], c[~wrong], v[~wrong]
+    # A side: K (term 0), 1 (term 1), A_n (term n + 2); B side: 1, K+, B_n
+    on_k, on_a = op == 0, op % 2 == 1
+    on_b = ~on_k & ~on_a
+    eye, ones = np.arange(d), np.ones(d)
+    n_k = np.count_nonzero(on_k)
+    ra, ca = (np.concatenate([x[on_k], eye, x[on_a]]) for x in (r, c))
+    av = np.concatenate([v[on_k], ones, v[on_a]])
+    rb, cb = (np.concatenate([eye, x[on_k], y[on_b]]) for x, y in ((c, r), (r, c)))
+    bv = np.concatenate([ones, v[on_k].conj(), v[on_b]])
+    ta = np.concatenate([np.zeros(n_k, int), np.ones(d, int), (op[on_a] + 3) // 2])
+    tb = np.concatenate([np.zeros(d, int), np.ones(n_k, int), (op[on_b] + 2) // 2])
+    ga, gb = 2 * ta + ~same[ra], 2 * tb + (same[cb] != inside[0])
+    ia, ib = np.argsort(ga, kind="stable"), np.argsort(gb, kind="stable")
+    nb = np.bincount(gb, minlength=2 * len(pairs) + 4)
+    start = np.cumsum(nb) - nb  # first entry of each group in ib
+    reps = nb[ga[ia]]
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    ib = ib[np.repeat(start[ga[ia]], reps) + offset]
+    ia = np.repeat(ia, reps)
+    return ra[ia] + d * cb[ib], ca[ia] + d * rb[ib], av[ia] * bv[ib]
 
 
-def _hermitian_pairs(idx: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (a, b) in `idx` of rho[i, j] and rho[j, i], for each i < j.
+def _hermitian_basis(idx: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """Order of the Hermitian basis of the vec indices `idx`, and its nd.
 
-    Raises SolverError if `idx` holds some rho[i, j] without rho[j, i]: the
+    idx[order] lists the nd diagonal entries rho[i, i] first, in idx order,
+    then every rho[i, j] with i < j, then each partner rho[j, i] in the same
+    order, so that the m-th pair sits at rows nd + m and nd + p + m.  Raises
+    SolverError if `idx` holds some rho[i, j] without rho[j, i]: the
     Hermitian basis needs a block closed under rho -> rho+, as every parity
     block is (P_i P_j is symmetric in i and j).
     """
@@ -177,109 +227,205 @@ def _hermitian_pairs(idx: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
             f"{j[n] + d * i[n]}; it must be closed under rho -> rho+"
         )
     a = np.flatnonzero(i < j)
-    return a, partner[a]
+    order = np.concatenate([np.flatnonzero(i == j), a, partner[a]])
+    return order, idx.size - 2 * a.size
 
 
-def _real_hermitian(liouv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L_h = T L T+ in the Hermitian basis of the pairs (a, b), as a real matrix.
+def _hermitian_scatter(rows, cols, vals, idx: np.ndarray, d: int) -> np.ndarray:
+    """L_h = T L T+ from the entries vals of L at vec indices (rows, cols).
 
-    Rows are combined first, then columns.  Raises SolverError, naming the
-    largest entry, if |Im L_h| exceeds 1e-12 max|L_h|: L then does not
-    preserve Hermiticity.
+    T (module docstring) has at most two entries per column: vec index v of
+    rho[i, j] goes to the pair's first row s with weight c and to its second
+    row s + p with weight -i t, where (c, t) = (1, 0) on the diagonal,
+    (1, 1) / sqrt(2) for i < j and (1, -1) / sqrt(2) for i > j.  So each
+    entry lands in L_h as up to four real entries, which one bincount sums;
+    a second one sums their imaginary parts, and SolverError names the
+    largest if it exceeds 1e-12 max|L_h|: L then does not preserve
+    Hermiticity.  Rows and columns of L_h follow `_hermitian_basis`.
     """
-    m = np.array(liouv, dtype=complex)
-    ra, rb = m[a], m[b]
-    m[a] = (ra + rb) * _SQRT_HALF
-    m[b] = (rb - ra) * (1j * _SQRT_HALF)
-    ca, cb = m[:, a], m[:, b]
-    m[:, a] = (ca + cb) * _SQRT_HALF
-    m[:, b] = (ca - cb) * (1j * _SQRT_HALF)
-    imag = np.abs(m.imag)
-    k, n = np.unravel_index(np.argmax(imag), imag.shape)
-    bound = _HERMITICITY_RTOL * np.abs(m).max()
-    if imag[k, n] > bound:
+    order, nd = _hermitian_basis(idx, d)
+    n, p = idx.size, (idx.size - nd) // 2
+    slot = np.full(d * d, -1)
+    slot[idx[order]] = np.concatenate([np.arange(nd + p), np.arange(nd, nd + p)])
+    i, j = np.divmod(np.arange(d * d), d)[::-1]
+    tab_t = _SQRT_HALF * np.sign(j - i)
+    tab_c = np.where(i == j, 1.0, _SQRT_HALF)
+    # T[s, m] v T+[n, t] for (s, t) = (s, s), (s, s'), (s', s), (s', s') of
+    # the pairs of m and n is a c, i a t, -i b c, b t with a = c_m v, b = t_m v
+    flat = np.empty((4, rows.size), dtype=np.intp)
+    np.add(slot[rows] * n, slot[cols], out=flat[0])
+    np.add(flat[0], p, out=flat[1])
+    np.add(flat[0], p * n, out=flat[2])
+    np.add(flat[2], p, out=flat[3])
+    a, b = vals * tab_c[rows], vals * tab_t[rows]
+    cc, tc = tab_c[cols], tab_t[cols]
+    z, x = (a, 1j * a, -1j * b, b), (cc, tc, cc, tc)
+    w, sums = np.empty((4, rows.size)), []
+    for part in (np.real, np.imag):
+        for k in range(4):
+            np.multiply(part(z[k]), x[k], out=w[k])
+        sums.append(np.bincount(flat.ravel(), w.ravel(), n * n))
+    l_h, imag = sums[0].reshape(n, n), sums[1]
+    bound = _HERMITICITY_RTOL * max(l_h.max(), -l_h.min())
+    if max(imag.max(), -imag.min()) > bound:
+        imag = np.abs(imag)
+        k, m = np.unravel_index(np.argmax(imag), (n, n))
         raise SolverError(
-            f"L does not preserve Hermiticity: |Im L_h[{k}, {n}]| = "
-            f"{imag[k, n]:.3e} in the Hermitian basis, above "
+            f"L does not preserve Hermiticity: |Im L_h[{k}, {m}]| = "
+            f"{imag[k * n + m]:.3e} in the Hermitian basis, above "
             f"{_HERMITICITY_RTOL:.0e} * max|L_h| = {bound:.3e}"
         )
-    return np.ascontiguousarray(m.real)
+    return l_h
 
 
-def _from_hermitian(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """T+ x: a vector, or the columns of a matrix, back in vec entries."""
-    v = np.array(x, dtype=complex)
-    xa, xb = v[a], v[b]
-    v[a] = (xa + 1j * xb) * _SQRT_HALF
-    v[b] = (xa - 1j * xb) * _SQRT_HALF
+def _to_hermitian(v: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
+    """T v: a vector, or the columns of a matrix, from vec entries (idx order)."""
+    p = (v.shape[0] - nd) // 2
+    va, vb = v[order[nd:nd + p]], v[order[nd + p:]]
+    return np.concatenate(
+        [v[order[:nd]], (va + vb) * _SQRT_HALF, (vb - va) * (1j * _SQRT_HALF)]
+    )
+
+
+def _from_hermitian(x: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
+    """T+ x: a vector, or the columns of a matrix, back in vec entries (idx order)."""
+    x = np.asarray(x)
+    p = (x.shape[0] - nd) // 2
+    xa, xb = x[nd:nd + p], x[nd + p:]
+    v = np.empty(x.shape, dtype=complex)
+    v[order[:nd]] = x[:nd]
+    v[order[nd:nd + p]] = (xa + 1j * xb) * _SQRT_HALF
+    v[order[nd + p:]] = (xa - 1j * xb) * _SQRT_HALF
     return v
+
+
+def _hermitian_operator(liouv, block, d: int) -> tuple:
+    """(L_h, idx, order, nd) for `liouv` on `block` of a d x d rho.
+
+    Without a block, `liouv` is the whole complex L in vec entries, and its
+    nonzero entries are scattered into L_h here; with one, it is the real
+    L_h that `liouvillian(k, pairs, block)` builds.  Raises
+    ConfigurationError if its size does not match, or if a block comes with
+    a complex matrix.
+    """
+    liouv = np.asarray(liouv)
+    idx = np.arange(d * d) if block is None else np.asarray(block)
+    if liouv.shape != (idx.size, idx.size):
+        raise ConfigurationError("with a block, pass L restricted to the block")
+    order, nd = _hermitian_basis(idx, d)
+    if block is None:
+        rows, cols = np.nonzero(liouv)
+        vals = liouv[rows, cols].astype(complex)
+        return _hermitian_scatter(rows, cols, vals, idx, d), idx, order, nd
+    if np.iscomplexobj(liouv):
+        raise ConfigurationError(
+            "with a block, pass the real L_h that liouvillian(k, pairs, block) builds"
+        )
+    return np.asarray(liouv, dtype=float), idx, order, nd
 
 
 def steady_state(
     liouv: np.ndarray, kernel_rtol: float = _KERNEL_RTOL, block=None
 ) -> np.ndarray:
-    """Steady-state density matrix from the kernel of the Liouvillian.
+    """Steady-state density matrix: the kernel of L, by one real LU solve.
 
-    The kernel is located by a real SVD of L in the Hermitian basis of the
-    decomposed indices (see the module docstring), and the kernel vector is
-    mapped back to vec entries.  `block` holds the sorted vec indices of a
-    sector that L leaves invariant, such as the even parity block, and
-    `liouv` is then L restricted to that block; the block's kernel vector
-    is embedded back into d x d with zeros elsewhere.  A block with a
-    steady state holds every diagonal entry of rho, so its last index is
-    d^2 - 1.  The caller owns the uniqueness check on the other sectors
-    (`regression_spectrum` makes it for the odd block).  Raises
-    ConfigurationError if `liouv` does not have the block's size.  Raises
-    SolverError if the block is unsorted or misses a diagonal entry, if the
-    kernel is empty or degenerate at the given relative tolerance, if the
-    kernel vector is traceless, if ||liouv vec(rho)|| > 1e-9, if the block
-    is not closed under rho -> rho+, or if L does not preserve Hermiticity.
+    L_h is L in the Hermitian basis of the block (see the module
+    docstring).  Its row for d rho_00/dt is replaced by the trace row,
+    scaled to s, an estimate of the largest singular value of L_h, and
+    M x = s e_0 is solved.  For a trace-preserving L that row is minus the
+    sum of the other diagonal rows, so x is the kernel vector of unit trace.
+    M is singular exactly when the kernel holds a traceless vector, which
+    for a physical generator means a kernel of dimension 2 or more.  The
+    same solve takes a probe column and one transposed solve follows: the
+    power step |M^-1 z| -> |M^-T M^-1 z| estimates ||M^-1||, and the
+    uniqueness certificate is the relative gap 1 / (||M^-1|| s).  It
+    stands in for the second smallest singular value of L_h over the
+    largest: a rank-one change interlaces singular values, so sigma_min(M)
+    never exceeds sigma_(n-1)(L_h), and on the packaged baseline it is
+    0.85-0.9 of it.  `kernel_rtol` (the config's `Numerics.steady_rtol`)
+    bounds the certificate from below.  The power step is exact to first
+    order when one singular value of M is small, which is where the bound
+    decides; s lies within 5% below sigma_1 after 8 power steps.
+
+    Without `block`, `liouv` is the whole complex L in vec entries.
+    `block` holds the sorted vec indices of a sector that L leaves
+    invariant and that holds every diagonal entry of rho (the even parity
+    block, whose last index is d^2 - 1), and `liouv` is then the real L_h
+    that `liouvillian(k, pairs, block)` builds; rho is embedded back into
+    d x d with zeros elsewhere.  The caller owns the uniqueness check on
+    the other sectors (`regression_spectrum` makes it for the odd block).
+    Raises ConfigurationError if `liouv` does not have the block's size.
+    Raises SolverError if the block is unsorted or misses a diagonal entry,
+    if L is zero, if the gap is at most `kernel_rtol` ("not unique"), if
+    ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state found": L does
+    not preserve the trace), if ||L vec(rho)|| > 1e-9, if the block is not
+    closed under rho -> rho+, or if L does not preserve Hermiticity.
     """
-    liouv = np.asarray(liouv, dtype=complex)
-    idx = np.arange(liouv.shape[0]) if block is None else np.asarray(block)
-    if liouv.shape[0] != idx.size:
-        raise ConfigurationError("with a block, pass L restricted to the block")
-    size = liouv.shape[0] if block is None else int(idx[-1]) + 1  # d^2
-    d = math.isqrt(size)
-    if block is None and d * d != size:
-        raise ConfigurationError("Liouvillian size is not a perfect square")
-    if block is not None:
+    if block is None:
+        d = math.isqrt(np.shape(liouv)[0])
+        if d * d != np.shape(liouv)[0]:
+            raise ConfigurationError("Liouvillian size is not a perfect square")
+    else:
+        idx = np.asarray(block)
+        d = math.isqrt(int(idx[-1]) + 1)
         holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
-        if d * d != size or not holds or np.any(np.diff(idx) <= 0):
+        if d * d != idx[-1] + 1 or not holds or np.any(np.diff(idx) <= 0):
             raise SolverError(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
-    a, b = _hermitian_pairs(idx, d)
-    _, s, vh = np.linalg.svd(_real_hermitian(liouv, a, b))
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
+    l_h, idx, order, nd = _hermitian_operator(liouv, block, d)
+    n = l_h.shape[0]
+    # a fixed pseudo-random power start and probe; numpy.random would add
+    # 6 MB of resident memory to every process on import
+    rng = random.Random(0)
+    start = np.array([rng.random() - 0.5 for _ in range(2 * n)]).reshape(n, 2)
+    scale = _norm_estimate(l_h, start[:, 0])
+    if scale == 0.0:
         raise SolverError("Liouvillian is identically zero")
-    kdim = int(np.sum(s <= kernel_rtol * smax))
-    if kdim == 0:
+    m = l_h.copy()
+    m[0, :nd], m[0, nd:] = scale, 0.0  # rho_00 is the first diagonal entry
+    rhs = np.zeros((n, 2))
+    rhs[0, 0], rhs[:, 1] = scale, start[:, 1]
+    try:
+        sol = np.linalg.solve(m, rhs)
+        back = np.linalg.solve(m.T, sol[:, 1])
+        gap = np.linalg.norm(sol[:, 1]) / (np.linalg.norm(back) * scale)
+    except np.linalg.LinAlgError:
+        gap = 0.0
+    if not gap > kernel_rtol:  # also a nan from an overflowing solve
         raise SolverError(
-            "no steady state found: smallest singular value "
-            f"{s[-1]:.3e} exceeds tolerance {kernel_rtol * smax:.3e}"
+            "steady state is not unique: Liouvillian kernel dimension 2 or more, "
+            f"or a traceless kernel vector (relative gap {gap:.3e} of the "
+            f"trace-row matrix, at most {kernel_rtol:.3e})"
         )
-    if kdim > 1:
+    x = sol[:, 0]
+    miss = np.linalg.norm(l_h @ x) / np.linalg.norm(x)
+    if miss > kernel_rtol * scale:
         raise SolverError(
-            f"steady state is not unique: Liouvillian kernel dimension {kdim}"
+            f"no steady state found: ||L x|| / ||x|| = {miss:.3e} for the "
+            f"trace-row solution x exceeds tolerance {kernel_rtol * scale:.3e}"
         )
-    kernel = np.zeros(size, dtype=complex)
-    kernel[idx] = _from_hermitian(vh[-1], a, b)
-    rho = unvec(kernel)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise SolverError("kernel vector is traceless; no physical steady state")
-    rho = rho / tr
-    rho_v = vec(rho)
-    residual = np.linalg.norm(liouv @ rho_v[idx])
+    x = x / x[:nd].sum()
+    residual = np.linalg.norm(l_h @ x)
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
-    return rho
+    kernel = np.zeros(d * d, dtype=complex)
+    kernel[idx] = _from_hermitian(x, order, nd)
+    return unvec(kernel)
+
+
+def _norm_estimate(a: np.ndarray, x: np.ndarray) -> float:
+    """Largest singular value of a, by 8 power steps on a^T a from x."""
+    for _ in range(8):
+        x = a.T @ (a @ x)
+        size = np.linalg.norm(x)
+        if size == 0.0:
+            return 0.0
+        x /= size
+    return float(np.linalg.norm(a @ x))
 
 
 @dataclass(frozen=True)
@@ -319,17 +465,17 @@ def regression_spectrum(
     S(w) = Sum Re Tr[A (-iw - L)^{-1} vec(B rho_ss)].  One eigendecomposition
     serves every pair and every grid frequency: a real `eig` of L in the
     Hermitian basis of the decomposed indices (see the module docstring),
-    whose eigenvectors are mapped back to vec entries; the start vectors
-    B rho_ss and the trace rows of A stay in vec entries.  The component of
-    each B rho_ss along the Liouvillian kernel is projected out, which
-    removes the elastic (delta-function) line and leaves the incoherent
-    spectrum.
+    to which the start vectors B rho_ss (by T) and the trace rows of A (by
+    T+ from the right) are mapped.  The component of each B rho_ss along
+    the Liouvillian kernel is projected out, which removes the elastic
+    (delta-function) line and leaves the incoherent spectrum.
 
+    Without `block`, `liouv` is the whole complex L in vec entries.
     `block` holds the sorted vec indices of a sector that L leaves invariant
-    and that holds every start vector B rho_ss, and `liouv` is then L
-    restricted to that block, the only part eigendecomposed.  For the
-    model's weak Z2 symmetry this is the odd parity block: rho_ss is even
-    and every source flips the parity.  `norm`, the scale of the guards
+    and that holds every start vector B rho_ss, and `liouv` is then the
+    real L_h of that block that `liouvillian(k, pairs, block)` builds, the
+    only part eigendecomposed.  For the model's weak Z2 symmetry this is
+    the odd parity block: rho_ss is even and every source flips the parity.  `norm`, the scale of the guards
     below, is ||L||_F of the whole L; it defaults to that of `liouv`.
 
     Raises SolverError if rho_ss is not stationary under a whole `liouv`
@@ -341,17 +487,16 @@ def regression_spectrum(
     singular, or if some grid frequency coincides with an undamped
     eigenvalue (add dissipation to every channel before asking for a
     spectrum).  Raises SolverError too if the block is not closed under
-    rho -> rho+ or if L does not preserve Hermiticity.  Raises
-    ConfigurationError if `liouv` does not have the block's size.
+    rho -> rho+ or if a whole L does not preserve Hermiticity.  Raises
+    ConfigurationError if `liouv` does not have the block's size, or is
+    complex with a block.
     """
-    liouv = np.asarray(liouv, dtype=complex)
+    liouv = np.asarray(liouv)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
-    idx = np.arange(rho_v.size) if block is None else np.asarray(block)
-    if liouv.shape[0] != idx.size:
-        raise ConfigurationError("with a block, pass L restricted to the block")
-    scale = max(np.linalg.norm(liouv) if norm is None else norm, 1.0)
+    l_h, idx, order, nd = _hermitian_operator(liouv, block, rho_ss.shape[0])
+    scale = max(np.linalg.norm(l_h) if norm is None else norm, 1.0)
     if block is None and np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
         raise SolverError("rho_ss is not a steady state of the given Liouvillian")
 
@@ -371,13 +516,13 @@ def regression_spectrum(
             f"start vector {n} (B rho_ss) has weight {outside[k, n]:.3e} at vec "
             f"index {k}, outside the block; B does not map rho_ss into it"
         )
-    starts = starts[idx]
-    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking
+    starts = _to_hermitian(starts[idx], order, nd)
+    # Tr(A rho) = vec(A^T) . vec(rho) under column stacking, and the row r
+    # acts on the Hermitian basis as r T+ = conj(T conj(r))
     rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
+    rows = _to_hermitian(rows.conj().T, order, nd).conj().T
 
-    a, b = _hermitian_pairs(idx, rho_ss.shape[0])
-    evals, vecs = np.linalg.eig(_real_hermitian(liouv, a, b))
-    vecs = _from_hermitian(vecs, a, b)
+    evals, vecs = np.linalg.eig(l_h)
     # steady_state decomposed only the block holding rho_ss; a block without
     # rho_ss must have no kernel, or the steady state is not unique
     holds_rho = np.abs(rho_v[idx]).max() > _BLOCK_RTOL * np.abs(rho_v).max()

@@ -39,7 +39,6 @@ from .hilbert import (
 )
 from .liouville import (
     SpectrumResult,
-    check_parity,
     emission_spectrum,
     lindblad_generator,
     liouvillian,
@@ -559,23 +558,22 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
 
     The generator has the weak Z2 symmetry rho -> P rho P with
     P = (-1)^(n_y + [Y]), so it never couples the even and odd parity blocks
-    of rho (`HilbertSpec.parity_blocks`).  `check_parity` verifies that on
-    the operator list, naming any operator with an entry across parity;
-    then only the two blocks of L are built.  The steady state is solved in
-    the even block (one SVD there); both y sources flip P, so every
-    s rho_ss lies in the odd block, and one eigendecomposition of that
-    block serves all sources.  Both blocks are closed under rho -> rho+, and
-    the generator preserves Hermiticity, so each is decomposed as a real
-    matrix in its Hermitian basis (a real SVD and a real `eig`, see
-    `liouville`).  A start vector with weight outside the odd block raises,
-    and so do a steady state that is not unique over the whole L (a kernel
-    of the even block other than one-dimensional, or a kernel eigenvalue in
-    the odd block) and a block whose L has an imaginary part in that basis.
+    of rho (`HilbertSpec.parity_blocks`), and only those two blocks of L are
+    built.  `liouvillian` scatters each block from the nonzero entries of
+    the operators straight into its real Hermitian basis, and names any
+    operator with an entry across parity.  The steady state is one real LU
+    solve in the even block, with the trace row in place of one diagonal
+    row and a uniqueness certificate from one more solve (`steady_state`);
+    both y sources flip P, so every s rho_ss lies in the odd block, and one
+    real `eig` of that block serves all sources.  A start vector with weight
+    outside the odd block raises, and so do a steady state that is not
+    unique over the whole L (a kernel of the even block other than
+    one-dimensional, or a kernel eigenvalue in the odd block) and a block
+    whose L has an imaginary part in that basis.
     """
     n = cfg.numerics
     spec = HilbertSpec(n.n_max_y)
     k, pairs = _generator(cfg)
-    check_parity(spec.parity(), k, pairs)
     even, odd = spec.parity_blocks()
     l_even = liouvillian(k, pairs, even)
     rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)

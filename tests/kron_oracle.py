@@ -1,16 +1,21 @@
-"""Test oracles of `liouville`: Kronecker-product superoperators for the
-builder `liouvillian`, and complex-basis decompositions for `steady_state`
-and `regression_spectrum`.
+"""Test oracles of `liouville`: Kronecker-product superoperators and a dense
+gather for the builder `liouvillian`, the Hermitian basis as an explicit
+matrix, and SVD and complex-basis decompositions for `steady_state` and
+`regression_spectrum`.
 
 Each term is built as its own d^2 x d^2 matrix from `np.kron`, with
 column-stacking vectorization, vec(A rho B) = (B^T kron A) vec(rho).  The
-decompositions are a complex SVD and a complex `eig` of L in vec entries,
-without the Hermitian basis and without the guards.
+gather reads every entry of a block of L from the dense operators.  The
+decompositions are a real SVD of L_h, and a complex SVD and a complex `eig`
+of L in vec entries, without the trace-row solve and without the guards.
 """
+
+import math
 
 import numpy as np
 
 from bixsim.errors import ConfigurationError
+from bixsim.liouville import _hermitian_basis
 
 
 def spre(a):
@@ -82,3 +87,48 @@ def complex_regression_spectra(liouv, pairs, rho, grid, idx, kernel_tol):
         w = ((row @ right) * np.linalg.solve(right, start))[keep]
         out.append((w / (-1j * grid[:, None] - evals[keep])).sum(axis=1).real)
     return np.array(out)
+
+
+def gather_liouvillian(k, pairs, block=None):
+    """L of K and the pairs in vec entries, each block entry gathered densely.
+
+    L[r, c] = K[i_r, i_c] [j_r = j_c] + [i_r = i_c] conj(K[j_r, j_c])
+    + Sum A[i_r, i_c] B[j_c, j_r], with rho[i, j] at vec index i + d j.
+    """
+    k = np.asarray(k, dtype=complex)
+    d = k.shape[0]
+    idx = np.arange(d * d) if block is None else np.asarray(block)
+    i, j = idx % d, idx // d
+    ii = i[:, None] * d + i[None, :]  # flat index of (i_r, i_c)
+    jj = j[:, None] * d + j[None, :]  # flat index of (j_r, j_c)
+    out = np.where(j[:, None] == j[None, :], k.reshape(-1)[ii], 0.0)
+    out += np.where(i[:, None] == i[None, :], k.conj().reshape(-1)[jj], 0.0)
+    for a, b in pairs:
+        out += np.ravel(a)[ii] * np.ravel(np.transpose(b))[jj]
+    return out
+
+
+def hermitian_basis_matrix(idx, d):
+    """T as an explicit matrix: rows in the order of `_hermitian_basis`,
+    columns in the order of `idx`; T vec(H) is real for Hermitian H."""
+    idx = np.asarray(idx)
+    order, nd = _hermitian_basis(idx, d)
+    p = (idx.size - nd) // 2
+    h = math.sqrt(0.5)
+    t = np.zeros((idx.size, idx.size), dtype=complex)
+    t[np.arange(nd), order[:nd]] = 1.0
+    first, second = np.arange(nd, nd + p), np.arange(nd + p, idx.size)
+    upper, lower = order[nd:nd + p], order[nd + p:]  # rho[i, j], i < j; rho[j, i]
+    t[first, upper], t[first, lower] = h, h
+    t[second, upper], t[second, lower] = -1j * h, 1j * h
+    return t
+
+
+def svd_steady_state(l_h, idx, d):
+    """rho_ss and the singular values from a real SVD of L_h on the block idx."""
+    _, s, vh = np.linalg.svd(np.asarray(l_h, dtype=float))
+    v = np.zeros(d * d, dtype=complex)
+    v[idx] = hermitian_basis_matrix(idx, d).conj().T @ vh[-1]
+    rho = v.reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real, s

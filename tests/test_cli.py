@@ -162,16 +162,28 @@ def test_undamped_model_is_solver_error(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
-def test_render_without_matplotlib_is_config_error(tmp_path, capsys):
+def test_render_without_matplotlib_is_config_error(tmp_path, capsys, monkeypatch):
+    # the check comes first: no spectrum is computed and no file is written
     try:
         import matplotlib  # noqa: F401
     except ImportError:
         pass
     else:
         pytest.skip("matplotlib is installed")
-    rc = main(["spectrum", "--render", "--grid", "41", "--out", str(tmp_path / "o")])
-    assert rc == EXIT_CONFIG
-    assert "needs matplotlib" in capsys.readouterr().err
+    import bixsim.cli
+    import bixsim.sweeps
+
+    def never(cfg):
+        raise AssertionError("compute_spectrum_y was called")
+
+    for module in (bixsim.cli, bixsim.sweeps):
+        monkeypatch.setattr(module, "compute_spectrum_y", never)
+    for command in ("spectrum", "power-sweep", "detuning-sweep", "phonon-compare"):
+        out = tmp_path / command
+        rc = main([command, "--render", "--grid", "41", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "needs matplotlib" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bad_grid_value(fast_config_path, capsys):

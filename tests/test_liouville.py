@@ -8,18 +8,21 @@ from scipy.linalg import expm
 from kron_oracle import (
     complex_regression_spectra,
     complex_steady_state,
+    gather_liouvillian,
+    generator_superop,
     hamiltonian_superop,
+    hermitian_basis_matrix,
     sandwich,
     spost,
     spre,
+    svd_steady_state,
 )
 
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.liouville import (
     _from_hermitian,
-    _hermitian_pairs,
-    _real_hermitian,
-    check_parity,
+    _hermitian_basis,
+    _hermitian_operator,
     emission_spectrum,
     lindblad_generator,
     liouvillian,
@@ -238,7 +241,6 @@ def test_solver_hygiene_report():
 # the even block, coherences (1, 2) the odd one.  H diagonal and jump operators
 # sigma, sigma+ flip or keep P, so these generators are block diagonal.
 EVEN, ODD = np.array([0, 3]), np.array([1, 2])
-P_TLS = np.array([1, -1])
 
 
 def pumped_tls(delta=0.7, gamma=0.6, pump=0.25, pump_op=SIGMA.T):
@@ -249,7 +251,6 @@ def pumped_tls(delta=0.7, gamma=0.6, pump=0.25, pump_op=SIGMA.T):
 
 def test_block_path_matches_full_space_on_symmetric_tls():
     k, pairs = pumped_tls()
-    check_parity(P_TLS, k, pairs)
     liouv = liouvillian(k, pairs)
     rho_full = steady_state(liouv)
     rho_block = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
@@ -272,47 +273,96 @@ def test_even_block_kernel_must_be_one_dimensional():
     sig = np.zeros((3, 3))
     sig[0, 1] = 1.0
     k, pairs = lindblad_generator(np.diag([0.0, 1.0, 0.3]), [(sig, 1.0)])
-    check_parity(np.array([1, -1, 1]), k, pairs)
     even = [0, 2, 4, 6, 8]
+    l_even = liouvillian(k, pairs, even)  # builds: the generator keeps P
     with pytest.raises(SolverError, match="not unique: Liouvillian kernel dimension 2"):
-        steady_state(liouvillian(k, pairs, even), block=even)
+        steady_state(l_even, block=even)
+
+
+def two_cluster_rates(eps):
+    """Populations of two fast pairs {0, 1} and {2, 3} joined by the slow
+    link 1 <-> 2 at rate eps: the kernel gap of this L_h is eps / 2."""
+    rates = np.zeros((4, 4))
+    rates[0, 1] = rates[1, 0] = rates[2, 3] = rates[3, 2] = 1.0
+    rates[1, 2] = rates[2, 1] = eps
+    return rates - np.diag(rates.sum(axis=0))  # columns sum to zero
+
+
+# the diagonal of a 4 x 4 rho, a block closed under rho -> rho+ on which
+# L_h is the classical rate matrix
+POPULATIONS = np.array([0, 5, 10, 15])
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5, 0.0], ids=["above", "below", "2d-kernel"])
+def test_kernel_gap_near_steady_rtol(factor):
+    # the certificate reads sigma_min of the trace-row matrix, which lies
+    # between the gap / sqrt(2) here and the gap itself (interlacing); the
+    # SVD oracle sets the gap to factor * rtol, and at 0 the clusters are
+    # apart and the kernel two-dimensional
+    rtol = 1e-10
+    l_h = two_cluster_rates(2.0 * factor * rtol)
+    rho_svd, s = svd_steady_state(l_h, POPULATIONS, 4)
+    assert s[-2] / s[0] == pytest.approx(factor * rtol, rel=1e-6, abs=1e-15)
+    if factor > 1.0:
+        rho = steady_state(l_h, kernel_rtol=rtol, block=POPULATIONS)
+        assert np.max(np.abs(rho - np.diag([0.25] * 4))) < 1e-6
+        assert np.max(np.abs(rho - rho_svd)) < 1e-6
+    else:
+        with pytest.raises(SolverError, match="steady state is not unique"):
+            steady_state(l_h, kernel_rtol=rtol, block=POPULATIONS)
+
+
+def test_steady_state_needs_a_kernel():
+    # a loss from every population leaves no kernel; M is regular, but its
+    # solution misses the row it replaced
+    l_h = two_cluster_rates(0.3) - 0.1 * np.eye(4)
+    with pytest.raises(SolverError, match="no steady state found"):
+        steady_state(l_h, block=POPULATIONS)
+    assert np.linalg.svd(l_h, compute_uv=False)[-1] > 0.09
 
 
 def test_odd_block_kernel_raises():
     # the even block has a unique kernel, the odd one a zero eigenvalue that
-    # the even-block SVD cannot see; [[-1, 1], [1, -1]] has eigenvalues
-    # {0, -2} and preserves Hermiticity: it maps (rho_10, rho_01) to
-    # (rho_01 - rho_10, rho_10 - rho_01), conjugates when the inputs are
+    # the even-block solve cannot see: [[-1, 1], [1, -1]] on (rho_10, rho_01)
+    # maps them to (rho_01 - rho_10, rho_10 - rho_01), conjugates when the
+    # inputs are; in the Hermitian basis it is diag(0, -2)
     k, pairs = pumped_tls()
     rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     grid = np.linspace(-3.0, 3.0, 61)
-    odd_block = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    t = hermitian_basis_matrix(ODD, 2)
+    odd_block = (t @ np.array([[-1.0, 1.0], [1.0, -1.0]]) @ t.conj().T).real
+    assert np.array_equal(np.round(odd_block, 15), np.diag([0.0, -2.0]))
     with pytest.raises(SolverError, match="not unique: 1 eigenvalue"):
         emission_spectrum(odd_block, [SIGMA], rho, grid, ODD)
 
 
 def test_block_breaking_hermiticity_raises_and_names_the_entry():
-    # diag(0, -2) on (rho_10, rho_01) damps rho_01 but not rho_10, so it maps
-    # a Hermitian rho to a non-Hermitian one; L_h then has the entry +-i
-    k, pairs = pumped_tls()
-    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
-    grid = np.linspace(-3.0, 3.0, 61)
+    # the pair (|0><0|, -2 |1><1|) damps rho_01 but not rho_10, so it maps a
+    # Hermitian rho to a non-Hermitian one; L_h of the odd block then has the
+    # entry +-i.  Building the block raises, and so does a whole L in vec
+    # entries given to the solver
+    damp = [(np.diag([1.0, 0.0]), np.diag([0.0, -2.0]))]
+    assert np.array_equal(liouvillian(np.zeros((2, 2)), damp)[np.ix_(ODD, ODD)],
+                          np.diag([0.0, -2.0]))
     with pytest.raises(
         SolverError,
         match=r"L does not preserve Hermiticity: \|Im L_h\[0, 1\]\| = 1\.000e\+00",
     ):
-        emission_spectrum(np.diag([0.0, -2.0]), [SIGMA], rho, grid, ODD)
+        liouvillian(np.zeros((2, 2)), damp, ODD)
     with pytest.raises(SolverError, match="does not preserve Hermiticity"):
         steady_state(np.diag([0.0, 1.0, -1.0, 0.0]))
 
 
 def test_resolvent_guard_on_undamped_odd_block():
     # unique kernel, but the coherences are undamped at omega = +-0.7
+    # (rho_10, rho_01) rotate at +-0.7 without decay: diag(0.7i, -0.7i) in
+    # vec entries, [[0, 0.7], [-0.7, 0]] in the Hermitian basis
     k, pairs = pumped_tls(delta=0.7)
     rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
     grid = np.linspace(-1.4, 1.4, 5)
+    undamped = np.array([[0.0, 0.7], [-0.7, 0.0]])
     with pytest.raises(SolverError, match="resolvent singular"):
-        emission_spectrum(np.diag([0.7j, -0.7j]), [SIGMA], rho, grid, ODD)
+        emission_spectrum(undamped, [SIGMA], rho, grid, ODD)
 
 
 def test_block_coupling_raises_and_names_the_entry():
@@ -320,8 +370,9 @@ def test_block_coupling_raises_and_names_the_entry():
     # c rho c+ feed rho_10 from rho_00, coupling the blocks
     mixed = SIGMA.T + 1e-6 * np.diag([1.0, 0.0])
     k, pairs = pumped_tls(pump_op=mixed)
-    with pytest.raises(SolverError, match=r"\|A_1\[0, 0\]\| = 5\.000e-07 keeps P"):
-        check_parity(P_TLS, k, pairs)
+    for block in (EVEN, ODD):
+        with pytest.raises(SolverError, match=r"\|A_1\[0, 0\]\| = 5\.000e-07 keeps P"):
+            liouvillian(k, pairs, block)
     liouv = liouvillian(k, pairs)
     assert abs(liouv[1, 0]) == pytest.approx(0.25e-6)
     rho = steady_state(liouv)  # the full-space solve does not need the symmetry
@@ -362,27 +413,47 @@ def test_builder_rejects_a_bare_hamiltonian_or_superoperators():
 
 @pytest.mark.parametrize("block", [None, EVEN, ODD], ids=["full", "even", "odd"])
 def test_builder_matches_kron_products_on_random_operators(block):
+    # the whole L from any operators; a block from operators that keep the
+    # parity P = diag(1, -1) and preserve Hermiticity: K diagonal, and pairs
+    # of diagonal or of off-diagonal operators, each with its partner
+    # (B+, A+).  The block is compared as T oracle T+, T an explicit matrix
     rng = np.random.default_rng(4)
 
-    def rand(d):
-        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    def rand(mask):
+        return np.where(mask, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0)
 
-    k = rand(2)
-    pairs = [(rand(2), rand(2)) for _ in range(3)]
+    keeps = np.eye(2, dtype=bool)
+    if block is None:
+        k, pairs = rand(True), [(rand(True), rand(True)) for _ in range(3)]
+    else:
+        k, pairs = rand(keeps), []
+        for mask in (keeps, ~keeps, ~keeps):
+            a, b = rand(mask), rand(mask)
+            pairs += [(a, b), (b.conj().T, a.conj().T)]
     oracle = spre(k) + spost(k.conj().T) + sum(sandwich(a, b) for a, b in pairs)
-    idx = np.arange(4) if block is None else block
     got = liouvillian(k, pairs, block)
-    assert np.max(np.abs(got - oracle[np.ix_(idx, idx)])) < 1e-14 * np.abs(oracle).max()
+    if block is not None:
+        t = hermitian_basis_matrix(block, 2)
+        oracle = t @ oracle[np.ix_(block, block)] @ t.conj().T
+        assert got.dtype == np.float64
+    assert np.max(np.abs(got - oracle)) < 1e-14 * np.abs(oracle).max()
 
 
 def test_parity_check_names_the_operator():
+    # building either parity block checks that K keeps P and that the two
+    # operators of each pair both keep it or both flip it
     k, pairs = pumped_tls()
-    check_parity(P_TLS, k, pairs)  # the symmetric generator passes
-    with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):
-        check_parity(P_TLS, k + 0.3 * SIGMA, pairs)
-    # A keeps P while B flips it: the pair maps the even block to the odd one
-    with pytest.raises(SolverError, match=r"\|B_0\[1, 0\]\| = 1\.000e\+00 flips P"):
-        check_parity(P_TLS, k, [(np.eye(2), SIGMA.T)] + pairs)
+    for block in (EVEN, ODD):
+        liouvillian(k, pairs, block)  # the symmetric generator passes
+        with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):
+            liouvillian(k + 0.3 * SIGMA, pairs, block)
+        # A keeps P while B flips it: the pair maps the even block to the odd one
+        with pytest.raises(SolverError, match=r"\|B_0\[1, 0\]\| = 1\.000e\+00 flips P"):
+            liouvillian(k, [(np.eye(2), SIGMA.T)] + pairs, block)
+    liouvillian(k + 0.3 * SIGMA, pairs)  # the whole L needs no symmetry
+    # a block closed under rho -> rho+ but no parity sector: rho_22 is missing
+    with pytest.raises(SolverError, match="one parity sector"):
+        liouvillian(np.zeros((3, 3)), (), [0, 1, 3, 4])
 
 
 # -- the Hermitian basis ---------------------------------------------------------
@@ -418,9 +489,10 @@ def parity_blocks_4():
 def test_hermitian_basis_is_unitary_and_makes_l_real(which):
     even, odd = parity_blocks_4()
     idx = {"full": np.arange(16), "even": even, "odd": odd}[which]
-    a, b = _hermitian_pairs(idx, 4)
-    t_h = _from_hermitian(np.eye(idx.size), a, b)  # T+, column by column
+    order, nd = _hermitian_basis(idx, 4)
+    t_h = _from_hermitian(np.eye(idx.size), order, nd)  # T+, column by column
     t = t_h.conj().T
+    assert np.max(np.abs(t - hermitian_basis_matrix(idx, 4))) < 1e-15
     assert np.max(np.abs(t @ t_h - np.eye(idx.size))) < 1e-15
     assert np.all(np.count_nonzero(t, axis=1) <= 2)
 
@@ -429,11 +501,17 @@ def test_hermitian_basis_is_unitary_and_makes_l_real(which):
     x = t @ vec(h + h.conj().T)[idx]
     assert np.max(np.abs(x.imag)) <= 1e-15 * np.max(np.abs(x))
 
+    # the scattered L_h against the kron and gather oracles changed by T
     k, pairs = random_parity_generator(6)
-    liouv = liouvillian(k, pairs, None if which == "full" else idx)
-    l_h = _real_hermitian(liouv, a, b)
+    kron = generator_superop(k, pairs)[np.ix_(idx, idx)]
+    gather = gather_liouvillian(k, pairs, idx)
+    assert np.max(np.abs(gather - kron)) <= 1e-14 * np.max(np.abs(kron))
+    if which == "full":
+        l_h = _hermitian_operator(liouvillian(k, pairs), None, 4)[0]
+    else:
+        l_h = liouvillian(k, pairs, idx)
     assert l_h.dtype == np.float64
-    assert np.max(np.abs(l_h - t @ liouv @ t_h)) <= 1e-14 * np.max(np.abs(liouv))
+    assert np.max(np.abs(l_h - t @ kron @ t_h)) <= 1e-14 * np.max(np.abs(kron))
 
 
 def test_hermitian_basis_needs_a_block_closed_under_adjoint():
@@ -451,25 +529,27 @@ def test_hermitian_basis_matches_complex_decompositions(seed):
     whole = liouvillian(k, pairs)
     norm = np.linalg.norm(whole)
     l_even, l_odd = liouvillian(k, pairs, even), liouvillian(k, pairs, odd)
+    v_even, v_odd = (whole[np.ix_(b, b)] for b in (even, odd))  # vec entries
 
     rho = steady_state(whole)
     for got, want in [
         (rho, complex_steady_state(whole, np.arange(16), 4)),
-        (steady_state(l_even, block=even), complex_steady_state(l_even, even, 4)),
+        (steady_state(l_even, block=even), complex_steady_state(v_even, even, 4)),
+        (steady_state(l_even, block=even), svd_steady_state(l_even, even, 4)[0]),
     ]:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     rng = np.random.default_rng(seed)
     flips = np.where(np.equal.outer(P_4, P_4), 0, rng.normal(size=(4, 4)))
     grid = np.linspace(-5.0, 5.0, 101)
-    for liouv, idx, ops in [
-        (whole, np.arange(16), [flips, flips @ flips.T]),
-        (l_odd, odd, [flips]),
-        (l_even, even, [flips @ flips.T]),  # a P-even pair, on the block with rho
+    for liouv, vec_l, idx, ops in [
+        (whole, whole, np.arange(16), [flips, flips @ flips.T]),
+        (l_odd, v_odd, odd, [flips]),
+        (l_even, v_even, even, [flips @ flips.T]),  # a P-even pair, on the block with rho
     ]:
         pairs_ab = [(op.conj().T, op) for op in ops]
         block = None if liouv is whole else idx
         got = regression_spectrum(liouv, pairs_ab, rho, grid, block, norm)
-        want = complex_regression_spectra(liouv, pairs_ab, rho, grid, idx, 1e-10 * norm)
+        want = complex_regression_spectra(vec_l, pairs_ab, rho, grid, idx, 1e-10 * norm)
         want = want.sum(axis=0)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -11,9 +11,12 @@ import tracemalloc
 from kron_oracle import (
     complex_regression_spectra,
     complex_steady_state,
+    gather_liouvillian,
     generator_superop,
     hamiltonian_superop,
+    hermitian_basis_matrix,
     lindblad_dissipator,
+    svd_steady_state,
 )
 
 from bixsim import liouville, system
@@ -343,20 +346,33 @@ def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
     assert calls == [((odd.size, odd.size), np.float64)]
 
 
-def test_one_svd_per_spectrum(monkeypatch):
-    # the steady state is one real SVD of the even block in the Hermitian basis
-    calls = []
-    svd = np.linalg.svd
+def test_spectrum_takes_no_svd(monkeypatch):
+    # the steady state is one real LU solve of the even block in the Hermitian
+    # basis, with a probe column, and one solve of its transpose for the
+    # uniqueness certificate; the odd block is solved once, for the eigenbasis
+    calls = {"svd": 0, "solve": []}
+    svd, solve = np.linalg.svd, np.linalg.solve
 
-    def counting_svd(a, *args, **kwargs):
-        calls.append((np.shape(a), np.asarray(a).dtype))
-        return svd(a, *args, **kwargs)
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def recording_solve(a, b):
+        calls["solve"].append((np.shape(a), np.shape(b), np.asarray(a).dtype))
+        return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     cfg = fast_config(source="both")
     compute_spectrum_y(cfg)
-    even, _ = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
-    assert calls == [((even.size, even.size), np.float64)]
+    even, odd = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
+    n, m = even.size, odd.size
+    assert calls["svd"] == 0
+    assert calls["solve"] == [
+        ((n, n), (n, 2), np.float64),  # trace-row system and probe column
+        ((n, n), (n,), np.float64),  # its transpose, for the certificate
+        ((m, m), (m, 2), np.complex128),  # eigenbasis amplitudes of 2 sources
+    ]
 
 
 def full_space_oracle(cfg):
@@ -409,7 +425,8 @@ def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
 
     even, _ = HilbertSpec(n_max_y).parity_blocks()
     rho = steady_state(
-        liouv[np.ix_(even, even)], kernel_rtol=cfg.numerics.steady_rtol, block=even
+        liouville.liouvillian(*system._generator(cfg), even),
+        kernel_rtol=cfg.numerics.steady_rtol, block=even,
     )
     assert np.max(np.abs(rho - rho_oracle)) <= 1e-12
 
@@ -424,9 +441,11 @@ def test_parity_blocks_match_full_space_oracle(n_max_y, phonons):
 @pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
 @pytest.mark.parametrize("n_max_y", [0, 1, 2, 4, 6])
 def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
-    # the real SVD and eig in the Hermitian basis against a complex SVD and a
-    # complex eig of the same matrix: rho_ss on the whole L and the even block,
-    # the three sources' spectra on the whole L and the odd block
+    # the LU solve and the real eig in the Hermitian basis against a complex
+    # SVD and a complex eig of the same matrix: rho_ss on the whole L and the
+    # even block, the three sources' spectra on the whole L and the odd block.
+    # Then the trace-row LU against a real SVD of L_h, and the spectra against
+    # those of the SVD rho_ss on gathered blocks changed by an explicit T
     base = default_config()
     couplings = base.couplings
     if n_max_y == 0:  # without a photon rung the y mode must be uncoupled
@@ -445,13 +464,14 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
     even, odd = spec.parity_blocks()
     whole = liouville.liouvillian(k, pairs)
     l_even, l_odd = (liouville.liouvillian(k, pairs, b) for b in (even, odd))
+    v_even, v_odd = (gather_liouvillian(k, pairs, b) for b in (even, odd))
     norm = np.linalg.norm(whole)
     rtol = cfg.numerics.steady_rtol
     rho = steady_state(l_even, kernel_rtol=rtol, block=even)
     for got, want in [
         (steady_state(whole, kernel_rtol=rtol),
          complex_steady_state(whole, np.arange(d * d), d)),
-        (rho, complex_steady_state(l_even, even, d)),
+        (rho, complex_steady_state(v_even, even, d)),
     ]:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -459,14 +479,27 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
     ops = [source_operator(cfg, w) for w in ("y-dipole", "y-cavity")]
     ab = [(s.conj().T, s) for s in ops]
-    for liouv, idx, block in [(whole, np.arange(d * d), None), (l_odd, odd, odd)]:
-        oracle = complex_regression_spectra(liouv, ab, rho, -grid, idx, 1e-10 * norm)
+    for liouv, vec_l, idx, block in [
+        (whole, whole, np.arange(d * d), None), (l_odd, v_odd, odd, odd),
+    ]:
+        oracle = complex_regression_spectra(vec_l, ab, rho, -grid, idx, 1e-10 * norm)
         for rows in ([0], [1], [0, 1]):  # y-dipole, y-cavity, both
             got = liouville.emission_spectrum(
                 liouv, [ops[r] for r in rows], rho, grid, block, norm
             )
             want = oracle[rows].sum(axis=0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
+
+    t_even, t_odd = (hermitian_basis_matrix(b, d) for b in (even, odd))
+    rho_svd, sv = svd_steady_state((t_even @ v_even @ t_even.conj().T).real, even, d)
+    assert sv[-2] > rtol * sv[0] >= sv[-1]  # the SVD sees a unique kernel too
+    assert np.max(np.abs(rho - rho_svd)) <= 1e-12
+    svd_l_odd = (t_odd @ v_odd @ t_odd.conj().T).real
+    for rows in ([0], [1], [0, 1]):
+        srcs = [ops[r] for r in rows]
+        got = liouville.emission_spectrum(l_odd, srcs, rho, grid, odd, norm)
+        want = liouville.emission_spectrum(svd_l_odd, srcs, rho_svd, grid, odd, norm)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
 
 
 @pytest.mark.parametrize("whole", [True, False], ids=["whole-L", "even-block"])
@@ -488,6 +521,7 @@ def test_even_pair_on_the_block_of_rho_ss_is_finite_at_omega_zero(n_max_y, whole
     block = None if whole else even
     idx = np.arange(spec.dim**2) if whole else even
     liouv = liouville.liouvillian(k, pairs, block)
+    vec_l = gather_liouvillian(k, pairs, block)  # vec entries, for the direct solve
     rho = steady_state(
         liouville.liouvillian(k, pairs, even), kernel_rtol=cfg.numerics.steady_rtol,
         block=even,
@@ -505,7 +539,7 @@ def test_even_pair_on_the_block_of_rho_ss_is_finite_at_omega_zero(n_max_y, whole
     row = vec(n_op.T)[idx]
     at = [i for i in range(0, grid.size, 80) if grid[i] != 0.0]
     want = np.array([
-        (row @ np.linalg.solve(-1j * grid[i] * np.eye(idx.size) - liouv, start)).real
+        (row @ np.linalg.solve(-1j * grid[i] * np.eye(idx.size) - vec_l, start)).real
         for i in at
     ])
     assert np.max(np.abs(got[at] - want)) <= 1e-10 * np.max(np.abs(want))
@@ -572,14 +606,20 @@ def test_liouvillian_and_parity_blocks_match_kron_oracle(n_max_y, phonons, xx_sc
         numerics=replace(base.numerics, n_max_y=n_max_y),
         laser_detuning=12.0,
     )
+    # the whole L in vec entries, and each block as L_h = T L T+ with T an
+    # explicit matrix, against the kron path and the dense gather
     oracle = kron_oracle_liouvillian(cfg)
-    tol = 1e-13 * np.abs(oracle).max()
-    assert np.max(np.abs(assemble_liouvillian(cfg) - oracle)) <= tol
+    tol = 1e-14 * np.abs(oracle).max()
     spec = HilbertSpec(n_max_y)
     k, pairs = system._generator(cfg)
+    whole = assemble_liouvillian(cfg)
+    assert np.max(np.abs(whole - oracle)) <= tol
+    assert np.max(np.abs(whole - gather_liouvillian(k, pairs))) <= tol
     for block in spec.parity_blocks():
         got = liouville.liouvillian(k, pairs, block)
-        assert np.max(np.abs(got - oracle[np.ix_(block, block)])) <= tol
+        t = hermitian_basis_matrix(block, spec.dim)
+        for want in (oracle[np.ix_(block, block)], gather_liouvillian(k, pairs, block)):
+            assert np.max(np.abs(got - t @ want @ t.conj().T)) <= tol
 
 
 def test_spectrum_assembly_peak_memory(monkeypatch):
