@@ -30,7 +30,7 @@ from .liouville import (
     solver_hygiene,
     steady_state,
 )
-from .phonons import PhononParams, build_kernels, polaron_dissipator
+from .phonons import build_kernels, polaron_dissipator
 from .sweeps import (
     PeakReport,
     SweepMap,
@@ -84,7 +84,6 @@ __all__ = [
     "regression_spectrum",
     "emission_spectrum",
     "solver_hygiene",
-    "PhononParams",
     "build_kernels",
     "polaron_dissipator",
     "EnergyLevels",

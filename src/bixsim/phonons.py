@@ -4,9 +4,12 @@ The emitter couples to a super-ohmic bath with spectral density
 
     J(w) = alpha_p * w^3 * exp(-w^2 / (2 w_b^2))
 
-(deformation-potential coupling, Gaussian form-factor cutoff w_b).  The
-polaron transform absorbs the displacement into the excited levels and
-leaves two fingerprints:
+(deformation-potential coupling, Gaussian form-factor cutoff w_b).
+`PhononConfig` holds these bath parameters as the `phonon` section of the
+configuration reads them, alpha_p in ps^2, and converts alpha_p to 1/ueV^2
+for J(w).  `build_kernels` takes it directly.  The polaron transform
+absorbs the displacement into the excited levels and leaves two
+fingerprints:
 
 * every coherent coupling amplitude is reduced by the thermal Franck-Condon
   factor <B> = exp(-phi(0)/2), and
@@ -34,7 +37,7 @@ from .errors import ConfigurationError, SolverError
 from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
-    "PhononParams",
+    "PhononConfig",
     "PhononKernels",
     "build_kernels",
     "polaron_dissipator",
@@ -44,32 +47,34 @@ _N_NODES = 100  # Gauss-Legendre nodes for tabulating phi(t); converged to 1e-13
 
 
 @dataclass(frozen=True)
-class PhononParams:
-    """Bath parameters.
+class PhononConfig:
+    """Phonon bath: the `phonon` section of the configuration.
 
-    alpha_p_ps2 : coupling constant in ps^2 (converted internally)
+    enable      : include the polaron renormalization and scattering term
+    alpha_p     : coupling constant in ps^2 (`alpha_internal` is it in 1/ueV^2)
     omega_b     : Gaussian cutoff in ueV
     temperature : lattice temperature in K
     xx_scaling  : biexciton displacement in units of the exciton one
     """
 
-    alpha_p_ps2: float = 0.06
+    enable: bool = True
+    alpha_p: float = 0.06
     omega_b: float = 1000.0
     temperature: float = 6.8
     xx_scaling: float = 2.0
 
     def __post_init__(self):
-        if self.alpha_p_ps2 < 0:
-            raise ConfigurationError("phonon coupling must be nonnegative")
+        if self.alpha_p < 0:
+            raise ConfigurationError("phonon alpha_p must be nonnegative")
         if self.omega_b <= 0:
-            raise ConfigurationError("cutoff frequency must be positive")
+            raise ConfigurationError("phonon omega_b must be positive")
         if self.temperature < 0:
-            raise ConfigurationError("temperature must be nonnegative")
+            raise ConfigurationError("phonon temperature must be nonnegative")
 
     @property
-    def alpha_p(self) -> float:
-        """Coupling constant in 1/ueV^2."""
-        return alpha_ps2_to_internal(self.alpha_p_ps2)
+    def alpha_internal(self) -> float:
+        """Coupling constant in 1/ueV^2, the unit of J(w) above."""
+        return alpha_ps2_to_internal(self.alpha_p)
 
     def displacement_factor(self, involves_biexciton: bool) -> float:
         """Relative displacement jump of a one-step transition."""
@@ -84,7 +89,7 @@ class PhononKernels:
     single-displacement renormalization.
     """
 
-    params: PhononParams
+    params: PhononConfig
     t_grid: np.ndarray
     phi_t: np.ndarray
     bracket_b: float
@@ -117,7 +122,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def build_kernels(
-    params: PhononParams,
+    params: PhononConfig,
     t_max: float | None = None,
     n_t: int = 1601,
 ) -> PhononKernels:
@@ -140,7 +145,7 @@ def build_kernels(
         t_max = 10.0 / params.omega_b
     t_grid = np.linspace(0.0, t_max, n_t)
 
-    if params.alpha_p_ps2 == 0.0:
+    if params.alpha_p == 0.0:
         return PhononKernels(params, t_grid, np.zeros(n_t, dtype=complex), 1.0)
 
     cut = 12.0 * params.omega_b
@@ -148,7 +153,7 @@ def build_kernels(
     w = 0.5 * cut * (nodes + 1.0)
     wts = 0.5 * cut * weights
 
-    a = params.alpha_p
+    a = params.alpha_internal
     gauss = a * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
     if params.temperature == 0.0:
         thermal = np.ones_like(w)

@@ -17,14 +17,21 @@ Dissipation channels: radiative decay of the four dipole transitions, pure
 dephasing realized as level-projector dissipators whose rates are solved
 from the per-transition dephasing targets, y-mode photon loss, and (when
 enabled) the polaron-frame phonon scattering term.
+
+The frozen dataclasses below, with `phonons.PhononConfig` as the `phonon`
+section, are the whole configuration schema: `config_from_dict` and
+`config_to_dict` walk their field annotations, one JSON object per
+section, complex amplitudes as [re, im].
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from .liouville import (
     liouvillian,
     steady_state,
 )
-from .phonons import PhononParams, build_kernels, polaron_dissipator
+from .phonons import PhononConfig, build_kernels, polaron_dissipator
 
 __all__ = [
     "EnergyLevels",
@@ -129,25 +136,6 @@ class DriveConfig:
 
 
 @dataclass(frozen=True)
-class PhononConfig:
-    """Phonon environment switch and parameters (alpha_p in ps^2)."""
-
-    enable: bool = True
-    alpha_p: float = 0.06
-    omega_b: float = 1000.0
-    temperature: float = 6.8
-    xx_scaling: float = 2.0
-
-    def params(self) -> PhononParams:
-        return PhononParams(
-            alpha_p_ps2=self.alpha_p,
-            omega_b=self.omega_b,
-            temperature=self.temperature,
-            xx_scaling=self.xx_scaling,
-        )
-
-
-@dataclass(frozen=True)
 class Numerics:
     """Truncation and grid controls."""
 
@@ -206,117 +194,107 @@ class SystemConfig:
 
 
 def default_config() -> SystemConfig:
-    """The documented baseline parameter set (bimodal pillar, 6.8 K)."""
+    """The dataclass defaults: bimodal pillar at 6.8 K, with zero drive.
+
+    The packaged baseline (`data/baseline.json`) is this set with the drive
+    of `calibrate_drive(default_config(), 80.0)`.
+    """
     return SystemConfig()
 
 
 # -- config (de)serialization -------------------------------------------------
 
 
-def _encode_value(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def config_to_dict(cfg: SystemConfig) -> dict:
-    raw = asdict(cfg)
-
-    def walk(node):
-        if isinstance(node, dict):
-            return {k: walk(v) for k, v in node.items()}
-        return _encode_value(node)
-
-    return walk(raw)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _decode_complex(name, v):
-    if v is None or _is_number(v):
-        return v
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(v[0], v[1])
-    raise ConfigurationError(f"cannot parse complex amplitude {name} from {v!r}")
-
-
-# field annotation -> (accepts a parsed JSON value, what it must be)
-_VALUE_CHECKS = {
-    "float": (_is_number, "a number"),
-    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+# scalar field type -> (accepts a parsed JSON value, what it must be)
+_SCALARS = {
+    float: (_real, "a finite number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    complex: (
+        lambda v: _real(v) or (isinstance(v, list) and len(v) == 2 and all(map(_real, v))),
+        "[re, im] of finite numbers",
+    ),
 }
 
 
-def _check_values(cls, data: dict) -> None:
-    """Reject values whose JSON type does not match the field annotation."""
-    types = {f.name: f.type for f in fields(cls)}
-    for name, value in data.items():
-        check = _VALUE_CHECKS.get(types[name])
-        if check is not None and not check[0](value):
-            raise ConfigurationError(
-                f"{cls.__name__}.{name} must be {check[1]}, got {value!r}"
-            )
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (type, nullable) of a config dataclass.
+
+    Read once per class from its annotations: `X | None` gives (X, True).
+    """
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        out[name] = next((a for a in args if a is not type(None)), hint), type(None) in args
+    return out
 
 
-def _build_dataclass(cls, data: dict):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+def _encode(obj) -> dict:
+    out = {}
+    for name, (tp, _) in _schema(type(obj)).items():
+        v = getattr(obj, name)
+        if v is None:
+            out[name] = None
+        elif is_dataclass(tp):
+            out[name] = _encode(v)
+        elif tp is complex:
+            v = complex(v)
+            out[name] = [v.real, v.imag]
+        else:
+            out[name] = tp(v)
+    return out
+
+
+def _decode(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    schema = _schema(cls)
+    unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} for {cls.__name__}"
-        )
-    _check_values(cls, data)
-    return cls(**data)
+        raise ConfigurationError(f"unknown key(s) {sorted(unknown)} for {where}")
+    kwargs = {}
+    for name, v in data.items():
+        tp, nullable = schema[name]
+        if is_dataclass(tp):
+            kwargs[name] = _decode(tp, v, name)
+            continue
+        accepts, what = _SCALARS[tp]
+        if v is None and nullable:
+            kwargs[name] = None
+        elif accepts(v):
+            kwargs[name] = tp(*v) if isinstance(v, list) else tp(v)
+        else:
+            what += " or null" if nullable else ""
+            raise ConfigurationError(f"{cls.__name__}.{name} must be {what}, got {v!r}")
+    return cls(**kwargs)
+
+
+def config_to_dict(cfg: SystemConfig) -> dict:
+    """Plain-JSON form of cfg, each value encoded by its field type.
+
+    Floats are written as floats and complex amplitudes as [re, im], so
+    equal configs give equal dicts and equal `config_hash`.
+    """
+    return _encode(cfg)
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from a plain dict (e.g. parsed JSON).
 
-    Unknown keys raise ConfigurationError so typos do not silently fall
-    back to defaults.
+    The dataclass annotations are the schema: every section is decoded
+    from its own object, and every value is type-checked (numbers must be
+    finite).  Absent keys keep their defaults; unknown keys raise
+    ConfigurationError so typos do not silently fall back to defaults.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    data = dict(data)
-    data.pop("_notes", None)
-    kwargs = {}
-    nested = {
-        "energies": EnergyLevels,
-        "couplings": Couplings,
-        "rates": Rates,
-        "phonon": PhononConfig,
-        "numerics": Numerics,
-    }
-    for key, cls in nested.items():
-        if key in data:
-            sub = data.pop(key)
-            if not isinstance(sub, dict):
-                raise ConfigurationError(f"{key} must be an object")
-            kwargs[key] = _build_dataclass(cls, sub)
-    if "drive" in data:
-        sub = data.pop("drive")
-        if not isinstance(sub, dict):
-            raise ConfigurationError("drive must be an object")
-        sub = dict(sub)
-        for k in ("eta1", "eta2"):
-            if k in sub:
-                sub[k] = _decode_complex(k, sub[k])
-        kwargs["drive"] = _build_dataclass(DriveConfig, sub)
-    top = {f.name for f in fields(SystemConfig)}
-    unknown = set(data) - top
-    if unknown:
-        raise ConfigurationError(f"unknown top-level config key(s) {sorted(unknown)}")
-    _check_values(SystemConfig, data)
-    kwargs.update(data)
-    try:
-        return SystemConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    if isinstance(data, dict):
+        data = {k: v for k, v in data.items() if k != "_notes"}
+    return _decode(SystemConfig, data, "config root")
 
 
 def load_config(path) -> SystemConfig:
@@ -466,7 +444,7 @@ def _kernels_for(cfg: SystemConfig):
     if not (cfg.phonon.enable and cfg.phonon.alpha_p > 0.0):
         return None
     return build_kernels(
-        cfg.phonon.params(),
+        cfg.phonon,
         t_max=cfg.numerics.phonon_t_max,
         n_t=cfg.numerics.phonon_n_t,
     )

@@ -210,3 +210,20 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, section, key, 
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"rates": {"kappa_y": NaN}}', "kappa_y"),
+        ('{"laser_detuning": Infinity}', "laser_detuning"),
+    ],
+)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "finite" in err
+    assert not (tmp_path / "o").exists()

@@ -11,11 +11,11 @@ from bixsim import system
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import HilbertSpec
 from bixsim.liouville import liouvillian, unvec, vec
-from bixsim.phonons import PhononParams, build_kernels, polaron_dissipator
+from bixsim.phonons import PhononConfig, build_kernels, polaron_dissipator
 from bixsim.units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
-PARAMS = PhononParams(alpha_p_ps2=0.06, omega_b=1000.0, temperature=6.8, xx_scaling=2.0)
-COLD = PhononParams(alpha_p_ps2=0.06, omega_b=1000.0, temperature=0.0, xx_scaling=2.0)
+PARAMS = PhononConfig(alpha_p=0.06, omega_b=1000.0, temperature=6.8)
+COLD = replace(PARAMS, temperature=0.0)
 
 
 # -- adaptive-quadrature oracle of the tabulated kernels ------------------------
@@ -26,7 +26,7 @@ def spectral_density(omega, params):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ConfigurationError("spectral density defined for omega >= 0")
-    out = params.alpha_p * w**3 * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+    out = params.alpha_internal * w**3 * np.exp(-(w**2) / (2.0 * params.omega_b**2))
     return out if out.ndim else float(out)
 
 
@@ -38,7 +38,7 @@ def _coth_over(x):
 
 
 def _phi_integrands(params):
-    a = params.alpha_p
+    a = params.alpha_internal
     wb = params.omega_b
     if params.temperature == 0.0:
         thermal = lambda w: 1.0  # noqa: E731
@@ -67,11 +67,11 @@ def phi(t, params, rtol=1e-8):
     -Int J/w^2 sin(wt).  Raises SolverError when the quadrature cannot
     reach the requested relative tolerance.
     """
-    if params.alpha_p_ps2 == 0.0:
+    if params.alpha_p == 0.0:
         return 0.0 + 0.0j
     weight, odd_weight = _phi_integrands(params)
     cut = 12.0 * params.omega_b
-    scale = params.alpha_p * params.omega_b**2
+    scale = params.alpha_internal * params.omega_b**2
 
     def integrate(f, description):
         val, err = quad(f, 0.0, cut, limit=400, epsabs=1e-13 * scale, epsrel=rtol)
@@ -89,7 +89,7 @@ def phi(t, params, rtol=1e-8):
 
 def bracket_b(params):
     """Thermal coupling renormalization <B> = exp(-phi(0)/2), in (0, 1]."""
-    if params.alpha_p_ps2 == 0.0:
+    if params.alpha_p == 0.0:
         return 1.0
     return math.exp(-0.5 * phi(0.0, params).real)
 
@@ -99,7 +99,7 @@ def gauss_legendre_phi(params, t, nodes, weights):
     cut = 12.0 * params.omega_b
     w = 0.5 * cut * (nodes + 1.0)
     wts = 0.5 * cut * weights
-    gauss = params.alpha_p * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
+    gauss = params.alpha_internal * w * np.exp(-(w**2) / (2.0 * params.omega_b**2))
     thermal = 1.0 / np.tanh(w / (2.0 * K_B_UEV_PER_K * params.temperature))
     phase = w[None, :] * t[:, None]
     return (np.cos(phase) @ (wts * gauss * thermal)
@@ -184,7 +184,7 @@ def test_phi_zero_time_zero_temperature():
 
 
 def test_phi_zero_time_is_real_and_grows_with_temperature():
-    vals = [phi(0.0, PhononParams(0.06, 1000.0, t, 2.0)).real for t in (0.0, 4.0, 10.0)]
+    vals = [phi(0.0, replace(PARAMS, temperature=t)).real for t in (0.0, 4.0, 10.0)]
     assert all(v > 0.0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
     assert abs(phi(0.0, PARAMS).imag) < 1e-12
@@ -196,10 +196,10 @@ def test_phi_decays_by_cutoff_time():
 
 def test_bracket_monotone_in_temperature():
     temps = (0.0, 4.0, 10.0, 30.0)
-    vals = [bracket_b(PhononParams(0.06, 1000.0, t, 2.0)) for t in temps]
+    vals = [bracket_b(replace(PARAMS, temperature=t)) for t in temps]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert bracket_b(PhononParams(0.0, 1000.0, 6.8, 2.0)) == 1.0
+    assert bracket_b(replace(PARAMS, alpha_p=0.0)) == 1.0
 
 
 def test_kernel_tabulation_matches_quadrature():
@@ -215,7 +215,7 @@ def test_kernel_tabulation_matches_quadrature():
 @pytest.mark.parametrize("temperature", [4.0, 6.8, 15.0, 30.0])
 def test_kernel_node_count_is_converged(temperature, omega_b, alpha):
     # the default table against the adaptive integral and an 800-node table
-    params = PhononParams(alpha, omega_b, temperature, 2.0)
+    params = PhononConfig(alpha_p=alpha, omega_b=omega_b, temperature=temperature)
     kern = build_kernels(params)
     scale = abs(kern.phi_t[0])
     for k in (0, 100, 400, 800, 1600):
@@ -291,8 +291,7 @@ def test_kernel_grid_validation():
 
 
 def test_correlations_include_displacement_scaling():
-    strong = PhononParams(alpha_p_ps2=0.06, omega_b=1000.0, temperature=6.8,
-                          xx_scaling=3.0)
+    strong = replace(PARAMS, xx_scaling=3.0)
     kern = build_kernels(strong, n_t=201)
     f = strong.displacement_factor(involves_biexciton=True)
     assert f == pytest.approx(2.0)
@@ -334,7 +333,7 @@ def test_polaron_dissipator_preserves_trace_and_hermiticity():
 
 
 def test_polaron_dissipator_vanishes_without_coupling():
-    kern = build_kernels(PhononParams(0.0, 1000.0, 6.8, 2.0), n_t=201)
+    kern = build_kernels(replace(PARAMS, alpha_p=0.0), n_t=201)
     h, terms = _four_level_setup()
     dis = polaron_superop(h, terms, kern)
     assert np.max(np.abs(dis)) < 1e-14
@@ -379,9 +378,10 @@ def test_polaron_dissipator_damps_dressed_coherences():
 
 
 def test_params_validation():
-    with pytest.raises(ConfigurationError):
-        PhononParams(-0.01, 1000.0, 6.8, 2.0)
-    with pytest.raises(ConfigurationError):
-        PhononParams(0.06, 0.0, 6.8, 2.0)
-    with pytest.raises(ConfigurationError):
-        PhononParams(0.06, 1000.0, -1.0, 2.0)
+    with pytest.raises(ConfigurationError, match="alpha_p"):
+        PhononConfig(alpha_p=-0.01)
+    with pytest.raises(ConfigurationError, match="omega_b"):
+        PhononConfig(omega_b=0.0)
+    for enable in (True, False):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            PhononConfig(enable=enable, temperature=-1.0)

@@ -1,7 +1,8 @@
 """Configuration handling and assembly of the full master equation."""
 
 import json
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,117 @@ def test_packaged_baseline_loads():
     assert cfg.phonon.enable
     sol = dressed_eigenvalues(detunings(cfg), drive_params(cfg))
     assert -sol.eigenvalues[3] == pytest.approx(80.0, abs=1e-6)
+
+
+DEFAULT_HASH = "b57c9a2995c86a7c5c14bce79c1afa83584d2fe1cb7dd01400a31efa7ebacf76"
+BASELINE_HASH = "7b6487f3fd2ff564d3de06ac5c827e57055a608fe886dfb263678368ae065224"
+
+
+def test_packaged_baseline_is_defaults_plus_calibrated_drive():
+    from importlib import resources
+
+    data = json.loads(
+        resources.files("bixsim").joinpath("data/baseline.json").read_text("utf-8")
+    )
+    assert data == {"_notes": data["_notes"], "drive": {"omega": data["drive"]["omega"]}}
+    cfg = config_from_dict(data)
+    assert cfg == calibrate_drive(default_config(), 80.0)
+    assert config_hash(cfg) == BASELINE_HASH
+    assert config_hash(default_config()) == DEFAULT_HASH
+
+
+def test_equal_configs_have_equal_hashes():
+    cfg = default_config()
+    pairs = [
+        (replace(cfg, laser_detuning=0), cfg),
+        (
+            replace(cfg, drive=replace(cfg.drive, eta1=30.0, eta2=50)),
+            replace(cfg, drive=replace(cfg.drive, eta1=30 + 0j, eta2=50 + 0j)),
+        ),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert config_hash(a) == config_hash(b)
+        assert config_to_dict(a) == config_to_dict(b)
+    assert config_from_dict({"laser_detuning": 0}) == cfg
+    assert config_hash(config_from_dict({"laser_detuning": 0})) == DEFAULT_HASH
+    assert config_to_dict(pairs[1][0])["drive"]["eta1"] == [30.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('{"rates": {"kappa_y": NaN}}', "kappa_y"),
+        ('{"laser_detuning": Infinity}', "laser_detuning"),
+        ('{"phonon": {"temperature": -Infinity}}', "temperature"),
+        ('{"drive": {"eta1": [NaN, 0.0], "eta2": [1.0, 0.0]}}', "eta1"),
+    ],
+)
+def test_non_finite_numbers_rejected_at_load(text, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be .*finite"):
+        config_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("enable", [True, False])
+def test_phonon_parameters_checked_at_load(enable):
+    data = {"phonon": {"enable": enable, "temperature": -3}}
+    with pytest.raises(ConfigurationError, match="temperature"):
+        config_from_dict(data)
+    with pytest.raises(ConfigurationError, match="omega_b"):
+        config_from_dict({"phonon": {"enable": enable, "omega_b": 0.0}})
+
+
+def _leaves(cls, path=()):
+    """(path, type, default) of every non-dataclass field below cls."""
+    hints, default = typing.get_type_hints(cls), cls()
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _leaves(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,), hints[f.name], getattr(default, f.name)
+
+
+def _leaf_cases():
+    """(path, valid non-default JSON value, decoded value, wrong-typed value)."""
+    for path, hint, default in _leaves(system.SystemConfig):
+        tp = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        if tp is bool:
+            case = (not default, not default, 1)
+        elif tp is int:
+            case = (default + 2, default + 2, 1.5)
+        elif tp is float:
+            value = 0.5 if default is None else default + 1.0
+            case = (value, value, "abc")
+        elif tp is complex:
+            case = ([1.0, 2.0], 1.0 + 2.0j, [1.0, "2"])
+        elif tp is str:
+            case = ("both", "both", 1.0)
+        else:
+            raise AssertionError(f"no test value for {path} of type {hint}")
+        yield pytest.param(path, *case, id=".".join(path))
+
+
+def _nested(path, value):
+    data = node = {}
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if path[-1] in ("eta1", "eta2"):
+        node.update(eta1=[1.0, 0.0], eta2=[1.0, 0.0])  # the overrides come as a pair
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, decoded, wrong", list(_leaf_cases()))
+def test_every_leaf_field_loads_and_is_type_checked(path, value, decoded, wrong):
+    cfg = config_from_dict(_nested(path, value))
+    got = cfg
+    for key in path:
+        got = getattr(got, key)
+    assert got == decoded and type(got) is type(decoded)
+    assert cfg != default_config()
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    with pytest.raises(ConfigurationError, match=path[-1]):
+        config_from_dict(_nested(path, wrong))
 
 
 def test_both_sources_match_per_frequency_direct_solve():
