@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, require_finite
 from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
@@ -64,6 +64,7 @@ class PhononConfig:
     xx_scaling: float = 2.0
 
     def __post_init__(self):
+        require_finite(self, "phonon.")
         if self.alpha_p < 0:
             raise ConfigurationError("phonon alpha_p must be nonnegative")
         if self.omega_b <= 0:
@@ -136,7 +137,10 @@ def build_kernels(
     1.4e-3 at 0 K, where this raises SolverError ("extend t_max").
     Tabulation uses _N_NODES-point Gauss-Legendre quadrature in omega on
     [0, 12 omega_b], cross-checked against the adaptive scalar integral and
-    an 800-node table in the test suite.  Raises SolverError when the
+    an 800-node table in the test suite.  The phases e^{i w_n t_k} come from
+    `_phase_factors`, so a miss builds two (_N_NODES, ~sqrt(n_t)) tables
+    and contracts them with the Re and Im weights in one small product,
+    with no (_N_NODES, n_t) table at all.  Raises SolverError when the
     correlation has not decayed below 1e-8 at the end of the grid.
     """
     if n_t < 3 or n_t % 2 == 0:
@@ -161,21 +165,33 @@ def build_kernels(
         x = w / (2.0 * K_B_UEV_PER_K * params.temperature)
         thermal = np.where(x < 1e-6, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
                            1.0 / np.tanh(np.where(x > 0, x, 1.0)))
-    # one n_t x n_nodes table, overwritten by cos and then by sin: a miss
-    # allocates one such block instead of three.  Freeing three at once
-    # could exceed the allocator's trim threshold, which returned the heap
-    # to the OS and made the next request fault those pages in again.
-    phase = w[None, :] * t_grid[:, None]
-    re = np.cos(phase, out=phase) @ (wts * gauss * thermal)
-    np.multiply(w[None, :], t_grid[:, None], out=phase)
-    im = -(np.sin(phase, out=phase) @ (wts * gauss))
-    phi_t = re + 1j * im
+    # Sum_n c_n e^{i w_n k h} for the cos weights (Re) and the sin weights (Im)
+    big, small = _phase_factors(w, t_max / (n_t - 1), n_t)
+    coef = np.stack([wts * gauss * thermal, wts * gauss])
+    sums = ((coef[:, None, :] * big.T) @ small).reshape(2, -1)[:, :n_t]
+    phi_t = sums[0].real - 1j * sums[1].imag
     if abs(phi_t[-1]) > 1e-8:
         raise SolverError(
             f"phonon correlation not converged: |phi({t_max:g})| = "
             f"{abs(phi_t[-1]):.3e} > 1e-8; extend t_max"
         )
     return PhononKernels(params, t_grid, phi_t, math.exp(-0.5 * phi_t[0].real))
+
+
+def _phase_factors(freqs, h, n_t) -> tuple[np.ndarray, np.ndarray]:
+    """Baby-step/giant-step factors of e^{i f k h} for k = 0 .. n_t - 1.
+
+    With k = j m + r and m = isqrt(n_t - 1) + 1 (so m^2 >= n_t),
+    e^{i f k h} = big[:, j] * small[:, r], where big[:, j] = e^{i f j m h}
+    (j < J = ceil(n_t / m)) and small[:, r] = e^{i f r h} (r < m): about
+    2 sqrt(n_t) complex exponentials per frequency instead of n_t cos and
+    sin pairs.  The J m - n_t phases past the grid are for the caller to
+    drop or to pair with zeros.
+    """
+    m = math.isqrt(n_t - 1) + 1
+    f = 1j * h * freqs
+    big = np.exp(np.outer(f * m, np.arange(-(-n_t // m))))
+    return big, np.exp(np.outer(f, np.arange(m)))
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -188,26 +204,26 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 def _half_transforms(energies, t, corrs) -> np.ndarray:
     """F_j[p, q] = Int_0^t_max dt c_j(t) exp(-i (E_p - E_q) t), by Simpson's rule.
 
-    With C = Sum w c cos(omega t) and S = Sum w c sin(omega t) at the Bohr
-    frequency omega = E_p - E_q, F(omega) = C - iS and F(-omega) = C + iS,
-    so only the pairs p < q need a table, and F(0) = Sum w c.  One real
-    (pairs, n_t) table is overwritten by cos and then by sin, and each is
-    contracted with the [Re, Im] columns of every correlation at once.
+    Each entry is Sum_k w_k c_j(t_k) e^{i f k h} at f = E_q - E_p.  The
+    phases of the entries p < q and of their mirrors (q, p) come from one
+    `_phase_factors` call at f = -(E_p - E_q) and f = +(E_p - E_q), and
+    F(0) = Sum w c fills the diagonal.  The Simpson-weighted correlations,
+    zero-padded to J m points, are contracted with the giant steps by one
+    matrix product and with the baby steps by an einsum, for every
+    correlation at once.
     """
-    dim, n_c = energies.size, len(corrs)
-    wc = _simpson_weights(t.size, t[1] - t[0])[:, None] * np.stack(corrs, axis=1)
-    cols = np.concatenate([wc.real, wc.imag], axis=1)
+    dim, n_t, h = energies.size, t.size, t[1] - t[0]
     p, q = np.triu_indices(dim, 1)
     bohr = energies[p] - energies[q]
-    table = np.multiply(bohr[:, None], t[None, :])
-    cos_part = np.cos(table, out=table) @ cols
-    np.multiply(bohr[:, None], t[None, :], out=table)
-    sin_part = np.sin(table, out=table) @ cols
-    c = (cos_part[:, :n_c] + 1j * cos_part[:, n_c:]).T
-    s = (sin_part[:, :n_c] + 1j * sin_part[:, n_c:]).T
-    out = np.empty((n_c, dim, dim), dtype=complex)
-    out[:, p, q] = c - 1j * s
-    out[:, q, p] = c + 1j * s
+    big, small = _phase_factors(np.concatenate([-bohr, bohr]), h, n_t)
+    n_j, m = big.shape[1], small.shape[1]
+    wc = np.zeros((n_j * m, len(corrs)), dtype=complex)
+    wc[:n_t] = _simpson_weights(n_t, h)[:, None] * np.stack(corrs, axis=1)
+    giant = (big @ wc.reshape(n_j, -1)).reshape(big.shape[0], m, -1)
+    both = np.einsum("fr,frc->cf", small, giant)
+    out = np.empty((len(corrs), dim, dim), dtype=complex)
+    out[:, p, q] = both[:, :p.size]
+    out[:, q, p] = both[:, p.size:]
     out[:, np.arange(dim), np.arange(dim)] = wc.sum(axis=0)[:, None]
     return out
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .dressed import DetuningSet, DriveParams, drive_for_splitting
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .hilbert import (
     HilbertSpec,
     embed_photon_annihilator,
@@ -163,6 +163,7 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        require_finite(self)
         for kind, group in (("rate", self.rates), ("coupling", self.couplings)):
             for f in fields(group):
                 if getattr(group, f.name) < 0:
@@ -187,6 +188,12 @@ class SystemConfig:
             raise ConfigurationError("n_omega must be at least 3")
         if n.omega_half_span <= 0:
             raise ConfigurationError("omega_half_span must be positive")
+        if n.phonon_n_t < 3 or n.phonon_n_t % 2 == 0:
+            raise ConfigurationError(
+                "phonon_n_t must be an odd integer >= 3 (Simpson grid)"
+            )
+        if n.phonon_t_max is not None and n.phonon_t_max <= 0:
+            raise ConfigurationError("phonon_t_max must be positive or null")
         if (c.g1y != 0.0 or c.g2y != 0.0) and n.n_max_y < 1:
             raise ConfigurationError(
                 "n_max_y must be >= 1 when the y mode is coupled"

@@ -227,3 +227,16 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err and "finite" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, value", [("phonon_n_t", 1602), ("phonon_t_max", -1.0)])
+def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
+    # phonons on: a negative t_max used to reach the solver and exit 3
+    d = config_to_dict(default_config())
+    d["numerics"][name] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -106,7 +106,23 @@ def gauss_legendre_phi(params, t, nodes, weights):
             + 1j * (-np.sin(phase) @ (wts * gauss)))
 
 
-# -- complex-exponential oracle of the polaron scattering term -------------------
+# -- dense-table oracles of the polaron scattering term --------------------------
+
+
+def simpson_weights(t):
+    wts = np.ones(t.size)
+    wts[1:-1:2] = 4.0
+    wts[2:-1:2] = 2.0
+    return wts * ((t[1] - t[0]) / 3.0)
+
+
+def dense_half_transforms(energies, t, corrs):
+    """Every F_j[p, q] from full real (d^2, n_t) cos and sin tables."""
+    dim = energies.size
+    phase = (energies[:, None] - energies[None, :]).reshape(-1, 1) * t[None, :]
+    wc = simpson_weights(t)[:, None] * np.stack(corrs, axis=1)
+    out = np.cos(phase) @ wc - 1j * (np.sin(phase) @ wc)
+    return out.T.reshape(len(corrs), dim, dim)
 
 
 def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
@@ -123,10 +139,7 @@ def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
     energies, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     bohr = energies[:, None] - energies[None, :]
     t = kernels.t_grid
-    wts = np.ones(t.size)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= (t[1] - t[0]) / 3.0
+    wts = simpson_weights(t)
     phase = np.exp(-1j * bohr[:, :, None] * t[None, None, :]).reshape(dim * dim, t.size)
     quads = {f: (c + c.conj().T, 1j * (c - c.conj().T)) for f, c in groups.items()}
     k = np.zeros((dim, dim), dtype=complex)
@@ -254,19 +267,24 @@ def test_gauss_legendre_table_computed_once_per_process(monkeypatch):
     assert calls == [phonons._N_NODES]
 
 
-def test_kernel_table_equals_separate_cos_and_sin_products():
-    # the phase table is reused in place for cos and sin; phi_t must be
-    # bit-identical to the products of freshly built cos and sin tables
+def test_kernel_table_matches_dense_cos_sin_oracle():
+    # the factored phases against full (n_t, n_nodes) cos and sin tables; the
+    # grids of 3 and 1603 points pad the last giant step past the grid end
     from bixsim.phonons import _gauss_legendre
 
-    for temperature, n_t in ((4.0, 1601), (6.8, 1601), (30.0, 201)):
-        params = replace(PARAMS, temperature=temperature)
-        kern = build_kernels(params, n_t=n_t)
-        expected = gauss_legendre_phi(params, kern.t_grid, *_gauss_legendre())
-        assert np.array_equal(kern.phi_t, expected)
+    for temperature in (4.0, 6.8, 30.0):
+        for omega_b in (500.0, 1000.0):
+            for alpha in (0.03, 0.06, 0.12):
+                params = PhononConfig(alpha_p=alpha, omega_b=omega_b,
+                                      temperature=temperature)
+                for n_t in (3, 201, 1601, 1603):
+                    kern = build_kernels(params, n_t=n_t)
+                    dense = gauss_legendre_phi(params, kern.t_grid, *_gauss_legendre())
+                    scale = abs(dense[0])
+                    assert np.max(np.abs(kern.phi_t - dense)) <= 1e-14 * scale
 
 
-def test_kernel_miss_holds_one_phase_table():
+def test_kernel_miss_holds_no_dense_phase_table():
     import tracemalloc
 
     from bixsim import phonons
@@ -280,7 +298,7 @@ def test_kernel_miss_holds_one_phase_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * table
+    assert peak < table  # one dense n_t x n_nodes float table is 1.28 MB
 
 
 def test_kernel_grid_validation():
@@ -351,9 +369,22 @@ def test_polaron_transforms_match_complex_exp_oracle(n_max_y, xx_scaling):
         assert np.max(np.abs(op - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n_max_y", [2, 6])
+def test_half_transforms_match_dense_cos_sin_tables(n_max_y):
+    from bixsim.phonons import _half_transforms
+
+    h, _, kernels = _polaron_inputs(n_max_y, 2.5)
+    energies = np.linalg.eigvalsh(h)
+    corrs = [c for f_b in (1.0, 1.5) for c in kernels.correlations(1.0, f_b)]
+    got = _half_transforms(energies, kernels.t_grid, corrs)
+    ref = dense_half_transforms(energies, kernels.t_grid, corrs)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+
 def test_polaron_dissipator_peak_memory():
-    # the real half tables cover the pairs p < q only: 378 x 1601 float64
-    # (4.8 MB) at n_max_y=6, where a complex d^2 x n_t table is 20 MB
+    # the phase factors are (756, 41) complex at n_max_y=6; a real cos table
+    # over the pairs p < q alone is 378 x 1601 float64 (4.8 MB)
     import tracemalloc
 
     h, terms, kernels = _polaron_inputs(6, 2.0)
@@ -363,7 +394,7 @@ def test_polaron_dissipator_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 4e6
 
 
 def test_polaron_dissipator_damps_dressed_coherences():
@@ -385,3 +416,8 @@ def test_params_validation():
     for enable in (True, False):
         with pytest.raises(ConfigurationError, match="temperature"):
             PhononConfig(enable=enable, temperature=-1.0)
+    # NaN passes every "< 0" check, so it is rejected by name first
+    for name in ("alpha_p", "omega_b", "temperature", "xx_scaling"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                PhononConfig(**{name: bad})

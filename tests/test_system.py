@@ -349,6 +349,41 @@ def test_phonon_parameters_checked_at_load(enable):
         config_from_dict({"phonon": {"enable": enable, "omega_b": 0.0}})
 
 
+@pytest.mark.parametrize("enable", [True, False])
+@pytest.mark.parametrize(
+    "name, value",
+    [("phonon_n_t", 1602), ("phonon_n_t", 1), ("phonon_t_max", -1.0), ("phonon_t_max", 0.0)],
+)
+def test_phonon_grid_checked_at_load(enable, name, value):
+    # checked with the rest of the config, whether or not phonons are on
+    data = {"phonon": {"enable": enable}, "numerics": {name: value}}
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        config_from_dict(data)
+    assert config_from_dict({"numerics": {"phonon_n_t": 3, "phonon_t_max": None}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        ("energies", "omega_xx"),
+        ("couplings", "g1y"),
+        ("rates", "kappa_y"),
+        ("drive", "omega"),
+        ("phonon", "alpha_p"),
+        ("numerics", "phonon_t_max"),
+        (None, "laser_detuning"),
+    ],
+)
+def test_non_finite_values_rejected_through_replace(section, name, value):
+    cfg = default_config()
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        if section is None:
+            replace(cfg, **{name: value})
+        else:
+            replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
 def _leaves(cls, path=()):
     """(path, type, default) of every non-dataclass field below cls."""
     hints, default = typing.get_type_hints(cls), cls()
@@ -767,6 +802,16 @@ def test_spectrum_assembly_peak_memory(monkeypatch):
     assert max(peaks) <= 20e6
 
 
+def test_traced_kernel_builder_is_the_cached_one():
+    # the benchmark's tracer wraps bixsim.system.build_kernels and reads the
+    # miss ratio from cache_info(); a copy or a wrapper would make both read 0
+    from bixsim import phonons
+
+    assert system.build_kernels is phonons.build_kernels
+    assert callable(system.build_kernels.cache_info)
+    assert system.polaron_dissipator is phonons.polaron_dissipator
+
+
 def test_spectrum_reaches_the_traced_layers(monkeypatch):
     # the benchmark's tracer wraps these module attributes; a phonon-on
     # spectrum must still call each of them
@@ -781,13 +826,14 @@ def test_spectrum_reaches_the_traced_layers(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("liouvillian", "polaron_dissipator", "steady_state"):
+    for name in ("build_kernels", "liouvillian", "polaron_dissipator", "steady_state"):
         count(system, name)
     count(liouville, "regression_spectrum")
     cfg = fast_config(phonon=default_config().phonon)
     assert cfg.phonon.enable
     compute_spectrum_y(cfg)
     assert calls == {
+        "build_kernels": 1,
         "liouvillian": 2,  # the even and the odd parity block
         "polaron_dissipator": 1,
         "steady_state": 1,
