@@ -48,7 +48,6 @@ from .system import (
     Rates,
     SystemConfig,
     assemble_liouvillian,
-    build_reduced_hamiltonian,
     calibrate_drive,
     compute_spectrum_y,
     config_from_dict,
@@ -102,7 +101,6 @@ __all__ = [
     "detunings",
     "drive_params",
     "calibrate_drive",
-    "build_reduced_hamiltonian",
     "assemble_liouvillian",
     "compute_spectrum_y",
     "SweepMap",

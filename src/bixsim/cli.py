@@ -30,11 +30,13 @@ from .system import (
     detunings,
     drive_params,
     load_config,
+    source_operator,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+_SPECTRUM_TOL = 1e-8  # spectrum-path check, on the unit-maximum scale
 
 
 def _baseline_config():
@@ -175,9 +177,48 @@ def _cmd_check(args):
            f"trace {hyg['trace_error']:.1e}, herm {hyg['hermiticity']:.1e}, "
            f"residual {hyg['residual']:.1e}, min-eig {hyg['min_eigenvalue']:.1e}")
 
+    err, n_points = _spectrum_deviation(cfg, liouv, rho)
+    report("spectrum-path", err <= _SPECTRUM_TOL,
+           f"parity-block spectrum vs direct solves of (i w - L) on the whole L: "
+           f"max deviation {err:.1e} of the maximum at {n_points} points")
+
     print(f"{'OK' if all(results) else 'FAILED'}: "
           f"{sum(results)}/{len(results)} checks passed")
     return EXIT_OK if all(results) else EXIT_SOLVER
+
+
+def _spectrum_deviation(cfg, liouv, rho):
+    """Deviation of `compute_spectrum_y(cfg)` from direct linear solves.
+
+    At the spectrum's argmax and at four fixed grid points, each source s
+    gives Re Tr[s+ x] with (i w - L + vec(rho) Tr) x = vec(s rho) -
+    Tr(s rho) vec(rho) on the whole L: for a traceless start the added
+    rank-one term only lifts the kernel of L to eigenvalue 1, so x is the
+    resolvent solution without the elastic line, and w = 0 stays regular.
+    Returns the largest difference of the two on the scale where each is
+    1 at the argmax, and the number of points.
+    """
+    result = compute_spectrum_y(cfg)
+    grid, got = result.omega_offsets, result.intensity
+    top = int(np.argmax(got))
+    idx = [top] + sorted({k * (grid.size - 1) // 8 for k in (1, 3, 5, 7)} - {top})
+    rho_v = vec(rho)
+    lifted = np.outer(rho_v, vec(np.eye(rho.shape[0]))) - liouv
+    eye = np.eye(liouv.shape[0])
+    sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
+    want = np.zeros(len(idx))
+    for which in sources:
+        s = source_operator(cfg, which)
+        s_rho = s @ rho
+        start = vec(s_rho) - np.trace(s_rho) * rho_v
+        row = vec(s.conj())  # Tr(s+ x) = vec((s+)^T) . vec(x)
+        want += [(row @ np.linalg.solve(1j * grid[i] * eye + lifted, start)).real
+                 for i in idx]
+    want = np.clip(want, 0.0, None)
+    if got[top] > 0.0 and want[0] > 0.0:
+        return float(np.max(np.abs(got[idx] / got[top] - want / want[0]))), len(idx)
+    # a spectrum that vanishes must vanish in both
+    return (0.0 if got[top] == 0.0 and not np.any(want > 0.0) else np.inf), len(idx)
 
 
 def build_parser() -> argparse.ArgumentParser:

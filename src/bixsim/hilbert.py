@@ -11,11 +11,14 @@ Basis convention (fixed):
 
 All operators returned here are dense complex ndarrays on the composite
 space.  Dimensions stay small (a few tens), so dense algebra is used
-throughout the package.
+throughout the package.  The embedded transitions, projectors and the
+photon annihilator are built once per (spec, levels) and cached; they are
+read-only, so a caller that needs to modify one copies it first.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +100,12 @@ def qd_operator(spec: HilbertSpec, mat4: np.ndarray) -> np.ndarray:
     return np.kron(mat4, np.eye(spec.n_ph, dtype=complex))
 
 
+def _frozen(op: np.ndarray) -> np.ndarray:
+    op.setflags(write=False)
+    return op
+
+
+@functools.cache
 def embed_qd_transition(spec: HilbertSpec, frm: str, to: str) -> np.ndarray:
     """Lowering-style transition operator |to><frm| (x) identity.
 
@@ -107,29 +116,26 @@ def embed_qd_transition(spec: HilbertSpec, frm: str, to: str) -> np.ndarray:
     i_to = spec.level_index(to)
     mat4 = np.zeros((4, 4), dtype=complex)
     mat4[i_to, i_from] = 1.0
-    return qd_operator(spec, mat4)
+    return _frozen(qd_operator(spec, mat4))
 
 
+@functools.cache
 def embed_qd_projector(spec: HilbertSpec, level: str) -> np.ndarray:
     """Projector |level><level| (x) identity."""
     i = spec.level_index(level)
     mat4 = np.zeros((4, 4), dtype=complex)
     mat4[i, i] = 1.0
-    return qd_operator(spec, mat4)
+    return _frozen(qd_operator(spec, mat4))
 
 
+@functools.cache
 def embed_photon_annihilator(spec: HilbertSpec) -> np.ndarray:
     """Annihilation operator of the y cavity mode, identity (x) a."""
     n = spec.n_ph
     a = np.zeros((n, n), dtype=complex)
     for k in range(1, n):
         a[k - 1, k] = np.sqrt(k)
-    return np.kron(np.eye(4, dtype=complex), a)
-
-
-def embed_photon_number(spec: HilbertSpec) -> np.ndarray:
-    a = embed_photon_annihilator(spec)
-    return a.conj().T @ a
+    return _frozen(np.kron(np.eye(4, dtype=complex), a))
 
 
 def identity(spec: HilbertSpec) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Superoperator algebra: Lindblad generators, steady states, spectra.
 
 Vectorization is column stacking throughout: ``vec(rho)`` stacks the columns
-of rho, so ``vec(A rho B) = (B^T kron A) vec(rho)``.  A superoperator on a
-d-dimensional Hilbert space is a dense (d^2, d^2) complex matrix.
+of rho, so ``vec(A rho B) = (B^T kron A) vec(rho)``.  No (d^2, d^2)
+superoperator is formed on the spectrum path: each parity block of L is
+built as the real matrix L_h in the Hermitian basis of its vec indices,
+and only a caller that asks for the whole L gets it as a complex matrix
+in vec entries.
 
 Every generator is given at operator level, L rho = K rho + rho K+ +
 Sum_n A_n rho B_n, and `liouvillian` is the one builder of its matrix, on
@@ -543,20 +546,35 @@ def regression_spectrum(
     if holds_rho:
         weights[np.argmin(np.abs(evals))] = 0.0
 
-    # resolvent[i, n] = weights[n] / (-i w_i - evals[n]), built in place
+    return _resolvent_sum(weights, evals, omega_grid, scale)
+
+
+def _resolvent_sum(weights, evals, omega_grid, scale: float) -> np.ndarray:
+    """S(w_i) = Re Sum_n weights[n] / (-i w_i - evals[n]) on the grid.
+
+    One reciprocal of the (n_omega, n) resolvent in place, then one
+    matrix-vector product.  An entry within 1e-12 `scale` of zero is a
+    grid point on an undamped eigenvalue: it raises SolverError if the
+    eigenvalue's weight exceeds 1e-14 of the largest (or of 1), and is
+    dropped otherwise.
+    """
     resolvent = -1j * omega_grid[:, None] - evals
-    bad = np.abs(resolvent) < 1e-12 * scale
+    # |-i w - lambda| >= |Re lambda|, so only the columns of eigenvalues
+    # with |Re lambda| below the guard's scale can come near zero
+    tiny = 1e-12 * scale
+    near = np.flatnonzero(np.abs(evals.real) < tiny)
+    bad = np.abs(resolvent[:, near]) < tiny
     live = np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0)
-    hit = np.any(bad & live, axis=1)
+    hit = np.any(bad & live[near], axis=1)
     if np.any(hit):
         raise SolverError(
             f"resolvent singular at omega={omega_grid[np.argmax(hit)]:g}: an "
             "undamped eigenvalue coincides with the grid; every channel needs "
             "nonzero dissipation"
         )
-    resolvent[bad] = np.inf
-    np.divide(weights, resolvent, out=resolvent)
-    return resolvent.sum(axis=1).real
+    resolvent[:, near] = np.where(bad, np.inf, resolvent[:, near])
+    np.reciprocal(resolvent, out=resolvent)
+    return (resolvent @ weights).real
 
 
 def emission_spectrum(

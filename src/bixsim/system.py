@@ -71,7 +71,6 @@ __all__ = [
     "drive_params",
     "two_photon_laser_detuning",
     "dephasing_projector_rates",
-    "build_reduced_hamiltonian",
     "assemble_liouvillian",
     "source_operator",
     "compute_spectrum_y",
@@ -457,20 +456,12 @@ def _kernels_for(cfg: SystemConfig):
     )
 
 
-def build_reduced_hamiltonian(cfg: SystemConfig) -> np.ndarray:
+def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
     """Rotating-frame Hamiltonian on the emitter (x) y-mode space.
 
-    Diagonal part carries the level detunings and the y-mode detuning;
-    the off-diagonal part carries the drive amplitudes and the y-mode
-    couplings, renormalized by the phonon factor when phonons are enabled.
+    Level and y-mode detunings on the diagonal, plus op + op+ for each of
+    `_coupling_terms` (drive and y couplings, phonon-renormalized).
     """
-    spec = HilbertSpec(cfg.numerics.n_max_y)
-    terms = _coupling_terms(cfg, spec, _kernels_for(cfg))
-    return _assemble_hamiltonian(cfg, spec, terms)
-
-
-def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
-    """Level and y-mode detunings plus op + op+ for each of `_coupling_terms`."""
     det = detunings(cfg)
     a = embed_photon_annihilator(spec)
     h = (

@@ -1,7 +1,8 @@
 """Test oracles of `liouville`: Kronecker-product superoperators and a dense
 gather for the builder `liouvillian`, the Hermitian basis as an explicit
-matrix, and SVD and complex-basis decompositions for `steady_state` and
-`regression_spectrum`.
+matrix, SVD and complex-basis decompositions for `steady_state` and
+`regression_spectrum`, and the broadcast resolvent sum; plus the model's
+Hamiltonian as one matrix, which `src/` only builds inside `_generator`.
 
 Each term is built as its own d^2 x d^2 matrix from `np.kron`, with
 column-stacking vectorization, vec(A rho B) = (B^T kron A) vec(rho).  The
@@ -14,7 +15,9 @@ import math
 
 import numpy as np
 
-from bixsim.errors import ConfigurationError
+from bixsim import system
+from bixsim.errors import ConfigurationError, SolverError
+from bixsim.hilbert import HilbertSpec
 from bixsim.liouville import _hermitian_basis
 
 
@@ -132,3 +135,27 @@ def svd_steady_state(l_h, idx, d):
     rho = v.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real, s
+
+
+def broadcast_resolvent_sum(weights, evals, grid, scale):
+    """Re Sum_n weights[n] / (-i w - evals[n]) by one broadcast divide.
+
+    The guard runs over the whole (n_omega, n) resolvent: an entry within
+    1e-12 `scale` of zero raises SolverError if its weight exceeds 1e-14 of
+    the largest (or of 1), and is set to inf, so dropped, otherwise.
+    """
+    grid = np.asarray(grid, dtype=float)
+    resolvent = -1j * grid[:, None] - evals
+    bad = np.abs(resolvent) < 1e-12 * scale
+    live = np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0)
+    if np.any(bad & live):
+        raise SolverError("resolvent singular")
+    resolvent[bad] = np.inf
+    return (weights / resolvent).sum(axis=1).real
+
+
+def reduced_hamiltonian(cfg):
+    """Rotating-frame Hamiltonian of cfg on the emitter (x) y-mode space."""
+    spec = HilbertSpec(cfg.numerics.n_max_y)
+    terms = system._coupling_terms(cfg, spec, system._kernels_for(cfg))
+    return system._assemble_hamiltonian(cfg, spec, terms)

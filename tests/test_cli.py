@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bixsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
@@ -107,8 +108,29 @@ def test_check_passes_on_baseline(capsys):
     rc = main(["check", "--grid", "201", "--phonons", "off"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert "2/2 checks passed" in out
+    assert "3/3 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_fails_on_a_broken_spectrum_path(monkeypatch, capsys):
+    # extra damping in the odd parity block only: the whole-L checks still
+    # pass, the spectrum every command computes does not
+    from bixsim import system
+
+    build = system.liouvillian
+
+    def damped_odd_block(k, pairs, block=None):
+        l = build(k, pairs, block)
+        if block is not None and block[0] != 0:  # the odd block lacks rho_00
+            l = l - 0.5 * np.eye(l.shape[0])
+        return l
+
+    monkeypatch.setattr(system, "liouvillian", damped_odd_block)
+    rc = main(["check", "--grid", "201", "--phonons", "off"])
+    assert rc == EXIT_SOLVER
+    out = capsys.readouterr().out
+    assert "FAIL  spectrum-path" in out
+    assert "2/3 checks passed" in out
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -1,18 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kron_oracle import reduced_hamiltonian
+
+from bixsim import system
 from bixsim.errors import ConfigurationError
 from bixsim.hilbert import (
     QD_LEVELS,
     HilbertSpec,
     embed_photon_annihilator,
-    embed_photon_number,
     embed_qd_projector,
     embed_qd_transition,
     identity,
     is_hermitian,
     qd_operator,
 )
+
+
+def photon_number(spec):
+    """identity (x) n of the y mode, from its diagonal 0..n_max_y."""
+    return np.kron(np.eye(4), np.diag(np.arange(spec.n_ph))).astype(complex)
 
 
 def test_dimensions_and_indexing():
@@ -56,8 +65,7 @@ def test_projectors_resolve_identity():
 def test_photon_operators():
     spec = HilbertSpec(n_max_y=2)
     a = embed_photon_annihilator(spec)
-    n = embed_photon_number(spec)
-    assert np.allclose(a.conj().T @ a, n)
+    assert np.allclose(a.conj().T @ a, photon_number(spec))
     # truncation kills the top rung
     top = np.zeros(spec.dim)
     top[spec.index("G", 2)] = 1.0
@@ -79,8 +87,65 @@ def test_qd_operator_embedding_commutes_with_photons():
 
 def test_is_hermitian():
     spec = HilbertSpec(n_max_y=1)
-    assert is_hermitian(embed_photon_number(spec))
+    assert is_hermitian(photon_number(spec))
     assert not is_hermitian(embed_photon_annihilator(spec))
+
+
+# -- embedded operators: built once per truncation, read-only -----------------
+
+
+def _matrix_unit(i, j, n):
+    m = np.zeros((n, n))
+    m[i, j] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("n_max_y", [0, 2, 6])
+def test_embedded_operators_are_cached_read_only_kron_builds(n_max_y):
+    spec = HilbertSpec(n_max_y)
+    eye_ph = np.eye(spec.n_ph)
+    a = np.diag(np.sqrt(np.arange(1.0, spec.n_ph)), 1)
+    cases = [(embed_photon_annihilator(spec), np.kron(np.eye(4), a))]
+    for i, frm in enumerate(QD_LEVELS):
+        want = np.kron(_matrix_unit(i, i, 4), eye_ph)
+        cases.append((embed_qd_projector(spec, frm), want))
+        for j, to in enumerate(QD_LEVELS):
+            want = np.kron(_matrix_unit(j, i, 4), eye_ph)
+            cases.append((embed_qd_transition(spec, frm, to), want))
+    for op, want in cases:
+        assert op.dtype == complex
+        assert np.array_equal(op, want)
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 2.0
+        assert np.array_equal(op, want)
+    # an equal spec hits the same cache entry
+    again = HilbertSpec(n_max_y)
+    assert embed_photon_annihilator(again) is embed_photon_annihilator(spec)
+    assert embed_qd_projector(again, "XX") is embed_qd_projector(spec, "XX")
+    assert embed_qd_transition(again, "Y", "G") is embed_qd_transition(spec, "Y", "G")
+    # qd_operator takes an array and stays an uncached, writable build
+    q = qd_operator(spec, np.eye(4))
+    assert q.flags.writeable and q is not qd_operator(spec, np.eye(4))
+
+
+def test_warm_spectrum_makes_no_kron_call(monkeypatch):
+    base = system.default_config()
+    cfg = replace(base, drive=replace(base.drive, omega=252.83669951857598))
+    assert cfg.phonon.enable and cfg.numerics.n_max_y == 2
+    system.compute_spectrum_y(cfg)  # fills the operator and kernel caches
+    calls = []
+    kron = np.kron
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counted)
+    system.compute_spectrum_y(cfg)
+    assert calls == []
+    qd_operator(HilbertSpec(2), np.eye(4))  # the counter does see a build
+    assert calls == [1]
 
 
 # -- the weak Z2 symmetry P = (-1)^(n_y + [Y]) ---------------------------------
@@ -139,9 +204,6 @@ def test_jump_operators_have_definite_parity(n_max_y):
 
 @pytest.mark.parametrize("xx_scaling", [2.0, 2.5])
 def test_hamiltonian_and_polaron_quadratures_are_parity_even(xx_scaling):
-    from dataclasses import replace
-
-    from bixsim import system
     from bixsim.phonons import polaron_dissipator
 
     base = system.default_config()
@@ -153,7 +215,7 @@ def test_hamiltonian_and_polaron_quadratures_are_parity_even(xx_scaling):
     )
     spec = HilbertSpec(cfg.numerics.n_max_y)
     kernels = system._kernels_for(cfg)
-    h = system.build_reduced_hamiltonian(cfg)
+    h = reduced_hamiltonian(cfg)
     assert _parity_sign(spec, h) == 1
 
     terms = system._coupling_terms(cfg, spec, kernels)

@@ -6,6 +6,7 @@ from scipy.integrate import simpson, trapezoid
 from scipy.linalg import expm
 
 from kron_oracle import (
+    broadcast_resolvent_sum,
     complex_regression_spectra,
     complex_steady_state,
     gather_liouvillian,
@@ -23,6 +24,7 @@ from bixsim.liouville import (
     _from_hermitian,
     _hermitian_basis,
     _hermitian_operator,
+    _resolvent_sum,
     emission_spectrum,
     lindblad_generator,
     liouvillian,
@@ -363,6 +365,39 @@ def test_resolvent_guard_on_undamped_odd_block():
     undamped = np.array([[0.0, 0.7], [-0.7, 0.0]])
     with pytest.raises(SolverError, match="resolvent singular"):
         emission_spectrum(undamped, [SIGMA], rho, grid, ODD)
+
+
+def test_undamped_mode_without_weight_on_the_grid_is_dropped():
+    # the pumped two-level system on levels 0, 1 of four, P = (1, -1, 1, -1);
+    # levels 2 and 3 stay empty and nothing damps their coherence, so the
+    # odd block has the undamped eigenvalues +-0.5i (rho_23, rho_32).  The
+    # grid holds +-0.5 exactly, but s rho_ss has no weight there: the
+    # spectrum stays finite and equals the two-level one
+    sig = np.zeros((4, 4))
+    sig[0, 1] = 1.0
+    h = np.diag([0.0, 1.0, 0.3, 0.8])
+    k, pairs = lindblad_generator(h, [(sig, 1.0), (sig.T, 0.5)])
+    odd = parity_blocks_4()[1]
+    rho = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex) / 3.0
+    grid = np.linspace(-1.0, 1.0, 9)
+    l_odd = liouvillian(k, pairs, odd)
+    evals = np.linalg.eigvals(l_odd)
+    assert np.min(np.abs(evals - 0.5j)) < 1e-15
+    got = emission_spectrum(l_odd, [sig], rho, grid, odd)
+    k2, pairs2 = pumped_tls(delta=1.0, gamma=1.0, pump=0.5)
+    rho2 = steady_state(liouvillian(k2, pairs2, EVEN), block=EVEN)
+    assert np.max(np.abs(rho2 - rho[:2, :2])) < 1e-15
+    want = emission_spectrum(liouvillian(k2, pairs2, ODD), [SIGMA], rho2, grid, ODD)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    # the sum itself: a weight of 1e-20 on an eigenvalue that meets the grid
+    # exactly is dead, so its entry is dropped rather than divided by zero
+    weights, evals = np.array([1.0, 1e-20, 1e-3]), np.array([-1.0, 0.5j, -2.0])
+    got = _resolvent_sum(weights, evals, grid, 1.0)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - broadcast_resolvent_sum(weights, evals, grid, 1.0))) <= 1e-15
+    want = (1.0 / (-1j * grid + 1.0) + 1e-3 / (-1j * grid + 2.0)).real
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_block_coupling_raises_and_names_the_entry():

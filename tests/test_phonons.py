@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kron_oracle import reduced_hamiltonian
+
 from bixsim import system
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import HilbertSpec
@@ -169,7 +171,7 @@ def _polaron_inputs(n_max_y, xx_scaling):
     )
     kernels = system._kernels_for(cfg)
     terms = system._coupling_terms(cfg, HilbertSpec(n_max_y), kernels)
-    return system.build_reduced_hamiltonian(cfg), terms, kernels
+    return reduced_hamiltonian(cfg), terms, kernels
 
 
 def polaron_superop(h, terms, kern):

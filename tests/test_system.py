@@ -10,6 +10,7 @@ import pytest
 import tracemalloc
 
 from kron_oracle import (
+    broadcast_resolvent_sum,
     complex_regression_spectra,
     complex_steady_state,
     gather_liouvillian,
@@ -17,6 +18,7 @@ from kron_oracle import (
     hamiltonian_superop,
     hermitian_basis_matrix,
     lindblad_dissipator,
+    reduced_hamiltonian,
     svd_steady_state,
 )
 
@@ -36,7 +38,6 @@ from bixsim.system import (
     Rates,
     SystemConfig,
     assemble_liouvillian,
-    build_reduced_hamiltonian,
     calibrate_drive,
     compute_spectrum_y,
     config_from_dict,
@@ -175,7 +176,7 @@ def test_dephasing_solver_clips_into_nonnegative_range():
 
 def test_hamiltonian_is_hermitian_and_correctly_sized():
     cfg = fast_config()
-    h = build_reduced_hamiltonian(cfg)
+    h = reduced_hamiltonian(cfg)
     assert h.shape == (12, 12)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
@@ -716,7 +717,7 @@ def kron_oracle_liouvillian(cfg):
     """L as a sum of one Kronecker-product superoperator per term."""
     spec = HilbertSpec(cfg.numerics.n_max_y)
     kernels = system._kernels_for(cfg)
-    h = system.build_reduced_hamiltonian(cfg)
+    h = reduced_hamiltonian(cfg)
     r = cfg.rates
     channels = [
         (embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
@@ -800,6 +801,57 @@ def test_spectrum_assembly_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 2
     assert max(peaks) <= 20e6
+
+
+@pytest.mark.parametrize("source", ["y-dipole", "both"])
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("n_max_y", [2, 6])
+def test_resolvent_sum_matches_broadcast_oracle(monkeypatch, n_max_y, phonons, source):
+    # the reciprocal and matrix-vector sum against the broadcast divide over
+    # the whole resolvent, on the weights and eigenvalues of a real spectrum
+    seen = []
+    resolvent_sum = liouville._resolvent_sum
+
+    def recorded(weights, evals, grid, scale):
+        want = broadcast_resolvent_sum(weights, evals, grid, scale)
+        seen.append((resolvent_sum(weights, evals, grid, scale), want))
+        return seen[-1][0]
+
+    monkeypatch.setattr(liouville, "_resolvent_sum", recorded)
+    base = default_config()
+    cfg = fast_config(
+        phonon=replace(base.phonon, enable=phonons),
+        numerics=replace(base.numerics, n_max_y=n_max_y),
+        source=source,
+    )
+    compute_spectrum_y(cfg)
+    [(got, want)] = seen
+    assert got.shape == want.shape == (cfg.numerics.n_omega,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_emission_spectrum_peak_memory(monkeypatch):
+    # the tracemalloc peak of the spectrum sum at n_max_y=6 over 1601 points:
+    # the complex (1601, 390) resolvent takes 10.0 MB, and a float modulus
+    # of all of it 5.0 MB more
+    peaks = []
+    spectrum = system.emission_spectrum
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = spectrum(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(system, "emission_spectrum", traced)
+    cfg = fast_config(numerics=replace(default_config().numerics, n_max_y=6))
+    assert not cfg.phonon.enable and cfg.numerics.n_omega == 1601
+    compute_spectrum_y(cfg)
+    assert len(peaks) == 1
+    assert peaks[0] <= 15e6  # 12.8 MB measured; 18.1 MB with the whole modulus
 
 
 def test_traced_kernel_builder_is_the_cached_one():
