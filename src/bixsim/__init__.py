@@ -16,7 +16,6 @@ from .dressed import (
     dressed_eigenvalues,
     drive_for_splitting,
     photon_number_for_splitting,
-    splitting_formulas,
     transition_catalog,
 )
 from .errors import BixsimError, ConfigurationError, SolverError
@@ -73,7 +72,6 @@ __all__ = [
     "dressed_eigenvalues",
     "transition_catalog",
     "adiabatic_alpha",
-    "splitting_formulas",
     "photon_number_for_splitting",
     "drive_for_splitting",
     "SpectrumResult",

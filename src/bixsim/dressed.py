@@ -37,11 +37,9 @@ __all__ = [
     "DriveParams",
     "DressedSolution",
     "TransitionLine",
-    "build_atom_hamiltonian",
     "dressed_eigenvalues",
     "transition_catalog",
     "adiabatic_alpha",
-    "splitting_formulas",
     "photon_number_for_splitting",
     "drive_for_splitting",
 ]
@@ -124,29 +122,16 @@ class DressedSolution:
     """Eigenvalues and eigenvectors of the emitter block.
 
     eigenvalues[k] is the signed dressed energy of branch k+1, ordered as
-    (dark branch, y exciton, upper pair branch, lower pair branch).
-    eigenvectors columns match, expressed in the basis (G, Y, X, XX).
-    `numerical` is False when the two-photon-resonant closed form was used.
+    (dark branch, y exciton, upper pair branch, lower pair branch), so
+    eigenvalues[2] >= eigenvalues[3] on every path; without drive the pair
+    is the bare X and XX levels.  eigenvectors columns match, expressed in
+    the basis (G, Y, X, XX).  `numerical` is False when the
+    two-photon-resonant closed form was used.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    detunings: DetuningSet
-    drive: DriveParams
     numerical: bool
-
-
-def build_atom_hamiltonian(det: DetuningSet, drive: DriveParams) -> np.ndarray:
-    """4x4 rotating-frame emitter Hamiltonian in the basis (G, Y, X, XX)."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[_Y, _Y] = det.delta2
-    h[_X, _X] = det.delta3
-    h[_XX, _XX] = det.delta4
-    h[_X, _G] = drive.eta1
-    h[_G, _X] = np.conj(drive.eta1)
-    h[_XX, _X] = drive.eta2
-    h[_X, _XX] = np.conj(drive.eta2)
-    return h
 
 
 def _closed_form(det: DetuningSet, drive: DriveParams):
@@ -160,12 +145,13 @@ def _closed_form(det: DetuningSet, drive: DriveParams):
 
     vectors = np.zeros((4, 4), dtype=complex)
     if nsq == 0.0:
-        # undriven: G, Y, X, XX stay bare; the pair branches sit at d3 and 0
+        # undriven: G, Y, X, XX stay bare; the pair is X at d3 and XX at 0,
+        # the upper one first
         vectors[_G, 0] = 1.0
         vectors[_Y, 1] = 1.0
-        vectors[_X, 2] = 1.0
-        vectors[_XX, 3] = 1.0
-        return np.array([0.0, det.delta2, d3, 0.0]), vectors
+        vectors[_X if d3 >= 0.0 else _XX, 2] = 1.0
+        vectors[_XX if d3 >= 0.0 else _X, 3] = 1.0
+        return np.array([0.0, det.delta2, lam3, lam4]), vectors
 
     n = math.sqrt(nsq)
     # dark combination of G and XX, eigenvalue exactly zero
@@ -202,8 +188,9 @@ def _numerical(det: DetuningSet, drive: DriveParams):
     """General-case diagonalization with branch matching.
 
     The y exciton is exactly decoupled, so only the 3x3 G/X/XX block is
-    diagonalized.  Branches are matched to the closed-form labels by
-    eigenvector overlap with the dark, bright-pair and x-like references.
+    diagonalized.  Its eigenvectors are assigned jointly to the dark, x-like
+    and bright references by largest total overlap; the one given the dark
+    reference is the dark branch, and the other two are the pair, upper first.
     """
     e1, e2 = drive.eta1, drive.eta2
     block = np.array(
@@ -227,16 +214,13 @@ def _numerical(det: DetuningSet, drive: DriveParams):
         refs = np.stack([dark, ex, bright], axis=1)
 
     overlap = np.abs(refs.conj().T @ v) ** 2  # rows: refs, cols: eigvecs
-    order3 = _best_assignment(overlap)  # dark-like, x-like, remaining
-    lam1, lam3, lam4 = w[order3[0]], w[order3[1]], w[order3[2]]
+    dark, *pair = _best_assignment(overlap)
+    cols = (dark, max(pair), min(pair))  # w ascends, so the upper pair first
 
     vectors = np.zeros((4, 4), dtype=complex)
-    emitter_rows = [_G, _X, _XX]
-    for out_col, in_col in zip((0, 2, 3), order3):
-        for r3, r4 in enumerate(emitter_rows):
-            vectors[r4, out_col] = v[r3, in_col]
+    vectors[np.ix_((_G, _X, _XX), (0, 2, 3))] = v[:, cols]
     vectors[_Y, 1] = 1.0
-    return np.array([lam1, det.delta2, lam3, lam4]), vectors
+    return np.array([w[cols[0]], det.delta2, w[cols[1]], w[cols[2]]]), vectors
 
 
 def dressed_eigenvalues(det: DetuningSet, drive: DriveParams) -> DressedSolution:
@@ -252,13 +236,7 @@ def dressed_eigenvalues(det: DetuningSet, drive: DriveParams) -> DressedSolution
     else:
         vals, vecs = _numerical(det, drive)
         numerical = True
-    return DressedSolution(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        detunings=det,
-        drive=drive,
-        numerical=numerical,
-    )
+    return DressedSolution(eigenvalues=vals, eigenvectors=vecs, numerical=numerical)
 
 
 def transition_catalog(sol: DressedSolution) -> tuple[TransitionLine, ...]:
@@ -298,26 +276,6 @@ def adiabatic_alpha(omega: float, delta_cl_x: float, kappa_x: float) -> complex:
             "cavity filter pole: kappa_x and the drive detuning are both zero"
         )
     return omega / denom
-
-
-def splitting_formulas(det: DetuningSet, drive: DriveParams) -> dict:
-    """Exact and low-power doublet splitting at two-photon resonance.
-
-    exact: |low-energy pair branch| = (sqrt(d3^2 + 4 eta^2) - d3) / 2 for
-    d3 > 0; approx: eta^2 / d3, the leading term that grows linearly with
-    drive power.  Requires d3 != 0 for the approximation.
-
-    The exact splitting S obeys S (S + d3) = eta^2, so the approximation
-    overestimates it by the relative error S / (S + d3) for any parameters:
-    5% accuracy needs S < d3 / 19, and at S = d3 / 5 the error is 1/6.
-    """
-    nsq = drive.eta_sq
-    d3 = det.delta3
-    root = math.sqrt(d3 * d3 + 4.0 * nsq)
-    exact = abs(0.5 * (d3 - root))
-    if d3 == 0.0:
-        raise ConfigurationError("approximate splitting undefined at delta3 = 0")
-    return {"exact": exact, "approx": nsq / d3}
 
 
 def photon_number_for_splitting(

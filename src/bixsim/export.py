@@ -28,9 +28,7 @@ from .sweeps import SweepMap
 
 __all__ = [
     "export_spectrum",
-    "import_spectrum",
     "export_map",
-    "import_map",
     "render_spectrum",
     "render_heatmap",
 ]
@@ -81,13 +79,6 @@ def _write_json(path: str, payload) -> None:
     _overwrite(path, write)
 
 
-def _read_meta(path: str) -> dict:
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _export(out_dir, fmt, stem, tables, arrays, meta, draw) -> list[str]:
     """Write the csv tables (suffix, array, header) or the json arrays, then the
     meta sidecar and draw's PNG if given; returns the paths in that order."""
@@ -125,21 +116,6 @@ def export_spectrum(
     return _export(out_dir, fmt, stem, tables, arrays, dict(result.metadata), draw)
 
 
-def import_spectrum(path: str) -> SpectrumResult:
-    """Read a spectrum exported by export_spectrum (csv or json)."""
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return SpectrumResult(
-            np.asarray(payload["omega_offsets"], dtype=float),
-            np.asarray(payload["intensity"], dtype=float),
-            payload.get("metadata", {}),
-        )
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = _read_meta(path[: -len(".csv")] + ".meta.json" if path.endswith(".csv") else path + ".meta.json")
-    return SpectrumResult(data[:, 0], data[:, 1], meta)
-
-
 def export_map(
     sweep: SweepMap,
     out_dir: str,
@@ -159,38 +135,6 @@ def export_map(
     arrays = {"axis1": sweep.axis1, "axis2": sweep.axis2, "values": sweep.values}
     draw = partial(render_heatmap, sweep) if render else None
     return _export(out_dir, fmt, stem, tables, arrays, meta, draw)
-
-
-def import_map(out_dir_or_json: str, stem: str = "map") -> SweepMap:
-    """Read a sweep map written by export_map."""
-    if out_dir_or_json.endswith(".json"):
-        with open(out_dir_or_json, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        meta = payload.get("metadata", {})
-        axis1 = np.asarray(payload["axis1"], dtype=float)
-        axis2 = np.asarray(payload["axis2"], dtype=float)
-        values = np.asarray(payload["values"], dtype=float)
-    else:
-        meta = _read_meta(os.path.join(out_dir_or_json, f"{stem}.meta.json"))
-        axis1 = np.loadtxt(
-            os.path.join(out_dir_or_json, f"{stem}_axis1.csv"), skiprows=1, ndmin=1
-        )
-        axis2 = np.loadtxt(
-            os.path.join(out_dir_or_json, f"{stem}_axis2.csv"), skiprows=1, ndmin=1
-        )
-        values = np.loadtxt(
-            os.path.join(out_dir_or_json, f"{stem}_values.csv"),
-            delimiter=",",
-            ndmin=2,
-        )
-    return SweepMap(
-        axis1=axis1,
-        axis2=axis2,
-        values=values,
-        axis1_name=meta.get("axis1_name", "axis1"),
-        normalization=meta.get("normalization", "none"),
-        metadata=meta,
-    )
 
 
 def _pyplot():

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, require_finite
+from .errors import ConfigurationError, SolverError, check_numbers
 from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
@@ -64,7 +64,7 @@ class PhononConfig:
     xx_scaling: float = 2.0
 
     def __post_init__(self):
-        require_finite(self, "phonon.")
+        check_numbers(self, "phonon.")
         if self.alpha_p < 0:
             raise ConfigurationError("phonon alpha_p must be nonnegative")
         if self.omega_b <= 0:
@@ -76,10 +76,6 @@ class PhononConfig:
     def alpha_internal(self) -> float:
         """Coupling constant in 1/ueV^2, the unit of J(w) above."""
         return alpha_ps2_to_internal(self.alpha_p)
-
-    def displacement_factor(self, involves_biexciton: bool) -> float:
-        """Relative displacement jump of a one-step transition."""
-        return self.xx_scaling - 1.0 if involves_biexciton else 1.0
 
 
 @dataclass(frozen=True)

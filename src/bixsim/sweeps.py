@@ -2,7 +2,8 @@
 
 Both sweeps run one row loop, `_sweep`: each row sets one config field (the
 drive amplitude or the laser detuning) and is one `compute_spectrum_y`; the
-rows, in order, form a SweepMap, and a failing row names its axis value.
+rows, in order and each divided by its own maximum, form a SweepMap, and a
+failing row names its axis value.
 """
 
 from __future__ import annotations
@@ -58,27 +59,9 @@ class SweepMap:
         object.__setattr__(self, "values", vals)
 
 
-def _normalize_map(values: np.ndarray, normalization: str) -> np.ndarray:
-    if normalization == "none":
-        return values
-    if normalization == "global":
-        top = values.max() if values.size else 0.0
-        return values / top if top > _DARK_ROW else values
-    if normalization == "per-row":
-        out = values.copy()
-        for i in range(out.shape[0]):
-            top = out[i].max()
-            if top > _DARK_ROW:
-                out[i] = out[i] / top
-        return out
-    raise ConfigurationError(
-        f"unknown normalization {normalization!r}; "
-        "expected 'per-row', 'global' or 'none'"
-    )
-
-
-def _sweep(cfg, values, vary, normalization, *, kind, label, axis1_name) -> SweepMap:
-    """Map of the raw spectra of vary(cfg, v) for v in values, one row each."""
+def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
+    """Map of the spectra of vary(cfg, v) for v in values, one row each,
+    each row divided by its own maximum (a dark row stays as it is)."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("a sweep needs at least two rows")
@@ -90,10 +73,14 @@ def _sweep(cfg, values, vary, normalization, *, kind, label, axis1_name) -> Swee
         except SolverError as exc:
             raise SolverError(f"row at {label}={v:g} failed: {exc}") from exc
     meta = {"base_config_hash": config_hash(cfg), "sweep": kind,
-            "normalization": normalization}
-    intensity = _normalize_map(np.array([r.intensity for r in rows]), normalization)
+            "normalization": "per-row"}
+    intensity = np.array([r.intensity for r in rows])
+    for row in intensity:
+        top = row.max()
+        if top > _DARK_ROW:
+            row /= top
     return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name,
-                    normalization, meta)
+                    "per-row", meta)
 
 
 def power_sweep(
@@ -101,7 +88,6 @@ def power_sweep(
     omega_values=None,
     n_rows: int = 41,
     max_splitting: float = 300.0,
-    normalization: str = "per-row",
 ) -> SweepMap:
     """Spectrum map versus bare drive amplitude.
 
@@ -115,7 +101,7 @@ def power_sweep(
     def vary(c, w):
         return replace(c, drive=replace(c.drive, omega=w, eta1=None, eta2=None))
 
-    return _sweep(cfg, omega_values, vary, normalization,
+    return _sweep(cfg, omega_values, vary,
                   kind="power", label="Omega", axis1_name="omega_drive")
 
 
@@ -124,7 +110,6 @@ def detuning_sweep(
     detuning_values=None,
     n_rows: int = 41,
     span: float | None = None,
-    normalization: str = "per-row",
 ) -> SweepMap:
     """Spectrum map versus laser detuning at fixed drive power.
 
@@ -139,7 +124,7 @@ def detuning_sweep(
     def vary(c, d):
         return replace(c, laser_detuning=d)
 
-    return _sweep(cfg, detuning_values, vary, normalization, kind="detuning",
+    return _sweep(cfg, detuning_values, vary, kind="detuning",
                   label="laser_detuning", axis1_name="laser_detuning")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .dressed import DetuningSet, DriveParams, drive_for_splitting
-from .errors import ConfigurationError, require_finite
+from .errors import ConfigurationError, check_numbers
 from .hilbert import (
     HilbertSpec,
     embed_photon_annihilator,
@@ -69,7 +69,6 @@ __all__ = [
     "config_hash",
     "detunings",
     "drive_params",
-    "two_photon_laser_detuning",
     "dephasing_projector_rates",
     "assemble_liouvillian",
     "source_operator",
@@ -145,6 +144,9 @@ class Numerics:
     phonon_n_t: int = 1601
     phonon_t_max: float | None = None
 
+    def __post_init__(self):
+        check_numbers(self, "numerics.")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -162,7 +164,7 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         for kind, group in (("rate", self.rates), ("coupling", self.couplings)):
             for f in fields(group):
                 if getattr(group, f.name) < 0:
@@ -359,11 +361,6 @@ def drive_params(cfg: SystemConfig) -> DriveParams:
     )
 
 
-def two_photon_laser_detuning(cfg: SystemConfig) -> float:
-    """Laser detuning that puts the biexciton at two-photon resonance."""
-    return 0.5 * cfg.energies.omega_xx
-
-
 def calibrate_drive(cfg: SystemConfig, target_splitting: float) -> SystemConfig:
     """Copy of cfg with omega set for a target doublet splitting.
 
@@ -434,7 +431,7 @@ def _coupling_terms(cfg: SystemConfig, spec: HilbertSpec, kernels):
         b1 = b2 = 1.0
         f2 = 1.0
     else:
-        f2 = kernels.params.displacement_factor(involves_biexciton=True)
+        f2 = kernels.params.xx_scaling - 1.0
         b1 = kernels.bracket(1.0)
         b2 = kernels.bracket(f2)
     terms = [

@@ -8,8 +8,6 @@ the solver.  The helpers below convert to and from laboratory units.
 
 from __future__ import annotations
 
-import math
-
 # hbar in ueV * ns (6.582119569e-16 eV s)
 HBAR_UEV_NS = 0.6582119569
 
@@ -29,16 +27,6 @@ def ueV_to_GHz(energy_uev: float) -> float:
     return energy_uev / H_UEV_NS
 
 
-def GHz_to_ueV(freq_ghz: float) -> float:
-    """Convert an ordinary frequency in GHz to an energy splitting in ueV."""
-    return freq_ghz * H_UEV_NS
-
-
-def time_inv_uev_to_ns(t_inv_uev: float) -> float:
-    """Convert a time from 1/ueV units to nanoseconds."""
-    return t_inv_uev * HBAR_UEV_NS
-
-
 def kappa_from_quality(quality: float, mode_energy_uev: float = 1.365e6) -> float:
     """Cavity energy decay rate (FWHM, ueV) from a quality factor.
 
@@ -52,24 +40,6 @@ def kappa_from_quality(quality: float, mode_energy_uev: float = 1.365e6) -> floa
     return mode_energy_uev / quality
 
 
-def thermal_energy(temperature_k: float) -> float:
-    """k_B * T in ueV for a temperature in kelvin."""
-    if temperature_k < 0:
-        raise ValueError("temperature must be nonnegative")
-    return K_B_UEV_PER_K * temperature_k
-
-
 def alpha_ps2_to_internal(alpha_ps2: float) -> float:
     """Convert a super-ohmic coupling constant from ps^2 to 1/ueV^2."""
     return alpha_ps2 * PS2_TO_INV_UEV2
-
-
-def g2_over_g1_from_rates(gamma_upper: float, gamma_lower: float) -> float:
-    """Coupling ratio g2/g1 implied by the radiative rate ratio.
-
-    Dipole couplings scale with the square root of the radiative rates, so
-    the upper-transition coupling is g1 * sqrt(gamma_upper / gamma_lower).
-    """
-    if gamma_lower <= 0 or gamma_upper <= 0:
-        raise ValueError("radiative rates must be positive")
-    return math.sqrt(gamma_upper / gamma_lower)

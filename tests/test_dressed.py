@@ -8,17 +8,23 @@ from bixsim.dressed import (
     DriveParams,
     _best_assignment,
     adiabatic_alpha,
-    build_atom_hamiltonian,
     dressed_eigenvalues,
     drive_for_splitting,
     photon_number_for_splitting,
-    splitting_formulas,
     transition_catalog,
 )
 from bixsim.errors import ConfigurationError
 
 G1X = 26.7
 G2X = 26.7 * np.sqrt(0.88 / 0.56)
+
+
+def build_atom_hamiltonian(det, drive):
+    """4x4 rotating-frame emitter Hamiltonian in the basis (G, Y, X, XX)."""
+    h = np.diag([0.0, det.delta2, det.delta3, det.delta4]).astype(complex)
+    h[2, 0], h[3, 2] = drive.eta1, drive.eta2
+    h[0, 2], h[2, 3] = np.conj(drive.eta1), np.conj(drive.eta2)
+    return h
 
 
 def random_case(rng):
@@ -99,6 +105,28 @@ def test_numerical_branch_engages_off_resonance():
     )
 
 
+@pytest.mark.parametrize("drive", [DriveParams(20.0, 30.0), DriveParams(0.0, 0.0)],
+                         ids=["driven", "undriven"])
+@pytest.mark.parametrize("delta3", [-25.0, 0.0, 25.0])
+def test_branch_labels_continuous_across_closed_form_threshold(delta3, drive):
+    # the closed form runs at |delta4| <= 1e-9 and the numerical branch just
+    # above; both must label the pair upper then lower, so a perturbation of
+    # the XX level by delta4 moves each labelled eigenvalue by at most |delta4|
+    closed = dressed_eigenvalues(DetuningSet(-10.0, delta3, 0.0), drive)
+    assert not closed.numerical
+    for delta4 in (0.0, 2e-9, -2e-9):
+        det = DetuningSet(-10.0, delta3, delta4)
+        sol = dressed_eigenvalues(det, drive)
+        assert sol.numerical == (delta4 != 0.0)
+        lam = sol.eigenvalues
+        assert lam[2] >= lam[3]
+        assert np.max(np.abs(lam - closed.eigenvalues)) <= max(abs(delta4), 1e-9)
+        h = build_atom_hamiltonian(det, drive)
+        for k in range(4):
+            v = sol.eigenvectors[:, k]
+            assert np.linalg.norm(h @ v - lam[k] * v) < 1e-9
+
+
 def test_best_assignment_matches_linear_sum_assignment():
     from scipy.optimize import linear_sum_assignment
 
@@ -175,26 +203,6 @@ def test_splitting_calibration_roundtrip():
         dp = DriveParams.from_cavity_filter(omega, 0.0, 74.0, G1X, G2X)
         sol = dressed_eigenvalues(DetuningSet(0.0, d3, 0.0), dp)
         assert -sol.eigenvalues[3] == pytest.approx(target, rel=1e-10)
-
-
-def test_splitting_formulas_small_drive_limit():
-    d3 = 990.0
-
-    def formulas(eta_sq):
-        det = DetuningSet(0.0, d3, 0.0)
-        return splitting_formulas(det, DriveParams(eta1=np.sqrt(eta_sq), eta2=0.0))
-
-    for eta_sq in (1.0, 4.0, 9.0):  # eta^2 much below d3^2
-        f = formulas(eta_sq)
-        assert f["approx"] == pytest.approx(eta_sq / d3, rel=1e-12)
-        assert f["exact"] == pytest.approx(
-            (np.sqrt(d3**2 + 4.0 * eta_sq) - d3) / 2.0, rel=1e-12
-        )
-    # tangent approximation is 1% accurate when eta^2 = 0.01 d3^2
-    f = formulas(0.01 * d3**2)
-    assert abs(f["exact"] - f["approx"]) / f["exact"] < 0.011
-    with pytest.raises(ConfigurationError):
-        splitting_formulas(DetuningSet(0.0, 0.0, 0.0), DriveParams(eta1=1.0, eta2=0.0))
 
 
 def test_zero_coupling_rejected():

@@ -1,5 +1,6 @@
 """Sweep maps, peak extraction, export round-trips, determinism."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bixsim.errors import ConfigurationError, SolverError
-from bixsim.export import export_map, export_spectrum, import_map, import_spectrum
+from bixsim.export import export_map, export_spectrum
 from bixsim.liouville import SpectrumResult
 from bixsim.sweeps import (
     SweepMap,
@@ -152,22 +153,13 @@ def test_power_sweep_shapes_and_normalization():
     cfg = small_config()
     omegas = np.linspace(0.0, 260.0, 4)
     m = power_sweep(cfg, omega_values=omegas)
+    assert m.normalization == m.metadata["normalization"] == "per-row"
     assert m.values.shape == (4, 241)
     # zero-drive row is dark and must stay dark instead of being rescaled
     assert np.max(m.values[0]) == 0.0
     for i in range(1, 4):
         assert np.max(m.values[i]) == pytest.approx(1.0)
     assert m.axis1_name == "omega_drive"
-
-
-def test_power_sweep_global_normalization_keeps_relative_weights():
-    cfg = small_config()
-    omegas = np.linspace(0.0, 260.0, 3)
-    m = power_sweep(cfg, omega_values=omegas, normalization="global")
-    assert np.max(m.values) == pytest.approx(1.0)
-    assert np.max(m.values[0]) == 0.0
-    # weaker drive emits less overall
-    assert m.values[1].sum() < m.values[2].sum()
 
 
 def test_power_sweep_needs_two_rows():
@@ -194,7 +186,8 @@ def test_detuning_sweep_tracks_two_photon_condition():
 
 def test_detuning_sweep_point_symmetry_of_symmetrized_model():
     # with all level offsets and the mode splitting at zero, flipping the
-    # laser detuning mirrors the spectrum: M(-d, -w) = M(d, w)
+    # laser detuning mirrors the spectrum: M(-d, -w) = M(d, w); mirrored rows
+    # have equal maxima, so the per-row map keeps the symmetry
     base = small_config()
     sym = replace(
         base,
@@ -204,9 +197,10 @@ def test_detuning_sweep_point_symmetry_of_symmetrized_model():
         numerics=replace(base.numerics, n_omega=201, omega_half_span=600.0),
     )
     rows = np.linspace(-80.0, 80.0, 5)
-    m = detuning_sweep(sym, detuning_values=rows, normalization="none")
+    m = detuning_sweep(sym, detuning_values=rows)
+    assert np.all(m.values.max(axis=1) == 1.0)
     flipped = m.values[::-1, ::-1]
-    assert np.max(np.abs(m.values - flipped)) < 1e-12 * max(m.values.max(), 1e-300)
+    assert np.max(np.abs(m.values - flipped)) < 1e-12
 
 
 def test_failing_sweep_row_names_its_axis_value(monkeypatch):
@@ -265,10 +259,16 @@ def test_spectrum_export_roundtrip(tmp_path):
         out = tmp_path / fmt
         paths = export_spectrum(res, str(out), fmt=fmt)
         assert any(p.endswith(name) for p in paths)
-        back = import_spectrum(str(out / name))
-        assert np.array_equal(back.omega_offsets, x)
-        assert np.array_equal(back.intensity, y)
-        assert back.metadata["source"] == "y-dipole"
+        if fmt == "csv":
+            back = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2).T
+        else:
+            doc = json.loads((out / name).read_text())
+            back = np.array([doc["omega_offsets"], doc["intensity"]])
+            assert doc["metadata"] == res.metadata
+        assert np.array_equal(back[0], x)
+        assert np.array_equal(back[1], y)
+        meta = json.loads((out / "spectrum.meta.json").read_text())
+        assert meta["source"] == "y-dipole"
 
 
 def test_map_export_roundtrip(tmp_path):
@@ -277,15 +277,18 @@ def test_map_export_roundtrip(tmp_path):
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
         export_map(m, str(out), fmt=fmt)
-        back = (
-            import_map(str(out))
-            if fmt == "csv"
-            else import_map(str(out / "map.json"))
-        )
-        assert np.array_equal(back.axis1, m.axis1)
-        assert np.array_equal(back.axis2, m.axis2)
-        assert np.array_equal(back.values, m.values)
-        assert back.axis1_name == "omega_drive"
+        if fmt == "csv":
+            back = {name: np.loadtxt(out / f"map_{name}.csv", delimiter=",",
+                                     skiprows=0 if name == "values" else 1,
+                                     ndmin=2 if name == "values" else 1)
+                    for name in ("axis1", "axis2", "values")}
+        else:
+            back = json.loads((out / "map.json").read_text())
+        for name in ("axis1", "axis2", "values"):
+            assert np.array_equal(np.asarray(back[name]), getattr(m, name))
+        meta = json.loads((out / "map.meta.json").read_text())
+        assert meta["axis1_name"] == "omega_drive"
+        assert meta["normalization"] == "per-row"
 
 
 def test_export_is_byte_deterministic(tmp_path):
@@ -302,8 +305,6 @@ def test_export_is_byte_deterministic(tmp_path):
 
 
 def test_export_bytes_match_savetxt_and_json_dump(tmp_path):
-    import json
-
     x = np.linspace(-2.0, 2.0, 41)
     res = SpectrumResult(x, lorentzian(x, 0.3, 0.5, 2.0), {"config_hash": "xyz"})
     m = SweepMap(np.arange(3.0), x, np.abs(np.outer(np.arange(1.0, 4.0), x)),

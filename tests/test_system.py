@@ -50,7 +50,6 @@ from bixsim.system import (
     load_config,
     save_config,
     source_operator,
-    two_photon_laser_detuning,
 )
 
 
@@ -71,9 +70,6 @@ def test_detuning_mapping():
     assert det.delta2 == 965.0 - 12.5
     assert det.delta3 == 990.0 - 12.5
     assert det.delta4 == -25.0  # biexciton offset counts the laser twice
-    assert two_photon_laser_detuning(cfg) == 0.0
-    cfg2 = replace(cfg, energies=replace(cfg.energies, omega_xx=30.0))
-    assert two_photon_laser_detuning(cfg2) == 15.0
 
 
 def test_drive_through_filter_and_override():
@@ -383,6 +379,22 @@ def test_non_finite_values_rejected_through_replace(section, name, value):
             replace(cfg, **{name: value})
         else:
             replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
+@pytest.mark.parametrize("value", [2.0, 101.0, True], ids=["float", "whole-float", "bool"])
+@pytest.mark.parametrize("name", ["n_max_y", "n_omega", "phonon_n_t"])
+def test_integer_fields_reject_non_integers_through_replace(name, value):
+    cfg = default_config()
+    with pytest.raises(ConfigurationError, match=f"^numerics.{name} must be an integer"):
+        replace(cfg.numerics, **{name: value})
+    with pytest.raises(ConfigurationError, match="^n_max_y must be an integer"):
+        HilbertSpec(value)
+    # numpy integers are integers
+    legal = {"n_max_y": 3, "n_omega": 101, "phonon_n_t": 201}[name]
+    numerics = replace(cfg.numerics, **{name: np.int64(legal)})
+    assert config_hash(replace(cfg, numerics=numerics)) == config_hash(
+        replace(cfg, numerics=replace(cfg.numerics, **{name: legal})))
+    assert HilbertSpec(np.int32(2)) == HilbertSpec(2)
 
 
 def _leaves(cls, path=()):

@@ -2,17 +2,13 @@ import math
 
 import pytest
 
+from bixsim.system import default_config
 from bixsim.units import (
-    GHz_to_ueV,
     H_UEV_NS,
     HBAR_UEV_NS,
-    K_B_UEV_PER_K,
     PS2_TO_INV_UEV2,
     alpha_ps2_to_internal,
-    g2_over_g1_from_rates,
     kappa_from_quality,
-    thermal_energy,
-    time_inv_uev_to_ns,
     ueV_to_GHz,
 )
 
@@ -27,12 +23,7 @@ def test_frequency_conversion_anchor():
     # an 80 ueV splitting corresponds to just over 19.3 GHz
     nu = ueV_to_GHz(80.0)
     assert abs(nu - 19.344) < 5e-3
-    assert GHz_to_ueV(nu) == pytest.approx(80.0, rel=1e-12)
-
-
-def test_time_conversion_roundtrip():
-    # 1 ueV^-1 of evolution time is hbar/ueV in ns
-    assert time_inv_uev_to_ns(1.0) == pytest.approx(HBAR_UEV_NS, rel=1e-12)
+    assert nu * H_UEV_NS == pytest.approx(80.0, rel=1e-12)
 
 
 def test_kappa_from_quality_factors():
@@ -48,13 +39,6 @@ def test_kappa_rejects_nonpositive_quality():
         kappa_from_quality(0.0)
 
 
-def test_thermal_energy():
-    assert thermal_energy(6.8) == pytest.approx(6.8 * K_B_UEV_PER_K, rel=1e-12)
-    assert thermal_energy(0.0) == 0.0
-    with pytest.raises(ValueError):
-        thermal_energy(-1.0)
-
-
 def test_phonon_coupling_conversion():
     # ps^2 -> ueV^-2 via (1 ps / hbar)^2
     expected = (1.0e-3 / HBAR_UEV_NS) ** 2
@@ -63,7 +47,9 @@ def test_phonon_coupling_conversion():
 
 
 def test_coupling_ratio_from_decay_rates():
-    r = g2_over_g1_from_rates(0.88, 0.56)
-    assert r == pytest.approx(math.sqrt(0.88 / 0.56), rel=1e-12)
-    with pytest.raises(ValueError):
-        g2_over_g1_from_rates(0.88, 0.0)
+    # dipole couplings scale with the square root of the radiative rates, and
+    # the default couplings follow the default rates
+    cfg = default_config()
+    c, r = cfg.couplings, cfg.rates
+    assert c.g2x / c.g1x == pytest.approx(math.sqrt(r.gamma_xx_x / r.gamma_x_g), rel=1e-12)
+    assert c.g2y / c.g1y == pytest.approx(math.sqrt(r.gamma_xx_y / r.gamma_y_g), rel=1e-12)
