@@ -84,7 +84,12 @@ def _export(out_dir, fmt, stem, tables, arrays, meta, draw) -> list[str]:
     meta sidecar and draw's PNG if given; returns the paths in that order."""
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. out_dir names an existing file
+        raise ConfigurationError(
+            f"cannot create output directory {out_dir}: {exc.strerror}"
+        ) from exc
     written = []
     if fmt == "csv":
         for suffix, arr, header in tables:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_numbers
+from .errors import ConfigurationError, check_fields
 
 QD_LEVELS = ("G", "Y", "X", "XX")
 
@@ -42,7 +42,7 @@ class HilbertSpec:
     n_max_y: int = 2
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.n_max_y < 0:
             raise ConfigurationError("n_max_y must be >= 0")
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, check_numbers
+from .errors import ConfigurationError, SolverError, check_fields
 from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
@@ -64,7 +64,7 @@ class PhononConfig:
     xx_scaling: float = 2.0
 
     def __post_init__(self):
-        check_numbers(self, "phonon.")
+        check_fields(self, "phonon.")
         if self.alpha_p < 0:
             raise ConfigurationError("phonon alpha_p must be nonnegative")
         if self.omega_b <= 0:
@@ -144,10 +144,6 @@ def build_kernels(
     if t_max is None:
         t_max = 10.0 / params.omega_b
     t_grid = np.linspace(0.0, t_max, n_t)
-
-    if params.alpha_p == 0.0:
-        return PhononKernels(params, t_grid, np.zeros(n_t, dtype=complex), 1.0)
-
     cut = 12.0 * params.omega_b
     nodes, weights = _gauss_legendre()
     w = 0.5 * cut * (nodes + 1.0)
@@ -158,9 +154,7 @@ def build_kernels(
     if params.temperature == 0.0:
         thermal = np.ones_like(w)
     else:
-        x = w / (2.0 * K_B_UEV_PER_K * params.temperature)
-        thermal = np.where(x < 1e-6, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
-                           1.0 / np.tanh(np.where(x > 0, x, 1.0)))
+        thermal = 1.0 / np.tanh(w / (2.0 * K_B_UEV_PER_K * params.temperature))
     # Sum_n c_n e^{i w_n k h} for the cos weights (Re) and the sin weights (Im)
     big, small = _phase_factors(w, t_max / (n_t - 1), n_t)
     coef = np.stack([wts * gauss * thermal, wts * gauss])

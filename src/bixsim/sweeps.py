@@ -96,7 +96,7 @@ def power_sweep(
     """
     if omega_values is None:
         top = calibrate_drive(cfg, max_splitting).drive.omega
-        omega_values = np.linspace(0.0, top, n_rows)
+        omega_values = np.linspace(0.0, top, max(n_rows, 0))  # < 2 fails in _sweep
 
     def vary(c, w):
         return replace(c, drive=replace(c.drive, omega=w, eta1=None, eta2=None))
@@ -119,7 +119,7 @@ def detuning_sweep(
     """
     if detuning_values is None:
         half = 2.0 * cfg.rates.kappa_x if span is None else span
-        detuning_values = np.linspace(-half, half, n_rows)
+        detuning_values = np.linspace(-half, half, max(n_rows, 0))  # < 2 fails in _sweep
 
     def vary(c, d):
         return replace(c, laser_detuning=d)

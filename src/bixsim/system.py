@@ -21,23 +21,23 @@ enabled) the polaron-frame phonon scattering term.
 The frozen dataclasses below, with `phonons.PhononConfig` as the `phonon`
 section, are the whole configuration schema: `config_from_dict` and
 `config_to_dict` walk their field annotations, one JSON object per
-section, complex amplitudes as [re, im].
+section, complex amplitudes as [re, im].  On construction the sections
+check and type every value by the same rules (`errors.check_fields`),
+whether it came from JSON or from `replace`.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import __version__ as _version
 from .dressed import DetuningSet, DriveParams, drive_for_splitting
-from .errors import ConfigurationError, check_numbers
+from .errors import ConfigurationError, _schema, check_fields
 from .hilbert import (
     HilbertSpec,
     embed_photon_annihilator,
@@ -145,7 +145,7 @@ class Numerics:
     phonon_t_max: float | None = None
 
     def __post_init__(self):
-        check_numbers(self, "numerics.")
+        check_fields(self, "numerics.")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class SystemConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         for kind, group in (("rate", self.rates), ("coupling", self.couplings)):
             for f in fields(group):
                 if getattr(group, f.name) < 0:
@@ -213,81 +213,37 @@ def default_config() -> SystemConfig:
 # -- config (de)serialization -------------------------------------------------
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-# scalar field type -> (accepts a parsed JSON value, what it must be)
-_SCALARS = {
-    float: (_real, "a finite number"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    complex: (
-        lambda v: _real(v) or (isinstance(v, list) and len(v) == 2 and all(map(_real, v))),
-        "[re, im] of finite numbers",
-    ),
-}
-
-
-@functools.cache
-def _schema(cls) -> dict:
-    """Field name -> (type, nullable) of a config dataclass.
-
-    Read once per class from its annotations: `X | None` gives (X, True).
-    """
-    out = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        args = typing.get_args(hint)
-        out[name] = next((a for a in args if a is not type(None)), hint), type(None) in args
-    return out
-
-
 def _encode(obj) -> dict:
     out = {}
-    for name, (tp, _) in _schema(type(obj)).items():
-        v = getattr(obj, name)
-        if v is None:
-            out[name] = None
-        elif is_dataclass(tp):
-            out[name] = _encode(v)
-        elif tp is complex:
-            v = complex(v)
-            out[name] = [v.real, v.imag]
-        else:
-            out[name] = tp(v)
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            v = _encode(v)
+        elif isinstance(v, complex):
+            v = [v.real, v.imag]
+        out[f.name] = v
     return out
 
 
 def _decode(cls, data, where: str):
+    """cls from the JSON object data; the sections check their own values."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be an object")
     schema = _schema(cls)
     unknown = set(data) - set(schema)
     if unknown:
         raise ConfigurationError(f"unknown key(s) {sorted(unknown)} for {where}")
-    kwargs = {}
-    for name, v in data.items():
-        tp, nullable = schema[name]
-        if is_dataclass(tp):
-            kwargs[name] = _decode(tp, v, name)
-            continue
-        accepts, what = _SCALARS[tp]
-        if v is None and nullable:
-            kwargs[name] = None
-        elif accepts(v):
-            kwargs[name] = tp(*v) if isinstance(v, list) else tp(v)
-        else:
-            what += " or null" if nullable else ""
-            raise ConfigurationError(f"{cls.__name__}.{name} must be {what}, got {v!r}")
-    return cls(**kwargs)
+    return cls(**{
+        name: _decode(schema[name][0], v, name) if is_dataclass(schema[name][0]) else v
+        for name, v in data.items()
+    })
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    """Plain-JSON form of cfg, each value encoded by its field type.
+    """Plain-JSON form of cfg, complex amplitudes as [re, im].
 
-    Floats are written as floats and complex amplitudes as [re, im], so
-    equal configs give equal dicts and equal `config_hash`.
+    Every value is stored as its field's type, so equal configs give equal
+    dicts and equal `config_hash`.
     """
     return _encode(cfg)
 
@@ -309,10 +265,12 @@ def load_config(path) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigurationError(
+            f"config file not found or not readable: {path} ({exc.strerror})"
+        ) from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -355,7 +313,7 @@ def drive_params(cfg: SystemConfig) -> DriveParams:
     """Effective drive amplitudes, through the filter or from overrides."""
     d = cfg.drive
     if d.eta1 is not None:
-        return DriveParams(eta1=complex(d.eta1), eta2=complex(d.eta2))
+        return DriveParams(eta1=d.eta1, eta2=d.eta2)
     return DriveParams.from_cavity_filter(
         d.omega, delta_cl_x(cfg), cfg.rates.kappa_x, cfg.couplings.g1x, cfg.couplings.g2x
     )

@@ -262,3 +262,37 @@ def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
     assert rc == EXIT_CONFIG
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named, writes_nothing",
+    [
+        pytest.param(["power-sweep", "--config", "{cfg}", "--rows", "-1"], "rows", True,
+                     id="rows-negative"),
+        pytest.param(["spectrum", "--config", "{dir}"], "{dir}", True, id="config-directory"),
+        pytest.param(["spectrum", "--config", "{latin1}"], "{latin1}", True,
+                     id="config-not-utf8"),
+        pytest.param(["spectrum", "--config", "{cfg}", "--out", "{file}"], "{file}", False,
+                     id="out-is-a-file"),
+    ],
+)
+def test_bad_input_is_config_error(fast_config_path, tmp_path, capsys, argv, named,
+                                   writes_nothing):
+    # each of these ended in a traceback (exit 1) before
+    (tmp_path / "a_dir").mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"_notes": "Stra\xdfe"}'.encode("latin-1"))
+    (tmp_path / "a_file").write_text("kept\n")
+    paths = {"cfg": fast_config_path, "dir": str(tmp_path / "a_dir"),
+             "latin1": str(latin1), "file": str(tmp_path / "a_file")}
+    argv = [a.format(**paths) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(argv)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named.format(**paths) in err
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+    if writes_nothing:
+        assert sorted(tmp_path.rglob("*")) == before

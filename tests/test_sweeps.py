@@ -167,6 +167,14 @@ def test_power_sweep_needs_two_rows():
         power_sweep(small_config(), omega_values=[100.0])
 
 
+@pytest.mark.parametrize("sweep", [power_sweep, detuning_sweep])
+@pytest.mark.parametrize("n_rows", [1, -2])
+def test_sweeps_reject_fewer_than_two_rows(sweep, n_rows):
+    # one rule for every row count below two, negative ones included
+    with pytest.raises(ConfigurationError, match="^a sweep needs at least two rows$"):
+        sweep(small_config(), n_rows=n_rows)
+
+
 def test_sweeps_are_deterministic():
     cfg = small_config()
     omegas = np.linspace(50.0, 260.0, 3)

@@ -427,6 +427,21 @@ def _leaf_cases():
         yield pytest.param(path, *case, id=".".join(path))
 
 
+def _leaf(cfg, path):
+    for key in path:
+        cfg = getattr(cfg, key)
+    return cfg
+
+
+def _replaced(obj, path, value):
+    """obj with the leaf at path set to value through `dataclasses.replace`."""
+    if len(path) > 1:
+        return replace(obj, **{path[0]: _replaced(getattr(obj, path[0]), path[1:], value)})
+    if path[0] in ("eta1", "eta2"):  # the overrides come as a pair
+        return replace(obj, **{"eta1": [1.0, 0.0], "eta2": [1.0, 0.0], path[0]: value})
+    return replace(obj, **{path[0]: value})
+
+
 def _nested(path, value):
     data = node = {}
     for key in path[:-1]:
@@ -440,14 +455,51 @@ def _nested(path, value):
 @pytest.mark.parametrize("path, value, decoded, wrong", list(_leaf_cases()))
 def test_every_leaf_field_loads_and_is_type_checked(path, value, decoded, wrong):
     cfg = config_from_dict(_nested(path, value))
-    got = cfg
-    for key in path:
-        got = getattr(got, key)
+    got = _leaf(cfg, path)
     assert got == decoded and type(got) is type(decoded)
     assert cfg != default_config()
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ConfigurationError, match=path[-1]):
         config_from_dict(_nested(path, wrong))
+    # `replace` takes the same values, stores them as the same type, and
+    # rejects the same wrong one
+    via_replace = _replaced(default_config(), path, value)
+    got = _leaf(via_replace, path)
+    assert got == decoded and type(got) is type(decoded)
+    assert via_replace == cfg and config_hash(via_replace) == config_hash(cfg)
+    with pytest.raises(ConfigurationError, match=path[-1]):
+        _replaced(default_config(), path, wrong)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("phonon", "enable"), "off"),
+        (("normalize",), "no"),
+        (("drive", "omega"), None),
+        (("drive", "eta1"), [1.0, "2"]),
+        (("laser_detuning",), 10**400),  # beyond the float range
+        (("rates",), {"kappa_y": 1.0}),  # a section must be its dataclass
+    ],
+    ids=["phonon.enable", "normalize", "drive.omega", "drive.eta1", "laser_detuning",
+         "rates"],
+)
+def test_replace_rejects_wrong_typed_values(path, value):
+    with pytest.raises(ConfigurationError, match=rf"^{'.'.join(path)} must be"):
+        _replaced(default_config(), path, value)
+
+
+def test_values_are_stored_as_their_field_type():
+    cfg = default_config()
+    zero = replace(cfg, laser_detuning=0)
+    assert type(zero.laser_detuning) is float and zero.laser_detuning == 0.0
+    assert config_hash(zero) == config_hash(cfg)
+    numerics = replace(cfg.numerics, n_max_y=np.int64(3))
+    assert type(numerics.n_max_y) is int and numerics.n_max_y == 3
+    assert config_hash(replace(cfg, numerics=numerics)) == config_hash(
+        replace(cfg, numerics=replace(cfg.numerics, n_max_y=3)))
+    drive = replace(cfg, drive=replace(cfg.drive, eta1=np.float32(2.0), eta2=[3, 4])).drive
+    assert (drive.eta1, drive.eta2) == (2.0, 3 + 4j) and type(drive.eta1) is complex
 
 
 def test_both_sources_match_per_frequency_direct_solve():
