@@ -61,10 +61,16 @@ class SweepMap:
 
 def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
     """Map of the spectra of vary(cfg, v) for v in values, one row each,
-    each row divided by its own maximum (a dark row stays as it is)."""
+    each row divided by its own maximum (a dark row stays as it is).  The
+    values must be at least two and distinct, or ConfigurationError."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("a sweep needs at least two rows")
+    if np.any(np.diff(np.sort(values)) == 0.0):  # np.unique would import numpy.ma
+        raise ConfigurationError(
+            f"sweep values of {label} must be distinct; each row would repeat "
+            "the spectrum of another"
+        )
     rows = []
     for v in values:
         row = replace(vary(cfg, float(v)), normalize=False)

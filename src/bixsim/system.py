@@ -496,10 +496,13 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     solve in the even block, with the trace row in place of one diagonal
     row and a uniqueness certificate from one more solve (`steady_state`);
     both y sources flip P, so every s rho_ss lies in the odd block, and one
-    real `eig` of that block serves all sources.  A start vector with weight
-    outside the odd block raises, and so do a steady state that is not
-    unique over the whole L (a kernel of the even block other than
-    one-dimensional, or a kernel eigenvalue in the odd block) and a block
+    decomposition of that block serves all sources (`regression_spectrum`):
+    a real `eig` up to 200 rows (n_max_y <= 4), above that a two-sided
+    Krylov reduced model whose order grows until two successive orders
+    agree to 1e-10 on the grid, with the `eig` as its fallback.  A start
+    vector with weight outside the odd block raises, and so do a steady
+    state that is not unique over the whole L (a kernel of the even block
+    other than one-dimensional, or a kernel of the odd block) and a block
     whose L has an imaginary part in that basis.
     """
     n = cfg.numerics

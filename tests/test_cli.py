@@ -112,6 +112,29 @@ def test_check_passes_on_baseline(capsys):
     assert "FAIL" not in out
 
 
+def test_check_passes_at_a_large_truncation(monkeypatch, tmp_path, capsys):
+    # at n_max_y=6 the 390-row odd block takes the reduced model; the check's
+    # direct solves on the whole L do not use it
+    from bixsim import liouville
+
+    served = []
+    reduced = liouville._reduced_spectrum
+    monkeypatch.setattr(liouville, "_reduced_spectrum",
+                        lambda *args: served.append(reduced(*args)) or served[-1])
+    d = config_to_dict(default_config())
+    d["phonon"]["enable"] = False
+    d["numerics"]["n_max_y"] = 6
+    d["drive"]["omega"] = 252.83669951857598
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    rc = main(["check", "--config", str(path), "--grid", "201"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert "PASS  spectrum-path" in out
+    assert "3/3 checks passed" in out
+    assert len(served) == 1 and served[0] is not None
+
+
 def test_check_fails_on_a_broken_spectrum_path(monkeypatch, capsys):
     # extra damping in the odd parity block only: the whole-L checks still
     # pass, the spectrum every command computes does not
@@ -269,6 +292,8 @@ def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
     [
         pytest.param(["power-sweep", "--config", "{cfg}", "--rows", "-1"], "rows", True,
                      id="rows-negative"),
+        pytest.param(["detuning-sweep", "--config", "{cfg}", "--rows", "3", "--span", "0"],
+                     "laser_detuning", True, id="span-zero"),
         pytest.param(["spectrum", "--config", "{dir}"], "{dir}", True, id="config-directory"),
         pytest.param(["spectrum", "--config", "{latin1}"], "{latin1}", True,
                      id="config-not-utf8"),

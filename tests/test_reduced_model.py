@@ -1,0 +1,165 @@
+"""The two-sided Krylov reduced model of large odd blocks against the dense eig.
+
+`liouville.regression_spectrum` takes the reduced model for a block without
+rho_ss that has more than `_KRYLOV_MIN_ROWS` rows, and the dense `eig` of the
+whole block everywhere else and as its fallback.  The `eig` path is the
+oracle: every spectrum here must match it to a max relative difference of
+1e-10.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from bixsim import liouville
+from bixsim.errors import SolverError
+from bixsim.hilbert import HilbertSpec
+from bixsim.liouville import emission_spectrum, lindblad_generator, liouvillian
+from bixsim.system import calibrate_drive, compute_spectrum_y, default_config
+
+BASELINE_OMEGA = 252.83669951857598  # drive of the packaged baseline
+
+
+def config(n_max_y, phonons=True, source="y-dipole", **kw):
+    cfg = default_config()
+    cfg = replace(
+        cfg,
+        drive=replace(cfg.drive, omega=BASELINE_OMEGA),
+        phonon=replace(cfg.phonon, enable=phonons),
+        numerics=replace(cfg.numerics, n_max_y=n_max_y),
+        source=source,
+        normalize=False,
+    )
+    return replace(cfg, **kw) if kw else cfg
+
+
+def both_paths(monkeypatch, cfg, min_rows=0):
+    """Raw spectra of cfg by the reduced model and by the dense eig alone.
+
+    Also returns what each `_reduced_spectrum` call gave (None: fallback)
+    and the number of `_resolvent_sum` calls, one per order tried.
+    """
+    served, sums = [], []
+    reduced, resolvent_sum = liouville._reduced_spectrum, liouville._resolvent_sum
+
+    def recorded(*args):
+        served.append(reduced(*args))
+        return served[-1]
+
+    def counted(*args):
+        sums.append(args[1].size)
+        return resolvent_sum(*args)
+
+    monkeypatch.setattr(liouville, "_reduced_spectrum", recorded)
+    monkeypatch.setattr(liouville, "_resolvent_sum", counted)
+    monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", min_rows)
+    got = compute_spectrum_y(cfg).intensity
+    model_sums = len(sums)
+    monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
+    want = compute_spectrum_y(cfg).intensity
+    return got, want, served, model_sums
+
+
+def relative_difference(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("source", ["y-dipole", "y-cavity", "both"])
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("n_max_y", [4, 6, 8])
+def test_reduced_model_matches_dense_eig(monkeypatch, n_max_y, phonons, source):
+    # the threshold is lowered so that n_max_y=4 (198 rows) takes the model
+    # too; there a four-column block ("both") reaches half the rows at 24
+    # blocks, before the model converges, and the dense eig serves instead
+    got, want, served, _ = both_paths(monkeypatch, config(n_max_y, phonons, source))
+    assert len(served) == 1
+    assert (served[0] is None) == (n_max_y == 4 and source == "both")
+    assert np.max(want) > 0.0
+    assert relative_difference(got, want) <= 1e-10
+
+
+def stressed(name):
+    cfg = config(6)
+    c = cfg.couplings
+    if name == "g-tripled":
+        return replace(cfg, couplings=replace(c, g1y=3.0 * c.g1y, g2y=3.0 * c.g2y))
+    if name == "exceptional-point":
+        return replace(cfg, rates=replace(cfg.rates, kappa_y=4.0 * c.g1y))
+    return calibrate_drive(cfg, 300.0)  # a 300 ueV doublet splitting
+
+
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("name", ["g-tripled", "exceptional-point", "splitting-300"])
+def test_reduced_model_on_stressed_configs(monkeypatch, name, phonons):
+    # the default threshold: the 390-row odd block takes the model.  With the
+    # y couplings tripled it needs 50-60 blocks where the baseline stops at 40
+    cfg = stressed(name)
+    cfg = replace(cfg, phonon=replace(cfg.phonon, enable=phonons))
+    got, want, served, orders = both_paths(monkeypatch, cfg,
+                                           min_rows=liouville._KRYLOV_MIN_ROWS)
+    assert len(served) == 1 and served[0] is not None
+    assert relative_difference(got, want) <= 1e-10
+    if name == "g-tripled":
+        assert orders >= 5
+
+
+def test_order_cap_falls_back_to_dense_eig(monkeypatch):
+    # the baseline needs 40 blocks; with a cap of 20 the model gives up and
+    # the dense eig returns exactly the spectrum it returns alone
+    monkeypatch.setattr(liouville, "_KRYLOV_MAX_BLOCKS", 20)
+    got, want, served, orders = both_paths(monkeypatch, config(6))
+    assert served == [None]
+    assert orders == 2 + 1  # orders 10 and 20, then the eig path
+    assert np.array_equal(got, want)
+
+
+def test_kernel_in_a_large_odd_block_raises(monkeypatch):
+    # levels 0 and 1 form a decaying, pumped two-level system; levels 2..21
+    # stay empty and undamped.  Levels 2 and 3 are degenerate and of opposite
+    # parity P = (-1)^i, so rho_23 and rho_32 sit in the odd block (242 rows)
+    # with eigenvalue 0: a second stationary state.  The LU certificate
+    # raises before any eigenvalue is known
+    d = 22
+    energies = 0.37 * np.arange(d)
+    energies[3] = energies[2]
+    sigma = np.zeros((d, d))
+    sigma[0, 1] = 1.0
+    k, pairs = lindblad_generator(np.diag(energies), [(sigma, 1.0), (sigma.T, 0.5)])
+    parity = (-1.0) ** np.arange(d)
+    odd = np.flatnonzero(np.outer(parity, parity).ravel(order="F") < 0)
+    l_odd = liouvillian(k, pairs, odd)
+    assert l_odd.shape[0] == 242 > liouville._KRYLOV_MIN_ROWS
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0], rho[1, 1] = 2.0 / 3.0, 1.0 / 3.0
+
+    def no_eig(*args):
+        raise AssertionError("the dense eig was reached")
+
+    monkeypatch.setattr(liouville.np.linalg, "eig", no_eig)
+    with pytest.raises(SolverError, match="steady state is not unique: a block without "
+                                          "rho_ss has a kernel"):
+        emission_spectrum(l_odd, [sigma], rho, np.linspace(-2.0, 2.0, 41), odd)
+
+
+@pytest.mark.parametrize("phonons", [True, False], ids=["phonons", "no-phonons"])
+@pytest.mark.parametrize("source", ["y-dipole", "both"])
+def test_small_odd_blocks_keep_the_dense_eig(monkeypatch, source, phonons):
+    # n_max_y=2 (70 rows) and 4 (198 rows) are at or below the measured
+    # crossover: they never reach the model or its certificate, so their
+    # spectra are the dense eig's, bit for bit
+    def unused(*args):
+        raise AssertionError("the reduced model was reached")
+
+    for n_max_y, rows in ((2, 70), (4, 198)):
+        assert HilbertSpec(n_max_y).parity_blocks()[1].size == rows
+        assert rows <= liouville._KRYLOV_MIN_ROWS
+        cfg = config(n_max_y, phonons, source)
+        with monkeypatch.context() as patch:
+            patch.setattr(liouville, "_reduced_spectrum", unused)
+            patch.setattr(liouville, "_certify_no_kernel", unused)
+            got = compute_spectrum_y(cfg).intensity
+        with monkeypatch.context() as patch:
+            patch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
+            want = compute_spectrum_y(cfg).intensity
+        assert np.array_equal(got, want)

@@ -175,6 +175,27 @@ def test_sweeps_reject_fewer_than_two_rows(sweep, n_rows):
         sweep(small_config(), n_rows=n_rows)
 
 
+@pytest.mark.parametrize(
+    "run, label",
+    [
+        (lambda cfg: detuning_sweep(cfg, n_rows=3, span=0.0), "laser_detuning"),
+        (lambda cfg: power_sweep(cfg, omega_values=[50.0, 120.0, 50.0]), "Omega"),
+    ],
+    ids=["zero-span", "repeated-omega"],
+)
+def test_sweeps_reject_repeated_axis_values(monkeypatch, run, label):
+    # a zero span or a repeated value computes one spectrum several times;
+    # the rule fires before any row is solved
+    from bixsim import sweeps
+
+    def no_spectrum(cfg):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(sweeps, "compute_spectrum_y", no_spectrum)
+    with pytest.raises(ConfigurationError, match=f"^sweep values of {label} must be distinct"):
+        run(small_config())
+
+
 def test_sweeps_are_deterministic():
     cfg = small_config()
     omegas = np.linspace(50.0, 260.0, 3)

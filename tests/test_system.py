@@ -872,7 +872,9 @@ def test_spectrum_assembly_peak_memory(monkeypatch):
 @pytest.mark.parametrize("n_max_y", [2, 6])
 def test_resolvent_sum_matches_broadcast_oracle(monkeypatch, n_max_y, phonons, source):
     # the reciprocal and matrix-vector sum against the broadcast divide over
-    # the whole resolvent, on the weights and eigenvalues of a real spectrum
+    # the whole resolvent, on the weights and eigenvalues of a real spectrum;
+    # at n_max_y=6 the reduced model of the odd block calls it once per
+    # order it tries, and every call is checked
     seen = []
     resolvent_sum = liouville._resolvent_sum
 
@@ -889,15 +891,18 @@ def test_resolvent_sum_matches_broadcast_oracle(monkeypatch, n_max_y, phonons, s
         source=source,
     )
     compute_spectrum_y(cfg)
-    [(got, want)] = seen
-    assert got.shape == want.shape == (cfg.numerics.n_omega,)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert len(seen) == 1 if n_max_y == 2 else len(seen) >= 2  # one per order
+    for got, want in seen:
+        assert got.shape == want.shape == (cfg.numerics.n_omega,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_emission_spectrum_peak_memory(monkeypatch):
-    # the tracemalloc peak of the spectrum sum at n_max_y=6 over 1601 points:
-    # the complex (1601, 390) resolvent takes 10.0 MB, and a float modulus
-    # of all of it 5.0 MB more
+    # the tracemalloc peak of the spectrum at n_max_y=6 over 1601 points: the
+    # 390-row odd block takes the reduced model, whose largest arrays are the
+    # (390, 390) shifted inverse (1.2 MB) and the complex (1601, 80)
+    # resolvent of its last order (2.0 MB); the dense eig path, with its
+    # (1601, 390) resolvent, peaked at 12.8 MB
     peaks = []
     spectrum = system.emission_spectrum
 
@@ -915,7 +920,7 @@ def test_emission_spectrum_peak_memory(monkeypatch):
     assert not cfg.phonon.enable and cfg.numerics.n_omega == 1601
     compute_spectrum_y(cfg)
     assert len(peaks) == 1
-    assert peaks[0] <= 15e6  # 12.8 MB measured; 18.1 MB with the whole modulus
+    assert peaks[0] <= 8e6  # 5.3 MB measured
 
 
 def test_traced_kernel_builder_is_the_cached_one():
