@@ -131,10 +131,10 @@ def export_map(
     """Write a sweep map to out_dir; returns the created paths.
 
     CSV splits the map into {stem}_axis1/axis2/values.csv; JSON keeps one
-    document.  The sidecar records axis names and normalization.
+    document.  The sidecar records the sweep metadata (its normalization
+    among them) and the axis names.
     """
-    meta = {**sweep.metadata, "axis1_name": sweep.axis1_name,
-            "normalization": sweep.normalization}
+    meta = {**sweep.metadata, "axis1_name": sweep.axis1_name}
     tables = [("_axis1", sweep.axis1, "axis1"), ("_axis2", sweep.axis2, "axis2"),
               ("_values", sweep.values, "")]
     arrays = {"axis1": sweep.axis1, "axis2": sweep.axis2, "values": sweep.values}

@@ -24,19 +24,19 @@ P, and the A and B of each pair must both keep it or both flip it; an entry
 that would put a product across the sectors raises SolverError, naming its
 operator, while the block is built.
 
-`steady_state` and `regression_spectrum` take the whole complex L in vec
-entries, or with `block` the block that `liouvillian` built, and work in the
-Hermitian basis of its vec indices, where L is a real matrix: a physical
-generator preserves Hermiticity, L(rho+) = L(rho)+.  The partner of vec
-index r = i + d j (rho[i, j]) is p = j + d i, and for each pair with i < j
-the unitary T maps x_r = (v_r + v_p) / sqrt(2), x_p = (v_r - v_p) /
-(i sqrt(2)); diagonal entries stay.  T vec(H) is real for every Hermitian
-H, so L_h = T L T+ is real.  T has at most two nonzeros per column and is
-never formed: each entry of L lands in L_h as up to four real entries, and
-vectors are mapped with T or T+ entry by entry.  The basis lists the
-diagonal entries first, then the rho[i, j] with i < j, then their partners.
-L_h with an imaginary entry above 1e-12 of its largest entry raises
-SolverError: such an L does not preserve Hermiticity, and no physical
+The solvers take a block (all vec indices without a symmetry) as the real
+L_h that `liouvillian(k, pairs, block)` builds in the Hermitian basis of its
+vec indices; only `steady_state` also takes the whole L.  L_h is real
+because a physical generator preserves Hermiticity, L(rho+) = L(rho)+.  The
+partner of vec index r = i + d j (rho[i, j]) is p = j + d i, and for each
+pair with i < j the unitary T maps x_r = (v_r + v_p) / sqrt(2),
+x_p = (v_r - v_p) / (i sqrt(2)); diagonal entries stay.  T vec(H) is real for
+every Hermitian H, so L_h = T L T+ is real.  T has at most two nonzeros per
+column and is never formed: each entry of L lands in L_h as up to four real
+entries, and vectors are mapped with T or T+ entry by entry.  The basis
+lists the diagonal entries first, then the rho[i, j] with i < j, then their
+partners.  L_h with an imaginary entry above 1e-12 of its largest entry
+raises SolverError: such an L does not preserve Hermiticity, and no physical
 generator does that.  The steady state is one real LU solve of L_h with a
 diagonal row replaced by the trace row.  The spectrum of a block comes from
 one real `eig` of L_h, except for a block without rho_ss of more than 200
@@ -58,7 +58,6 @@ from .hilbert import is_hermitian
 
 _HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
 _RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
-_STEADY_TOL = 1e-8  # ||L vec(rho_ss)|| / ||L|| accepted by regression_spectrum
 _KERNEL_RTOL = 1e-10  # kernel gap or |eigenvalue| counted as kernel, relative
 _BLOCK_RTOL = 1e-12  # vector weight in or outside a block, relative to its max
 _PARITY_RTOL = 1e-12  # operator entries crossing parity, relative to max|op|
@@ -69,6 +68,7 @@ _KRYLOV_SHIFT = 0.7  # real shift sigma of the reduced model, per grid half-span
 _KRYLOV_STEP = 10  # blocks added to the reduced model between two checks
 _KRYLOV_MAX_BLOCKS = 80  # reduced-model order cap, in blocks, before eig
 _KRYLOV_RTOL = 1e-10  # change between successive orders, relative to max|S|
+_KRYLOV_BREAKDOWN = 1e-12  # new block left by Gram-Schmidt, relative: invariant
 
 __all__ = [
     "vec",
@@ -311,29 +311,15 @@ def _from_hermitian(x: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
     return v
 
 
-def _hermitian_operator(liouv, block, d: int) -> tuple:
-    """(L_h, idx, order, nd) for `liouv` on `block` of a d x d rho.
-
-    Without a block, `liouv` is the whole complex L in vec entries, and its
-    nonzero entries are scattered into L_h here; with one, it is the real
-    L_h that `liouvillian(k, pairs, block)` builds.  Raises
-    ConfigurationError if its size does not match, or if a block comes with
-    a complex matrix.
-    """
-    liouv = np.asarray(liouv)
-    idx = np.arange(d * d) if block is None else np.asarray(block)
-    if liouv.shape != (idx.size, idx.size):
-        raise ConfigurationError("with a block, pass L restricted to the block")
-    order, nd = _hermitian_basis(idx, d)
-    if block is None:
-        rows, cols = np.nonzero(liouv)
-        vals = liouv[rows, cols].astype(complex)
-        return _hermitian_scatter(rows, cols, vals, idx, d), idx, order, nd
-    if np.iscomplexobj(liouv):
+def _block_matrix(l_h, idx: np.ndarray) -> np.ndarray:
+    """`l_h` as floats if it is a real L_h on `idx`, else ConfigurationError."""
+    l_h = np.asarray(l_h)
+    if np.iscomplexobj(l_h) or l_h.shape != (idx.size, idx.size):
         raise ConfigurationError(
-            "with a block, pass the real L_h that liouvillian(k, pairs, block) builds"
+            f"pass the real L_h restricted to the block ({idx.size} vec indices) "
+            "that liouvillian(k, pairs, block) builds"
         )
-    return np.asarray(liouv, dtype=float), idx, order, nd
+    return l_h.astype(float, copy=False)
 
 
 def steady_state(
@@ -359,14 +345,16 @@ def steady_state(
     order when one singular value of M is small, which is where the bound
     decides; s lies within 5% below sigma_1 after 8 power steps.
 
-    Without `block`, `liouv` is the whole complex L in vec entries.
     `block` holds the sorted vec indices of a sector that L leaves
     invariant and that holds every diagonal entry of rho (the even parity
-    block, whose last index is d^2 - 1), and `liouv` is then the real L_h
-    that `liouvillian(k, pairs, block)` builds; rho is embedded back into
-    d x d with zeros elsewhere.  The caller owns the uniqueness check on
-    the other sectors (`regression_spectrum` makes it for the odd block).
-    Raises ConfigurationError if `liouv` does not have the block's size.
+    block, whose last index is d^2 - 1), and `liouv` is the real L_h that
+    `liouvillian(k, pairs, block)` builds; rho is embedded back into d x d
+    with zeros elsewhere.  The caller owns the uniqueness check on the
+    other sectors (`regression_spectrum` makes it for the odd block).
+    Without `block`, `liouv` is the whole complex L in vec entries, scattered
+    into L_h here: a form kept for `bixsim check` and `bench/gate.py`.
+    Raises ConfigurationError if `liouv` is not the real L_h of the block,
+    or without one, not square of size d^2.
     Raises SolverError if the block is unsorted or misses a diagonal entry,
     if L is zero, if the gap is at most `kernel_rtol` ("not unique"), if
     ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state found": L does
@@ -374,9 +362,13 @@ def steady_state(
     closed under rho -> rho+, or if L does not preserve Hermiticity.
     """
     if block is None:
-        d = math.isqrt(np.shape(liouv)[0])
-        if d * d != np.shape(liouv)[0]:
-            raise ConfigurationError("Liouvillian size is not a perfect square")
+        liouv = np.asarray(liouv)
+        d = math.isqrt(liouv.shape[0])
+        if liouv.shape != (d * d, d * d):
+            raise ConfigurationError("the whole Liouvillian must be square, of size d^2")
+        idx = np.arange(d * d)
+        rows, cols = np.nonzero(liouv)
+        l_h = _hermitian_scatter(rows, cols, liouv[rows, cols].astype(complex), idx, d)
     else:
         idx = np.asarray(block)
         d = math.isqrt(int(idx[-1]) + 1)
@@ -386,7 +378,8 @@ def steady_state(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
-    l_h, idx, order, nd = _hermitian_operator(liouv, block, d)
+        l_h = _block_matrix(liouv, idx)
+    order, nd = _hermitian_basis(idx, d)
     n = l_h.shape[0]
     # a fixed pseudo-random power start and probe; numpy.random would add
     # 6 MB of resident memory to every process on import
@@ -399,12 +392,7 @@ def steady_state(
     m[0, :nd], m[0, nd:] = scale, 0.0  # rho_00 is the first diagonal entry
     rhs = np.zeros((n, 2))
     rhs[0, 0], rhs[:, 1] = scale, start[:, 1]
-    try:
-        sol = np.linalg.solve(m, rhs)
-        back = np.linalg.solve(m.T, sol[:, 1])
-        gap = np.linalg.norm(sol[:, 1]) / (np.linalg.norm(back) * scale)
-    except np.linalg.LinAlgError:
-        gap = 0.0
+    sol, gap = _solve_with_gap(m, rhs, scale)
     if not gap > kernel_rtol:  # also a nan from an overflowing solve
         raise SolverError(
             "steady state is not unique: Liouvillian kernel dimension 2 or more, "
@@ -427,6 +415,18 @@ def steady_state(
     kernel = np.zeros(d * d, dtype=complex)
     kernel[idx] = _from_hermitian(x, order, nd)
     return unvec(kernel)
+
+
+def _solve_with_gap(m: np.ndarray, rhs: np.ndarray, scale: float) -> tuple:
+    """(M^-1 rhs, 1 / (||M^-1|| scale)), or (None, 0.0) for a singular M: the
+    last column of `rhs` is the probe z of the power step |M^-1 z| ->
+    |M^-T M^-1 z| that estimates ||M^-1|| with one transposed solve."""
+    try:
+        sol = np.linalg.solve(m, rhs)
+        back = np.linalg.solve(m.T, sol[:, -1])
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    return sol, np.linalg.norm(sol[:, -1]) / (np.linalg.norm(back) * scale)
 
 
 def _norm_estimate(a: np.ndarray, x: np.ndarray) -> float:
@@ -463,11 +463,11 @@ class SpectrumResult:
 
 
 def regression_spectrum(
-    liouv: np.ndarray,
+    l_h: np.ndarray,
     pairs,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
-    block=None,
+    block,
     norm: float | None = None,
 ) -> np.ndarray:
     """Summed quantum-regression spectrum of a sequence of (A, B) pairs.
@@ -476,15 +476,15 @@ def regression_spectrum(
     without time stepping through the resolvent,
     S(w) = Sum Re Tr[A (-iw - L)^{-1} vec(B rho_ss)].  The start vectors
     B rho_ss (by T) and the trace rows of A (by T+ from the right) are
-    mapped into the Hermitian basis of the decomposed indices (see the
-    module docstring), where L is the real L_h.  The component of each
+    mapped into the Hermitian basis of the block (see the module
+    docstring), where L is the real L_h.  The component of each
     B rho_ss along the Liouvillian kernel is projected out, which removes
     the elastic (delta-function) line and leaves the incoherent spectrum.
     Both paths below end in `_resolvent_sum`, over poles and weights that
     serve every pair and every grid frequency.
 
-    One real `eig` of L_h gives the poles and weights, on the whole L, on
-    a block that holds rho_ss, and on any block of at most 200 rows
+    One real `eig` of L_h gives the poles and weights on a block that
+    holds rho_ss and on any block of at most 200 rows
     (`_KRYLOV_MIN_ROWS`).  A block without rho_ss above that size takes a
     two-sided Krylov reduced model instead (`_reduced_spectrum`): one
     inverse of sigma - L_h with the real shift sigma = 0.7 max|w|, a real
@@ -495,43 +495,37 @@ def regression_spectrum(
     grid; that is evidence, not a proof, of that accuracy over the whole
     grid.  At 80 blocks, or at half the rows of the block, or if the
     projection cannot be solved, the dense `eig` serves.  The 200 rows are
-    the measured crossover with one BLAS thread: at 198 rows (n_max_y=4)
-    the two took the same time for one source, and the model lost for
-    two, whose four-column blocks reach half the rows first; at 288 rows
-    (n_max_y=5) the model took 40-52 ms against 74-77 ms.
+    the measured crossover with one BLAS thread (see the README).
 
-    Without `block`, `liouv` is the whole complex L in vec entries.
-    `block` holds the sorted vec indices of a sector that L leaves invariant
-    and that holds every start vector B rho_ss, and `liouv` is then the
-    real L_h of that block that `liouvillian(k, pairs, block)` builds, the
-    only part decomposed.  For the model's weak Z2 symmetry this is the
-    odd parity block: rho_ss is even and every source flips the parity.
+    `block` holds the vec indices of a sector that L leaves invariant and
+    that holds every start vector B rho_ss, and `l_h` is the real L_h of
+    that block that `liouvillian(k, pairs, block)` builds, the only part
+    decomposed.  For the model's weak Z2 symmetry this is the odd parity
+    block: rho_ss is even and every source flips the parity.  A system
+    without a symmetry passes every vec index, `np.arange(d * d)`.
     `norm`, the scale of the guards below, is ||L||_F of the whole L; it
-    defaults to that of `liouv`.
+    defaults to that of `l_h`.
 
-    Raises SolverError if rho_ss is not stationary under a whole `liouv`
-    (with `block`, the residual check of `steady_state` on the block that
-    holds rho_ss covers this), if a start vector has weight outside the
-    block, if a block that does not hold rho_ss has a kernel (a second
-    stationary state that `steady_state`, decomposing only its own block,
-    cannot see: on the `eig` path an eigenvalue within 1e-10 ||L|| of
-    zero, on the reduced-model path a certificate 1 / (||L_h^-1|| ||L||)
-    of at most 1e-10 from one solve and one transposed solve of L_h), if
-    the eigenbasis is singular, or if some grid frequency coincides with
-    an undamped pole (add dissipation to every channel before asking for
-    a spectrum).  Raises SolverError too if the block is not closed under
-    rho -> rho+ or if a whole L does not preserve Hermiticity.  Raises
-    ConfigurationError if `liouv` does not have the block's size, or is
-    complex with a block.
+    Raises SolverError if the block holds rho_ss and ||L_h T vec(rho_ss)||
+    exceeds 1e-9 max(norm, 1) (not stationary), if a start vector has weight
+    outside the block, if a block that does not hold rho_ss has a kernel (a
+    second stationary state that `steady_state`, decomposing only its own
+    block, cannot see: on the `eig` path an eigenvalue within 1e-10 ||L|| of
+    zero, on the reduced-model path a certificate 1 / (||L_h^-1|| ||L||) of
+    at most 1e-10 from one solve and one transposed solve of L_h), if the
+    eigenbasis is singular, or if some grid frequency coincides with an
+    undamped pole (add dissipation to every channel before asking for a
+    spectrum).  Raises SolverError too if the block is not closed under
+    rho -> rho+.  Raises ConfigurationError if `l_h` is complex or does not
+    have the block's size.
     """
-    liouv = np.asarray(liouv)
+    idx = np.asarray(block)
+    l_h = _block_matrix(l_h, idx)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
-    l_h, idx, order, nd = _hermitian_operator(liouv, block, rho_ss.shape[0])
+    order, nd = _hermitian_basis(idx, rho_ss.shape[0])
     scale = max(np.linalg.norm(l_h) if norm is None else norm, 1.0)
-    if block is None and np.linalg.norm(liouv @ rho_v) > _STEADY_TOL * scale:
-        raise SolverError("rho_ss is not a steady state of the given Liouvillian")
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
@@ -555,10 +549,15 @@ def regression_spectrum(
     rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
     rows = _to_hermitian(rows.conj().T, order, nd).conj().T
 
-    # steady_state decomposed only the block holding rho_ss; a block without
-    # rho_ss must have no kernel, or the steady state is not unique
+    # a block holding rho_ss must leave it stationary; steady_state decomposed
+    # only that block, so a block without rho_ss must have no kernel, or the
+    # steady state is not unique
     holds_rho = np.abs(rho_v[idx]).max() > _BLOCK_RTOL * np.abs(rho_v).max()
-    if not holds_rho and l_h.shape[0] > _KRYLOV_MIN_ROWS:
+    if holds_rho:
+        drift = np.linalg.norm(l_h @ _to_hermitian(rho_v[idx], order, nd))
+        if drift > _RESIDUAL_TOL * scale:
+            raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
+    elif l_h.shape[0] > _KRYLOV_MIN_ROWS:
         _certify_no_kernel(l_h, scale)
         spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
         if spectrum is not None:
@@ -585,19 +584,11 @@ def regression_spectrum(
 
 
 def _certify_no_kernel(l_h: np.ndarray, scale: float) -> None:
-    """Raise SolverError if L_h has a kernel, from one solve and one transposed.
-
-    The power step |L_h^-1 z| -> |L_h^-T L_h^-1 z| from a fixed probe z
-    estimates ||L_h^-1||, so 1 / (||L_h^-1|| scale) stands in for the
-    smallest singular value of L_h over ||L||, as in `steady_state`.
-    """
+    """Raise SolverError if L_h has a kernel: the gap 1 / (||L_h^-1|| scale)
+    of `_solve_with_gap`, from a fixed probe, is at most 1e-10."""
     rng = random.Random(1)
     probe = np.array([rng.random() - 0.5 for _ in range(l_h.shape[0])])
-    try:
-        x = np.linalg.solve(l_h, probe)
-        gap = np.linalg.norm(x) / (np.linalg.norm(np.linalg.solve(l_h.T, x)) * scale)
-    except np.linalg.LinAlgError:
-        gap = 0.0
+    gap = _solve_with_gap(l_h, probe[:, None], scale)[1]
     if not gap > _KERNEL_RTOL:
         raise SolverError(
             "steady state is not unique: a block without rho_ss has a kernel "
@@ -616,9 +607,12 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
     Lanczos, Feldmann and Freund 1995), and its `eig` gives the eigenvalues
     and weights that `_resolvent_sum` takes.  Every `_KRYLOV_STEP` blocks
     the spectrum is formed, and it is returned once it agrees with the one
-    before to `_KRYLOV_RTOL` of its largest |S|.  None, for the dense `eig`,
-    at the cap of `_KRYLOV_MAX_BLOCKS` blocks or half the rows of L_h, or
-    if sigma - L_h, W^T V or the small eigenbasis is singular.
+    before to `_KRYLOV_RTOL` of its largest |S|, or at once if Gram-Schmidt
+    leaves a new block below `_KRYLOV_BREAKDOWN` of its size: V (or W) then
+    spans an invariant subspace, and the model without that block is exact.
+    None, for the dense `eig`, at the cap of `_KRYLOV_MAX_BLOCKS` blocks or
+    half the rows of L_h, or if sigma - L_h, W^T V or the small eigenbasis
+    is singular.
     """
     n = l_h.shape[0]
     sigma = _KRYLOV_SHIFT * np.abs(omega_grid).max()
@@ -630,19 +624,24 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
     width = first[0].shape[1]
     cap = min(_KRYLOV_MAX_BLOCKS, n // (2 * width)) * width
     v, w, lv = (np.empty((n, cap)) for _ in range(3))
-    previous = None
+    previous, formed = None, 0  # columns of lv = L_h V formed
     for m in range(0, cap, width):
         end = m + width
         for basis, z, step in ((v, first[0], op), (w, first[1], op.T)):
             if m:
                 z = step @ basis[:, m - width:m]
+            size = np.linalg.norm(z)
             for _ in range(2):  # block classical Gram-Schmidt, twice
                 z = z - basis[:, :m] @ (basis[:, :m].T @ z)
+            if m and np.linalg.norm(z) <= _KRYLOV_BREAKDOWN * size:
+                end = m  # breakdown: the model at m columns is exact
+                break
             basis[:, m:end] = np.linalg.qr(z)[0]
-        if (end // width) % _KRYLOV_STEP:
+        exact = end == m
+        if not exact and (end // width) % _KRYLOV_STEP:
             continue
-        new = slice(end - _KRYLOV_STEP * width, end)
-        lv[:, new] = l_h @ v[:, new]
+        lv[:, formed:end] = l_h @ v[:, formed:end]
+        formed = end
         try:
             gram = w[:, :end].T @ v[:, :end]
             evals, vecs = np.linalg.eig(np.linalg.solve(gram, w[:, :end].T @ lv[:, :end]))
@@ -651,7 +650,7 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
             return None
         weights = np.sum((rows @ v[:, :end] @ vecs) * amp.T, axis=0)
         spectrum = _resolvent_sum(weights, evals, omega_grid, scale)
-        if previous is not None and np.max(np.abs(spectrum - previous)) <= (
+        if exact or previous is not None and np.max(np.abs(spectrum - previous)) <= (
             _KRYLOV_RTOL * np.max(np.abs(spectrum))
         ):
             return spectrum
@@ -688,11 +687,11 @@ def _resolvent_sum(weights, evals, omega_grid, scale: float) -> np.ndarray:
 
 
 def emission_spectrum(
-    liouv: np.ndarray,
+    l_h: np.ndarray,
     lowering_ops,
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
-    block=None,
+    block,
     norm: float | None = None,
 ) -> np.ndarray:
     """Summed normal-ordered emission spectrum of a sequence of sources.
@@ -707,7 +706,7 @@ def emission_spectrum(
     ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     pairs = [(s.conj().T, s) for s in ops]
-    return regression_spectrum(liouv, pairs, rho_ss, -grid, block, norm)
+    return regression_spectrum(l_h, pairs, rho_ss, -grid, block, norm)
 
 
 def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:

@@ -36,7 +36,6 @@ class SweepMap:
     axis2: np.ndarray
     values: np.ndarray
     axis1_name: str
-    normalization: str
     metadata: dict
 
     def __post_init__(self):
@@ -85,8 +84,7 @@ def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
         top = row.max()
         if top > _DARK_ROW:
             row /= top
-    return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name,
-                    "per-row", meta)
+    return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name, meta)
 
 
 def power_sweep(

@@ -26,11 +26,13 @@ from bixsim.hilbert import HilbertSpec, embed_qd_transition
 from bixsim.liouville import (
     SpectrumResult,
     emission_spectrum,
+    liouvillian,
     solver_hygiene,
     steady_state,
 )
 from bixsim.sweeps import extract_peaks, phonon_comparison
 from bixsim.system import (
+    _generator,
     assemble_liouvillian,
     calibrate_drive,
     compute_spectrum_y,
@@ -106,7 +108,9 @@ def _mollow_sidebands(enable_phonons):
     rho = steady_state(liouv, kernel_rtol=cfg.numerics.steady_rtol)
     lowering = embed_qd_transition(HilbertSpec(0), "X", "G")
     grid = np.linspace(-400.0, 400.0, 2001)
-    y = np.clip(emission_spectrum(liouv, [lowering], rho, grid), 0.0, None)
+    everything = np.arange(HilbertSpec(0).dim ** 2)  # the whole L as one block
+    l_h = liouvillian(*_generator(cfg), everything)
+    y = np.clip(emission_spectrum(l_h, [lowering], rho, grid, everything), 0.0, None)
     rep = extract_peaks(SpectrumResult(grid, y / y.max(), {}))
     side = [(p, h) for p, h in zip(rep.positions, rep.heights) if abs(p) > 50.0]
     assert len(side) == 2

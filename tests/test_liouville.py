@@ -23,7 +23,6 @@ from bixsim.errors import ConfigurationError, SolverError
 from bixsim.liouville import (
     _from_hermitian,
     _hermitian_basis,
-    _hermitian_operator,
     _resolvent_sum,
     emission_spectrum,
     lindblad_generator,
@@ -36,6 +35,7 @@ from bixsim.liouville import (
 )
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
+ALL = np.arange(4)  # every vec index of a 2 x 2 rho, as one block
 
 
 def propagate(liouv, rho0, t):
@@ -61,9 +61,9 @@ def validate_density_matrix(rho, hermit_tol=1e-10, trace_tol=1e-10, eig_floor=-1
         raise SolverError(f"density matrix eigenvalue {w.min():.3e} below floor")
 
 
-def driven_tls(delta, eta, gamma):
+def driven_tls(delta, eta, gamma, block=None):
     h = np.array([[0.0, eta], [eta, delta]], dtype=complex)
-    return liouvillian(*lindblad_generator(h, [(SIGMA, gamma)]))
+    return liouvillian(*lindblad_generator(h, [(SIGMA, gamma)]), block)
 
 
 def test_vec_unvec_roundtrip():
@@ -174,7 +174,8 @@ def test_regression_spectrum_against_time_integration():
     liouv = driven_tls(0.0, eta, gamma)
     rho = steady_state(liouv)
     grid = np.linspace(-4.0, 4.0, 41)
-    s_res = regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho, grid)
+    l_h = driven_tls(0.0, eta, gamma, ALL)
+    s_res = regression_spectrum(l_h, [(SIGMA.conj().T, SIGMA)], rho, grid, ALL)
 
     start = SIGMA @ rho - np.trace(SIGMA @ rho) * rho
     taus = np.linspace(0.0, 120.0, 24001)
@@ -195,7 +196,7 @@ def test_mollow_triplet_structure():
     liouv = driven_tls(0.0, eta, gamma)
     rho = steady_state(liouv)
     grid = np.linspace(-8.0, 8.0, 1601)
-    s = emission_spectrum(liouv, [SIGMA], rho, grid)
+    s = emission_spectrum(driven_tls(0.0, eta, gamma, ALL), [SIGMA], rho, grid, ALL)
     assert np.all(np.isfinite(s))
     assert np.all(np.isreal(s))
     # sidebands sit at +-2 eta, symmetric without phonons
@@ -213,19 +214,25 @@ def test_mollow_triplet_structure():
 
 def test_spectrum_requires_damping():
     h = np.diag([0.0, 1.0]).astype(complex)
-    liouv = liouvillian(-1j * h, ())
+    l_h = liouvillian(-1j * h, (), ALL)
     rho = np.diag([0.4, 0.6]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 21)  # includes the undamped Bohr frequency
     with pytest.raises(SolverError, match="dissipation"):
-        regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho, grid)
+        regression_spectrum(l_h, [(SIGMA.conj().T, SIGMA)], rho, grid, ALL)
 
 
 def test_spectrum_rejects_nonstationary_state():
-    liouv = driven_tls(0.0, 1.0, 0.5)
+    # on every block that holds rho_ss: all vec indices of a driven two-level
+    # system, and the even block of the pumped one (defined below)
     rho_bad = np.diag([1.0, 0.0]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 11)
-    with pytest.raises(SolverError, match="steady state"):
-        regression_spectrum(liouv, [(SIGMA.conj().T, SIGMA)], rho_bad, grid)
+    sz = np.diag([1.0, -1.0])
+    for l_h, block, pair in [
+        (driven_tls(0.0, 1.0, 0.5, ALL), ALL, (SIGMA.conj().T, SIGMA)),
+        (liouvillian(*pumped_tls(), EVEN), EVEN, (sz, sz)),
+    ]:
+        with pytest.raises(SolverError, match="rho_ss is not a steady state"):
+            regression_spectrum(l_h, [pair], rho_bad, grid, block)
 
 
 def test_solver_hygiene_report():
@@ -259,13 +266,17 @@ def test_block_path_matches_full_space_on_symmetric_tls():
     assert np.max(np.abs(rho_block - rho_full)) < 1e-14
     assert rho_block[0, 1] == 0.0 and rho_block[1, 0] == 0.0
     grid = np.linspace(-3.0, 3.0, 61)
-    s_full = emission_spectrum(liouv, [SIGMA], rho_full, grid)
+    s_full = emission_spectrum(liouvillian(k, pairs, ALL), [SIGMA], rho_full, grid, ALL)
     s_block = emission_spectrum(
         liouvillian(k, pairs, ODD), [SIGMA], rho_block, grid, ODD, np.linalg.norm(liouv)
     )
     assert np.max(np.abs(s_block - s_full)) < 1e-12 * np.max(s_full)
-    with pytest.raises(ConfigurationError, match="restricted to the block"):
-        emission_spectrum(liouv, [SIGMA], rho_block, grid, ODD)
+    # the spectrum functions take only the real L_h of a block: the whole
+    # complex L is refused, with a block of another size or of its own
+    for block in (ODD, ALL):
+        with pytest.raises(ConfigurationError, match=r"restricted to the block .*"
+                                                     r"liouvillian\(k, pairs, block\)"):
+            emission_spectrum(liouv, [SIGMA], rho_block, grid, block)
 
 
 def test_even_block_kernel_must_be_one_dimensional():
@@ -541,10 +552,7 @@ def test_hermitian_basis_is_unitary_and_makes_l_real(which):
     kron = generator_superop(k, pairs)[np.ix_(idx, idx)]
     gather = gather_liouvillian(k, pairs, idx)
     assert np.max(np.abs(gather - kron)) <= 1e-14 * np.max(np.abs(kron))
-    if which == "full":
-        l_h = _hermitian_operator(liouvillian(k, pairs), None, 4)[0]
-    else:
-        l_h = liouvillian(k, pairs, idx)
+    l_h = liouvillian(k, pairs, idx)
     assert l_h.dtype == np.float64
     assert np.max(np.abs(l_h - t @ kron @ t_h)) <= 1e-14 * np.max(np.abs(kron))
 
@@ -577,14 +585,14 @@ def test_hermitian_basis_matches_complex_decompositions(seed):
     rng = np.random.default_rng(seed)
     flips = np.where(np.equal.outer(P_4, P_4), 0, rng.normal(size=(4, 4)))
     grid = np.linspace(-5.0, 5.0, 101)
-    for liouv, vec_l, idx, ops in [
-        (whole, whole, np.arange(16), [flips, flips @ flips.T]),
+    everything = np.arange(16)
+    for l_h, vec_l, idx, ops in [
+        (liouvillian(k, pairs, everything), whole, everything, [flips, flips @ flips.T]),
         (l_odd, v_odd, odd, [flips]),
         (l_even, v_even, even, [flips @ flips.T]),  # a P-even pair, on the block with rho
     ]:
         pairs_ab = [(op.conj().T, op) for op in ops]
-        block = None if liouv is whole else idx
-        got = regression_spectrum(liouv, pairs_ab, rho, grid, block, norm)
+        got = regression_spectrum(l_h, pairs_ab, rho, grid, idx, norm)
         want = complex_regression_spectra(vec_l, pairs_ab, rho, grid, idx, 1e-10 * norm)
         want = want.sum(axis=0)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

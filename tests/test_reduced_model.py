@@ -163,3 +163,40 @@ def test_small_odd_blocks_keep_the_dense_eig(monkeypatch, source, phonons):
             patch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
             want = compute_spectrum_y(cfg).intensity
         assert np.array_equal(got, want)
+
+
+def test_invariant_start_subspace_serves_the_model_without_eig(monkeypatch):
+    # a pumped two-level system on levels 0 and 1 of 22, with levels 2..21
+    # dephased at rate 0.3.  sigma rho_ss and the row of sigma+ lie in the
+    # coherences of levels 0 and 1, an invariant subspace of the 242-row odd
+    # block: the second Arnoldi block vanishes, and the model of the first
+    # is exact, so no eig of the whole block runs
+    d = 22
+    sigma = np.zeros((d, d))
+    sigma[0, 1] = 1.0
+    dephasing = [(np.diag(np.eye(d)[i]), 0.3) for i in range(2, d)]
+    k, pairs = lindblad_generator(
+        np.diag(0.37 * np.arange(d)), [(sigma, 1.0), (sigma.T, 0.5)] + dephasing
+    )
+    parity = (-1.0) ** np.arange(d)
+    odd = np.flatnonzero(np.outer(parity, parity).ravel(order="F") < 0)
+    l_odd = liouvillian(k, pairs, odd)
+    assert l_odd.shape[0] == 242 > liouville._KRYLOV_MIN_ROWS
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0], rho[1, 1] = 2.0 / 3.0, 1.0 / 3.0
+    grid = np.linspace(-2.0, 2.0, 41)
+
+    shapes, eig = [], np.linalg.eig
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(liouville.np.linalg, "eig", recorded)
+    got = emission_spectrum(l_odd, [sigma], rho, grid, odd)
+    assert shapes == [(2, 2)]
+    monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
+    want = emission_spectrum(l_odd, [sigma], rho, grid, odd)
+    assert shapes[-1] == (242, 242)
+    assert np.max(want) > 0.0
+    assert relative_difference(got, want) <= 1e-10

@@ -153,7 +153,7 @@ def test_power_sweep_shapes_and_normalization():
     cfg = small_config()
     omegas = np.linspace(0.0, 260.0, 4)
     m = power_sweep(cfg, omega_values=omegas)
-    assert m.normalization == m.metadata["normalization"] == "per-row"
+    assert m.metadata["normalization"] == "per-row"
     assert m.values.shape == (4, 241)
     # zero-drive row is dark and must stay dark instead of being rescaled
     assert np.max(m.values[0]) == 0.0
@@ -271,13 +271,11 @@ def test_phonon_comparison_shares_common_scale():
 
 def test_sweep_map_validation():
     with pytest.raises(ConfigurationError):
-        SweepMap(np.arange(3.0), np.arange(4.0), np.zeros((2, 4)), "x", "none", {})
+        SweepMap(np.arange(3.0), np.arange(4.0), np.zeros((2, 4)), "x", {})
     with pytest.raises(ConfigurationError):
-        SweepMap(np.arange(2.0), np.arange(2.0), -np.ones((2, 2)), "x", "none", {})
+        SweepMap(np.arange(2.0), np.arange(2.0), -np.ones((2, 2)), "x", {})
     with pytest.raises(ConfigurationError):
-        SweepMap(
-            np.arange(2.0), np.arange(2.0), np.full((2, 2), np.nan), "x", "none", {}
-        )
+        SweepMap(np.arange(2.0), np.arange(2.0), np.full((2, 2), np.nan), "x", {})
 
 
 def test_spectrum_export_roundtrip(tmp_path):
@@ -337,7 +335,7 @@ def test_export_bytes_match_savetxt_and_json_dump(tmp_path):
     x = np.linspace(-2.0, 2.0, 41)
     res = SpectrumResult(x, lorentzian(x, 0.3, 0.5, 2.0), {"config_hash": "xyz"})
     m = SweepMap(np.arange(3.0), x, np.abs(np.outer(np.arange(1.0, 4.0), x)),
-                 "omega_drive", "per_row", {"config_hash": "xyz"})
+                 "omega_drive", {"config_hash": "xyz", "normalization": "per_row"})
     export_spectrum(res, str(tmp_path / "s"))
     export_spectrum(res, str(tmp_path / "s"), fmt="json")
     export_map(m, str(tmp_path / "m"))
@@ -356,7 +354,7 @@ def test_export_bytes_match_savetxt_and_json_dump(tmp_path):
         return path.read_bytes()
 
     data = np.column_stack([x, res.intensity])
-    meta = {**m.metadata, "axis1_name": "omega_drive", "normalization": "per_row"}
+    meta = {**m.metadata, "axis1_name": "omega_drive"}
     expected = {
         "s/spectrum.csv": savetxt(data, header="offset_ueV,intensity", comments=""),
         "s/spectrum.meta.json": dump(res.metadata),
@@ -413,7 +411,7 @@ def test_export_rejects_unknown_format(tmp_path):
     res = SpectrumResult(x, np.zeros_like(x), {})
     with pytest.raises(ConfigurationError):
         export_spectrum(res, str(tmp_path / "s"), fmt="xml")
-    sweep = SweepMap(np.arange(2.0), x, np.zeros((2, 5)), "x", "none", {})
+    sweep = SweepMap(np.arange(2.0), x, np.zeros((2, 5)), "x", {})
     with pytest.raises(ConfigurationError):
         export_map(sweep, str(tmp_path / "m"), fmt="xml")
     assert not any(tmp_path.iterdir())  # rejected before any directory is made
@@ -432,7 +430,7 @@ def test_export_render_appends_png_after_sidecar(tmp_path, monkeypatch):
     monkeypatch.setattr(bixsim.export, "render_heatmap", stub)
     x = np.linspace(-1.0, 1.0, 5)
     res = SpectrumResult(x, np.ones_like(x), {})
-    sweep = SweepMap(np.arange(2.0), x, np.ones((2, 5)), "x", "none", {})
+    sweep = SweepMap(np.arange(2.0), x, np.ones((2, 5)), "x", {})
     got = export_spectrum(res, str(tmp_path), stem="s", render=True)
     assert got == [str(tmp_path / n) for n in ("s.csv", "s.meta.json", "s.png")]
     got = export_map(sweep, str(tmp_path), fmt="json", stem="m", render=True)

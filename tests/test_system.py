@@ -691,13 +691,15 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
     ops = [source_operator(cfg, w) for w in ("y-dipole", "y-cavity")]
     ab = [(s.conj().T, s) for s in ops]
-    for liouv, vec_l, idx, block in [
-        (whole, whole, np.arange(d * d), None), (l_odd, v_odd, odd, odd),
+    everything = np.arange(d * d)
+    for l_h, vec_l, idx in [
+        (liouville.liouvillian(k, pairs, everything), whole, everything),
+        (l_odd, v_odd, odd),
     ]:
         oracle = complex_regression_spectra(vec_l, ab, rho, -grid, idx, 1e-10 * norm)
         for rows in ([0], [1], [0, 1]):  # y-dipole, y-cavity, both
             got = liouville.emission_spectrum(
-                liouv, [ops[r] for r in rows], rho, grid, block, norm
+                l_h, [ops[r] for r in rows], rho, grid, idx, norm
             )
             want = oracle[rows].sum(axis=0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
@@ -730,10 +732,9 @@ def test_even_pair_on_the_block_of_rho_ss_is_finite_at_omega_zero(n_max_y, whole
     spec = HilbertSpec(n_max_y)
     k, pairs = system._generator(cfg)
     even, _ = spec.parity_blocks()
-    block = None if whole else even
     idx = np.arange(spec.dim**2) if whole else even
-    liouv = liouville.liouvillian(k, pairs, block)
-    vec_l = gather_liouvillian(k, pairs, block)  # vec entries, for the direct solve
+    l_h = liouville.liouvillian(k, pairs, idx)
+    vec_l = gather_liouvillian(k, pairs, idx)  # vec entries, for the direct solve
     rho = steady_state(
         liouville.liouvillian(k, pairs, even), kernel_rtol=cfg.numerics.steady_rtol,
         block=even,
@@ -742,7 +743,7 @@ def test_even_pair_on_the_block_of_rho_ss_is_finite_at_omega_zero(n_max_y, whole
     n_op = s.conj().T @ s
     n = cfg.numerics
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
-    got = liouville.regression_spectrum(liouv, [(n_op, n_op)], rho, grid, block)
+    got = liouville.regression_spectrum(l_h, [(n_op, n_op)], rho, grid, idx)
     assert np.isfinite(got[grid == 0.0]).all() and np.count_nonzero(grid == 0.0) == 1
 
     # a direct solve per frequency away from 0
