@@ -69,6 +69,16 @@ _KRYLOV_STEP = 10  # blocks added to the reduced model between two checks
 _KRYLOV_MAX_BLOCKS = 80  # reduced-model order cap, in blocks, before eig
 _KRYLOV_RTOL = 1e-10  # change between successive orders, relative to max|S|
 _KRYLOV_BREAKDOWN = 1e-12  # new block left by Gram-Schmidt, relative: invariant
+# T's (c, t) by the side k = 0, 1, 2 of rho[i, j] (i = j, i < j, i > j), and
+# the weights c_m c_n, -c_m t_n, t_m c_n, t_m t_n of an entry of L at (m, n)
+# by its kind 3 k_m + k_n; for its imaginary part the middle two flip sign
+_SIDE_C = np.array([1.0, _SQRT_HALF, _SQRT_HALF])
+_SIDE_T = np.array([0.0, _SQRT_HALF, -_SQRT_HALF])
+_REAL_WEIGHTS = np.array([
+    np.outer(_SIDE_C, _SIDE_C), -np.outer(_SIDE_C, _SIDE_T),
+    np.outer(_SIDE_T, _SIDE_C), np.outer(_SIDE_T, _SIDE_T),
+]).reshape(4, 9)
+_IMAG_WEIGHTS = _REAL_WEIGHTS * np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 __all__ = [
     "vec",
@@ -249,42 +259,50 @@ def _hermitian_scatter(rows, cols, vals, idx: np.ndarray, d: int) -> np.ndarray:
     T (module docstring) has at most two entries per column: vec index v of
     rho[i, j] goes to the pair's first row s with weight c and to its second
     row s + p with weight -i t, where (c, t) = (1, 0) on the diagonal,
-    (1, 1) / sqrt(2) for i < j and (1, -1) / sqrt(2) for i > j.  So each
-    entry lands in L_h as up to four real entries, which one bincount sums;
-    a second one sums their imaginary parts, and SolverError names the
-    largest if it exceeds 1e-12 max|L_h|: L then does not preserve
-    Hermiticity.  Rows and columns of L_h follow `_hermitian_basis`.
+    (1, 1) / sqrt(2) for i < j and (1, -1) / sqrt(2) for i > j.  So an
+    entry v of L at (m, n) lands in L_h as up to four entries, c_m c_n v,
+    i c_m t_n v, -i t_m c_n v and t_m t_n v.  Their real parts are
+    Re v c_m c_n, -Im v c_m t_n, Im v t_m c_n and Re v t_m t_n, and their
+    imaginary parts Im v c_m c_n, Re v c_m t_n, -Re v t_m c_n and
+    Im v t_m t_n.  One (4, N) float buffer takes either set of weights,
+    each slot filled from a 9-entry table by the sides of m and n and then
+    scaled in place by Re v or Im v, so no complex temporary is formed, and
+    one bincount sums it.  The imaginary sum comes first and only its
+    largest entry is kept: SolverError names it if it exceeds
+    1e-12 max|L_h|, since L then does not preserve Hermiticity.
+    Rows and columns of L_h follow `_hermitian_basis`.
     """
     order, nd = _hermitian_basis(idx, d)
     n, p = idx.size, (idx.size - nd) // 2
     slot = np.full(d * d, -1)
     slot[idx[order]] = np.concatenate([np.arange(nd + p), np.arange(nd, nd + p)])
-    i, j = np.divmod(np.arange(d * d), d)[::-1]
-    tab_t = _SQRT_HALF * np.sign(j - i)
-    tab_c = np.where(i == j, 1.0, _SQRT_HALF)
-    # T[s, m] v T+[n, t] for (s, t) = (s, s), (s, s'), (s', s), (s', s') of
-    # the pairs of m and n is a c, i a t, -i b c, b t with a = c_m v, b = t_m v
     flat = np.empty((4, rows.size), dtype=np.intp)
     np.add(slot[rows] * n, slot[cols], out=flat[0])
     np.add(flat[0], p, out=flat[1])
     np.add(flat[0], p * n, out=flat[2])
     np.add(flat[2], p, out=flat[3])
-    a, b = vals * tab_c[rows], vals * tab_t[rows]
-    cc, tc = tab_c[cols], tab_t[cols]
-    z, x = (a, 1j * a, -1j * b, b), (cc, tc, cc, tc)
-    w, sums = np.empty((4, rows.size)), []
-    for part in (np.real, np.imag):
-        for k in range(4):
-            np.multiply(part(z[k]), x[k], out=w[k])
-        sums.append(np.bincount(flat.ravel(), w.ravel(), n * n))
-    l_h, imag = sums[0].reshape(n, n), sums[1]
+    i, j = np.divmod(np.arange(d * d), d)[::-1]
+    side = (np.sign(j - i) % 3).astype(np.int8)
+    kind = 3 * side[rows] + side[cols]
+    w = np.empty((4, rows.size))
+
+    def summed(x, y, weights):
+        for m, part in enumerate((x, y, y, x)):
+            np.take(weights[m], kind, out=w[m], mode="clip")  # unbuffered
+            w[m] *= part
+        return np.bincount(flat.ravel(), w.ravel(), n * n)
+
+    imag = summed(vals.imag, vals.real, _IMAG_WEIGHTS)
+    worst = np.abs(imag, out=imag).argmax()
+    worst_im = imag[worst]
+    del imag
+    l_h = summed(vals.real, vals.imag, _REAL_WEIGHTS).reshape(n, n)
     bound = _HERMITICITY_RTOL * max(l_h.max(), -l_h.min())
-    if max(imag.max(), -imag.min()) > bound:
-        imag = np.abs(imag)
-        k, m = np.unravel_index(np.argmax(imag), (n, n))
+    if worst_im > bound:
+        k, m = divmod(int(worst), n)
         raise SolverError(
             f"L does not preserve Hermiticity: |Im L_h[{k}, {m}]| = "
-            f"{imag[k * n + m]:.3e} in the Hermitian basis, above "
+            f"{worst_im:.3e} in the Hermitian basis, above "
             f"{_HERMITICITY_RTOL:.0e} * max|L_h| = {bound:.3e}"
         )
     return l_h
@@ -616,8 +634,10 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
     """
     n = l_h.shape[0]
     sigma = _KRYLOV_SHIFT * np.abs(omega_grid).max()
+    op = -l_h
+    op.flat[::n + 1] += sigma
     try:
-        op = np.linalg.inv(sigma * np.eye(n) - l_h)
+        op = np.linalg.inv(op)
     except np.linalg.LinAlgError:
         return None
     first = (np.hstack([starts.real, starts.imag]), np.vstack([rows.real, rows.imag]).T)

@@ -23,6 +23,12 @@ transition that adds or removes the biexciton sees a relative displacement
 of (xx_scaling - 1) exciton units.  With the default xx_scaling = 2 every
 drive and cavity coupling term sees exactly one unit and a single phi(t)
 covers all of them.
+
+`polaron_dissipator` returns the scattering term as K and the sandwich
+pairs that `liouville.liouvillian` takes, written on each displacement
+group's raising operator g and on g+ rather than on its quadratures
+g + g+ and i (g - g+): the same generator, from half the products of
+operator entries.
 """
 
 from __future__ import annotations
@@ -238,13 +244,23 @@ def polaron_dissipator(
 
         L rho = - Sum_m Int_0^inf dt G_m(t) [X_m, X_m(-t) rho] + h.c.
 
-    with X_g the in-phase and X_u the out-of-phase quadrature of the
-    coupling terms and X_m(-t) evaluated in the eigenbasis of h_system.
-    Displacement classes (plain exciton vs biexciton steps) are handled
-    pairwise with their cross-correlations.  With N_m = Int dt G_m X_m(-t),
-    the term is returned in the form of `liouville.liouvillian`:
-    K = -Sum_m X_m N_m and the pairs (N_m, X_m) and (X_m, N_m+).  It
-    preserves trace and Hermiticity by construction.
+    with X_g = g + g+ the in-phase and X_u = i (g - g+) the out-of-phase
+    quadrature of g, the summed raising operators of one displacement
+    group, and X_m(-t) evaluated in the eigenbasis of h_system.  Groups
+    (plain exciton vs biexciton steps) are handled pairwise with their
+    cross-correlations.  With N_m = Int dt G_m X_m(-t) the term is
+    K rho + rho K+ + Sum_m (N_m rho X_m + X_m rho N_m+) with
+    K = -Sum_m X_m N_m.  It is returned on g and g+ rather than on the
+    quadratures: with P = N_g + i N_u and Q = N_g - i N_u,
+    N_g rho X_g + N_u rho X_u = P rho g + Q rho g+, so each group gives
+    K = -(g P + g+ Q) and the pairs (P, g), (g+, P+), (Q, g+) and (g, Q+),
+    each pair followed by its Hermitian mirror.  This is the same
+    generator, but each dense P or Q meets only the nonzero entries of g
+    or g+, half as many as those of X_m, so `liouvillian` forms half the
+    products.  In the eigenbasis of h, P = g (F_g - F_u) + g+ (F_g + F_u)
+    and Q = g (F_g + F_u) + g+ (F_g - F_u) entry by entry, with F_g and
+    F_u the half-sided transforms of G_g and G_u.  The term preserves
+    trace and Hermiticity by construction.
     """
     h = np.asarray(h_system, dtype=complex)
     dim = h.shape[0]
@@ -262,24 +278,23 @@ def polaron_dissipator(
 
     energies, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     factors = sorted(groups)
-    quads = {}
-    for f in factors:
-        quads[f, 0] = groups[f] + groups[f].conj().T
-        quads[f, 1] = 1j * (groups[f] - groups[f].conj().T)
-    keys = [(f_a, m) for f_a in factors for m in (0, 1)]
     half_ft = _half_transforms(
         energies, kernels.t_grid,
-        [kernels.correlations(f_a, f_b)[m] for f_a, m in keys for f_b in factors],
-    ).reshape(len(keys), len(factors), dim, dim)
+        [c for f_a in factors for f_b in factors for c in kernels.correlations(f_a, f_b)],
+    ).reshape(len(factors), len(factors), 2, dim, dim)
+    tilde = [v.conj().T @ groups[f] @ v for f in factors]  # g in the eigenbasis
 
     k = np.zeros((dim, dim), dtype=complex)
     pairs = []
-    for (f_a, m), fts in zip(keys, half_ft):
-        # N_m in the eigenbasis of h, summed over the displacement groups f_b
-        n_tilde = sum((v.conj().T @ quads[f_b, m] @ v) * ft
-                      for f_b, ft in zip(factors, fts))
-        n_op = v @ n_tilde @ v.conj().T
-        x_a = quads[f_a, m]
-        k -= x_a @ n_op
-        pairs += [(n_op, x_a), (x_a, n_op.conj().T)]
+    for f_a, fts in zip(factors, half_ft):
+        # P and Q in the eigenbasis of h, summed over the groups f_b
+        p_t = sum(g_t * (f_g - f_u) + g_t.conj().T * (f_g + f_u)
+                  for g_t, (f_g, f_u) in zip(tilde, fts))
+        q_t = sum(g_t * (f_g + f_u) + g_t.conj().T * (f_g - f_u)
+                  for g_t, (f_g, f_u) in zip(tilde, fts))
+        g = groups[f_a]
+        for n_t, x in ((p_t, g), (q_t, g.conj().T)):
+            n_op = v @ n_t @ v.conj().T
+            k -= x @ n_op
+            pairs += [(n_op, x), (x.conj().T, n_op.conj().T)]
     return k, pairs

@@ -433,9 +433,10 @@ def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
 def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
     """K and sandwich pairs of the master equation, the input of `liouvillian`.
 
-    K = -iH - (1/2) Sum rate c+ c - Sum X_m N_m; the pairs are the Lindblad
-    jumps (sqrt(rate) c, sqrt(rate) c+) and, with phonons, the polaron pairs
-    (N_m, X_m) and (X_m, N_m+).
+    K = -iH - (1/2) Sum rate c+ c - Sum (g P + g+ Q); the pairs are the
+    Lindblad jumps (sqrt(rate) c, sqrt(rate) c+) and, with phonons, the
+    polaron pairs (P, g), (g+, P+), (Q, g+) and (g, Q+) of each
+    displacement group's raising operator g (`polaron_dissipator`).
     """
     spec = HilbertSpec(cfg.numerics.n_max_y)
     kernels = _kernels_for(cfg)
@@ -511,8 +512,10 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     even, odd = spec.parity_blocks()
     l_even = liouvillian(k, pairs, even)
     rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)
+    norm_even = np.linalg.norm(l_even)
+    del l_even  # one block of L held at a time
     l_odd = liouvillian(k, pairs, odd)
-    norm = np.hypot(np.linalg.norm(l_even), np.linalg.norm(l_odd))  # ||L||
+    norm = np.hypot(norm_even, np.linalg.norm(l_odd))  # ||L||
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
     sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)

@@ -127,11 +127,14 @@ def dense_half_transforms(energies, t, corrs):
     return out.T.reshape(len(corrs), dim, dim)
 
 
-def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
-    """K and pairs of `polaron_dissipator`, from a (d^2, n_t) table of exp(-i w t).
+def complex_exp_n_ops(h, coupling_terms, kernels):
+    """(g, N_g, N_u) of each displacement group, from a (d^2, n_t) table of exp(-i w t).
 
-    Each half-sided transform is the product of that complex phase table
-    with the Simpson-weighted correlation, one product per correlation.
+    g is the group's summed raising operator, and N_m = Int dt G_m X_m(-t)
+    for its quadratures X_g = g + g+ and X_u = i (g - g+), summed over the
+    groups' cross-correlations.  Each half-sided transform is the product
+    of that complex phase table with the Simpson-weighted correlation, one
+    product per correlation.
     """
     h = np.asarray(h, dtype=complex)
     dim = h.shape[0]
@@ -144,31 +147,61 @@ def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
     wts = simpson_weights(t)
     phase = np.exp(-1j * bohr[:, :, None] * t[None, None, :]).reshape(dim * dim, t.size)
     quads = {f: (c + c.conj().T, 1j * (c - c.conj().T)) for f, c in groups.items()}
-    k = np.zeros((dim, dim), dtype=complex)
-    pairs = []
+    out = []
     for f_a in sorted(groups):
+        n_ops = []
         for m in (0, 1):
-            x_a = quads[f_a][m]
             n_op = np.zeros((dim, dim), dtype=complex)
             for f_b in sorted(groups):
                 corr = kernels.correlations(f_a, f_b)[m]
                 half_ft = (phase @ (wts * corr)).reshape(dim, dim)
                 n_op += v @ ((v.conj().T @ quads[f_b][m] @ v) * half_ft) @ v.conj().T
-            k -= x_a @ n_op
-            pairs += [(n_op, x_a), (x_a, n_op.conj().T)]
+            n_ops.append(n_op)
+        out.append((groups[f_a], *n_ops))
+    return out
+
+
+def quadrature_polaron_dissipator(h, coupling_terms, kernels):
+    """The scattering term on the quadratures: K = -Sum_m X_m N_m and the
+    pairs (N_m, X_m), (X_m, N_m+), as the paper's master equation writes it."""
+    k, pairs = 0, []
+    for g, n_g, n_u in complex_exp_n_ops(h, coupling_terms, kernels):
+        for x_m, n_m in ((g + g.conj().T, n_g), (1j * (g - g.conj().T), n_u)):
+            k = k - x_m @ n_m
+            pairs += [(n_m, x_m), (x_m, n_m.conj().T)]
     return k, pairs
 
 
-def _polaron_inputs(n_max_y, xx_scaling):
-    """H, coupling terms and kernels of the driven baseline system."""
+def complex_exp_polaron_dissipator(h, coupling_terms, kernels):
+    """K and pairs of `polaron_dissipator`, in its form on g and g+.
+
+    The N_g and N_u of `complex_exp_n_ops` are recombined into
+    P = N_g + i N_u and Q = N_g - i N_u: K = -(g P + g+ Q) and the pairs
+    (P, g), (g+, P+), (Q, g+), (g, Q+) for each group.
+    """
+    k, pairs = 0, []
+    for g, n_g, n_u in complex_exp_n_ops(h, coupling_terms, kernels):
+        for n_op, x in ((n_g + 1j * n_u, g), (n_g - 1j * n_u, g.conj().T)):
+            k = k - x @ n_op
+            pairs += [(n_op, x), (x.conj().T, n_op.conj().T)]
+    return k, pairs
+
+
+def _polaron_config(n_max_y, xx_scaling):
+    """The driven baseline system with phonons, at a nonzero laser detuning."""
     base = system.default_config()
-    cfg = replace(
+    return replace(
         base,
         drive=replace(base.drive, omega=252.83669951857598),
         phonon=replace(base.phonon, enable=True, xx_scaling=xx_scaling),
         numerics=replace(base.numerics, n_max_y=n_max_y),
         laser_detuning=12.0,
     )
+
+
+def _polaron_inputs(n_max_y, xx_scaling):
+    """H, coupling terms and kernels of the driven baseline system."""
+    cfg = _polaron_config(n_max_y, xx_scaling)
     kernels = system._kernels_for(cfg)
     terms = system._coupling_terms(cfg, HilbertSpec(n_max_y), kernels)
     return reduced_hamiltonian(cfg), terms, kernels
@@ -371,6 +404,17 @@ def test_polaron_transforms_match_complex_exp_oracle(n_max_y, xx_scaling):
         assert np.max(np.abs(op - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("xx_scaling", [2.0, 2.5])
+@pytest.mark.parametrize("n_max_y", [2, 6])
+def test_form_on_g_and_quadrature_form_give_the_same_liouvillian(n_max_y, xx_scaling):
+    # P rho g + Q rho g+ = N_g rho X_g + N_u rho X_u, mirrored, and
+    # g P + g+ Q = X_g N_g + X_u N_u: the same whole L from half the products
+    h, terms, kernels = _polaron_inputs(n_max_y, xx_scaling)
+    got = liouvillian(*polaron_dissipator(h, terms, kernels))
+    want = liouvillian(*quadrature_polaron_dissipator(h, terms, kernels))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n_max_y", [2, 6])
 def test_half_transforms_match_dense_cos_sin_tables(n_max_y):
     from bixsim.phonons import _half_transforms
@@ -397,6 +441,26 @@ def test_polaron_dissipator_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_phonon_parity_blocks_peak_memory():
+    # both parity blocks of the phonon-on generator at n_max_y=6, 31,664 and
+    # 32,344 products on g and g+: a (4, N) index and one (4, N) float weight
+    # buffer, and one block-sized sum at a time, 4.4 MB in all; complex
+    # weights with both sums held take 8.2 MB, and on top of that the
+    # 51,928 and 53,056 products of the pairs on the quadratures 11.9 MB
+    import tracemalloc
+
+    k, pairs = system._generator(_polaron_config(6, 2.0))
+    blocks = HilbertSpec(6).parity_blocks()
+    tracemalloc.start()
+    try:
+        for block in blocks:
+            liouvillian(k, pairs, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_polaron_dissipator_damps_dressed_coherences():
