@@ -22,11 +22,11 @@ from .hilbert import HilbertSpec, identity
 from .liouville import solver_hygiene, steady_state, vec
 from .sweeps import detuning_sweep, extract_peaks, phonon_comparison, power_sweep
 from .system import (
+    _SOURCES,
     assemble_liouvillian,
     calibrate_drive,
     compute_spectrum_y,
     config_from_dict,
-    config_hash,
     detunings,
     drive_params,
     load_config,
@@ -50,7 +50,7 @@ def _load(args):
     cfg = load_config(args.config) if args.config else _baseline_config()
     if getattr(args, "phonons", None):
         cfg = replace(cfg, phonon=replace(cfg.phonon, enable=args.phonons == "on"))
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         if args.grid < 3:
             raise ConfigurationError("--grid must be at least 3")
         cfg = replace(cfg, numerics=replace(cfg.numerics, n_omega=args.grid))
@@ -99,7 +99,7 @@ def _cmd_spectrum(args):
     paths = export_spectrum(result, args.out, fmt=args.format, render=args.render)
     report = extract_peaks(result)
     print(f"spectrum: {result.omega_offsets.size} points, "
-          f"{report.n_peaks} peaks, config {config_hash(cfg)[:12]}")
+          f"{report.n_peaks} peaks, config {result.metadata['config_hash'][:12]}")
     for pos, height in zip(report.positions, report.heights):
         print(f"  peak at {pos:+10.3f} ueV  height {height:.4e}")
     for p in paths:
@@ -205,9 +205,8 @@ def _spectrum_deviation(cfg, liouv, rho):
     rho_v = vec(rho)
     lifted = np.outer(rho_v, vec(np.eye(rho.shape[0]))) - liouv
     eye = np.eye(liouv.shape[0])
-    sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
     want = np.zeros(len(idx))
-    for which in sources:
+    for which in _SOURCES[cfg.source]:
         s = source_operator(cfg, which)
         s_rho = s @ rho
         start = vec(s_rho) - np.trace(s_rho) * rho_v

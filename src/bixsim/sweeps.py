@@ -1,9 +1,9 @@
 """Power and detuning sweeps of the emission spectrum, plus peak analysis.
 
 Both sweeps run one row loop, `_sweep`: each row sets one config field (the
-drive amplitude or the laser detuning) and is one `compute_spectrum_y`; the
-rows, in order and each divided by its own maximum, form a SweepMap, and a
-failing row names its axis value.
+drive amplitude or the laser detuning) and is one normalized
+`compute_spectrum_y`; the rows, in order, form a SweepMap, and a failing
+row names its axis value.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ __all__ = [
     "extract_peaks",
 ]
 
-_DARK_ROW = 1e-300
+_MIN_PROMINENCE = 0.01  # of the spectrum maximum
+_CLUSTER_OFFSET = 500.0  # ueV from the laser
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,11 @@ class SweepMap:
 
 
 def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
-    """Map of the spectra of vary(cfg, v) for v in values, one row each,
-    each row divided by its own maximum (a dark row stays as it is).  The
-    values must be at least two and distinct, or ConfigurationError."""
+    """Map of the spectra of vary(cfg, v) for v in values, one row each.
+
+    Each row is `compute_spectrum_y` with normalize=True, so it is divided
+    by its own maximum and a dark row stays zero.  The values must be at
+    least two and distinct, or ConfigurationError."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("a sweep needs at least two rows")
@@ -72,7 +75,7 @@ def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
         )
     rows = []
     for v in values:
-        row = replace(vary(cfg, float(v)), normalize=False)
+        row = replace(vary(cfg, float(v)), normalize=True)
         try:
             rows.append(compute_spectrum_y(row))
         except SolverError as exc:
@@ -80,10 +83,6 @@ def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
     meta = {"base_config_hash": config_hash(cfg), "sweep": kind,
             "normalization": "per-row"}
     intensity = np.array([r.intensity for r in rows])
-    for row in intensity:
-        top = row.max()
-        if top > _DARK_ROW:
-            row /= top
     return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name, meta)
 
 
@@ -136,20 +135,21 @@ def phonon_comparison(cfg: SystemConfig) -> tuple[SpectrumResult, SpectrumResult
     """Spectra with and without the phonon channel, on a common scale.
 
     The two configs differ only in phonon.enable; both raw spectra are
-    divided by their common maximum so relative weights stay comparable.
+    divided by their common maximum when it is positive, so relative
+    weights stay comparable.
     """
     cfg_on = replace(cfg, phonon=replace(cfg.phonon, enable=True), normalize=False)
     cfg_off = replace(cfg, phonon=replace(cfg.phonon, enable=False), normalize=False)
     res_on = compute_spectrum_y(cfg_on)
     res_off = compute_spectrum_y(cfg_off)
     top = max(res_on.intensity.max(), res_off.intensity.max())
-    scale = 1.0 / top if top > _DARK_ROW else 1.0
+    scale = top if top > 0.0 else 1.0
 
     def rescale(res, label):
         meta = dict(res.metadata)
         meta["comparison"] = label
         meta["common_scale"] = top
-        return SpectrumResult(res.omega_offsets, res.intensity * scale, meta)
+        return SpectrumResult(res.omega_offsets, res.intensity / scale, meta)
 
     return rescale(res_on, "phonons-on"), rescale(res_off, "phonons-off")
 
@@ -195,17 +195,14 @@ class PeakReport:
         return int(self.positions.size)
 
 
-def extract_peaks(
-    result: SpectrumResult,
-    min_prominence: float = 0.01,
-    cluster_offset: float = 500.0,
-) -> PeakReport:
+def extract_peaks(result: SpectrumResult) -> PeakReport:
     """Locate spectral peaks and group them into detuned clusters.
 
-    Peaks are found by prominence relative to the spectrum maximum and
-    refined with a three-point parabola.  Clusters beyond +-cluster_offset
-    from the laser are reported with their internal splittings; left/right
-    sums aggregate peak heights below/above the laser.
+    Peaks are the local maxima with a prominence of at least 1% of the
+    spectrum maximum, refined with a three-point parabola.  Clusters more
+    than 500 ueV from the laser are reported with their internal
+    splittings; left/right sums aggregate peak heights below/above the
+    laser.
     """
     x = np.asarray(result.omega_offsets, dtype=float)
     y = np.asarray(result.intensity, dtype=float)
@@ -213,18 +210,17 @@ def extract_peaks(
     if top <= 0.0:
         empty = np.array([])
         return PeakReport(empty, empty, empty.copy(), empty.copy(), 0.0, 0.0)
-    idx = _find_peaks(y, min_prominence * top)
+    idx = _find_peaks(y, _MIN_PROMINENCE * top)
     positions = []
     heights = []
     for i in idx:
-        xi, yi = x[i], y[i]
-        if 0 < i < y.size - 1:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            if denom < 0.0:
-                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-                shift = float(np.clip(shift, -1.0, 1.0))
-                xi = x[i] + shift * (x[i] - x[i - 1])
-                yi = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+        xi, yi = x[i], y[i]  # never an end sample (`_find_peaks`)
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        if denom < 0.0:
+            shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+            shift = float(np.clip(shift, -1.0, 1.0))
+            xi = x[i] + shift * (x[i] - x[i - 1])
+            yi = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
         positions.append(float(xi))
         heights.append(float(yi))
     positions = np.array(positions)
@@ -237,8 +233,8 @@ def extract_peaks(
     return PeakReport(
         positions=positions,
         heights=heights,
-        upper_splittings=splittings(positions > cluster_offset),
-        lower_splittings=splittings(positions < -cluster_offset),
+        upper_splittings=splittings(positions > _CLUSTER_OFFSET),
+        lower_splittings=splittings(positions < -_CLUSTER_OFFSET),
         left_sum=float(heights[positions < 0.0].sum()),
         right_sum=float(heights[positions > 0.0].sum()),
     )

@@ -76,7 +76,9 @@ __all__ = [
     "calibrate_drive",
 ]
 
-_SOURCES = ("y-dipole", "y-cavity", "both")
+# each `source` setting and the emission channels whose spectra it sums
+_SOURCES = {"y-dipole": ("y-dipole",), "y-cavity": ("y-cavity",),
+            "both": ("y-dipole", "y-cavity")}
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ class SystemConfig:
         c = self.couplings
         if self.source not in _SOURCES:
             raise ConfigurationError(
-                f"unknown source {self.source!r}; expected one of {_SOURCES}"
+                f"unknown source {self.source!r}; expected one of {tuple(_SOURCES)}"
             )
         d = self.drive
         override = d.eta1 is not None or d.eta2 is not None
@@ -213,18 +215,6 @@ def default_config() -> SystemConfig:
 # -- config (de)serialization -------------------------------------------------
 
 
-def _encode(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if is_dataclass(v):
-            v = _encode(v)
-        elif isinstance(v, complex):
-            v = [v.real, v.imag]
-        out[f.name] = v
-    return out
-
-
 def _decode(cls, data, where: str):
     """cls from the JSON object data; the sections check their own values."""
     if not isinstance(data, dict):
@@ -240,12 +230,20 @@ def _decode(cls, data, where: str):
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    """Plain-JSON form of cfg, complex amplitudes as [re, im].
+    """Plain-JSON form of cfg or of a section, complex amplitudes as [re, im].
 
     Every value is stored as its field's type, so equal configs give equal
     dicts and equal `config_hash`.
     """
-    return _encode(cfg)
+    out = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if is_dataclass(v):
+            v = config_to_dict(v)
+        elif isinstance(v, complex):
+            v = [v.real, v.imag]
+        out[f.name] = v
+    return out
 
 
 def config_from_dict(data: dict) -> SystemConfig:
@@ -465,10 +463,10 @@ def assemble_liouvillian(cfg: SystemConfig) -> np.ndarray:
     return liouvillian(*_generator(cfg))
 
 
-def source_operator(cfg: SystemConfig, which: str | None = None) -> np.ndarray:
-    """Lowering operator of the requested emission channel."""
+def source_operator(cfg: SystemConfig, which: str) -> np.ndarray:
+    """Lowering operator of one emission channel, "y-dipole" or "y-cavity"
+    (`_SOURCES` maps each `source` setting to the channels it sums)."""
     spec = HilbertSpec(cfg.numerics.n_max_y)
-    which = which or cfg.source
     if which == "y-dipole":
         return embed_qd_transition(spec, "Y", "G") + embed_qd_transition(
             spec, "XX", "Y"
@@ -518,8 +516,7 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     norm = np.hypot(norm_even, np.linalg.norm(l_odd))  # ||L||
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
-    sources = ("y-dipole", "y-cavity") if cfg.source == "both" else (cfg.source,)
-    ops = [source_operator(cfg, which) for which in sources]
+    ops = [source_operator(cfg, which) for which in _SOURCES[cfg.source]]
     total = emission_spectrum(l_odd, ops, rho_ss, grid, odd, norm)
     total = np.clip(total, 0.0, None)
     if cfg.normalize and total.max() > 0.0:

@@ -232,9 +232,10 @@ def test_render_without_matplotlib_is_config_error(tmp_path, capsys, monkeypatch
 
 
 def test_bad_grid_value(fast_config_path, capsys):
-    rc = main(["dressed", "--config", fast_config_path, "--grid", "2"])
-    assert rc == EXIT_CONFIG
-    assert "--grid" in capsys.readouterr().err
+    for grid in ("2", "0", "-1"):  # a zero override is checked, not dropped
+        rc = main(["dressed", "--config", fast_config_path, "--grid", grid])
+        assert rc == EXIT_CONFIG
+        assert "--grid must be at least 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Phonon influence functional and polaron scattering term."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from kron_oracle import reduced_hamiltonian
 from bixsim import system
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import HilbertSpec
-from bixsim.liouville import liouvillian, unvec, vec
+from bixsim.liouville import liouvillian, steady_state, unvec, vec
 from bixsim.phonons import PhononConfig, build_kernels, polaron_dissipator
 from bixsim.units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
@@ -472,6 +472,87 @@ def test_polaron_dissipator_damps_dressed_coherences():
     evals = np.linalg.eigvals(dis)
     assert evals.real.min() < -1e-3  # some channels genuinely dissipate
     assert evals.real.max() < 1e-10  # none amplify
+
+
+# -- physical limits of the scattering term --------------------------------------
+
+
+def kms_deviation(params, t_max=None, n_t=1601):
+    """Worst relative deviation of S(w) / S(-w) from exp(w / k_B T), 50-2000 ueV.
+
+    S(w) = 2 Re[F_g + F_u] is the full transform of the bath correlation
+    <B>^2 (e^phi - 1), taken from `_half_transforms`, whose entry [p, q]
+    is at w = E_q - E_p.
+    """
+    from bixsim.phonons import _half_transforms
+
+    kernels = build_kernels(params, t_max=t_max, n_t=n_t)
+    w = np.arange(50.0, 2001.0, 50.0)
+    f_g, f_u = _half_transforms(np.concatenate(([0.0], w)), kernels.t_grid,
+                                list(kernels.correlations(1.0, 1.0)))
+    s = 2.0 * (f_g + f_u).real
+    ratio = s[0, 1:] / s[1:, 0]
+    return np.max(np.abs(ratio * np.exp(-w / (K_B_UEV_PER_K * params.temperature)) - 1.0))
+
+
+@pytest.mark.parametrize("temperature", [6.8, 20.0])
+def test_kernels_obey_detailed_balance(temperature):
+    # the KMS condition of a thermal bath; a sign or orientation slip in phi,
+    # the kernels or the half transforms breaks it at order one.  Measured:
+    # 5.0e-12 at 6.8 K, 1.9e-14 at 20 K
+    assert kms_deviation(replace(PARAMS, temperature=temperature)) < 1e-11
+
+
+def test_detailed_balance_at_4_kelvin_is_set_by_the_grid_end():
+    # at 4 K phi(t) decays more slowly and the default grid cuts it at
+    # |phi(t_max)| = 2.7e-9, which leaves 1.1e-6 in the ratio at 1850 ueV;
+    # twice the grid length (|phi| = 1.3e-15) brings it to 1.4e-12
+    cold = replace(PARAMS, temperature=4.0)
+    assert kms_deviation(cold) < 1e-5
+    t_max = 20.0 / cold.omega_b
+    assert kms_deviation(cold, t_max=t_max, n_t=3201) < 1e-11
+
+
+def _thermalization_config(gamma):
+    """G-X alone, driven on resonance by eta1 = 50 ueV, all decay rates gamma."""
+    base = system.default_config()
+    rates = {f.name: 0.0 for f in fields(base.rates) if f.name.startswith("dephasing")}
+    rates.update(gamma_x_g=gamma, gamma_y_g=gamma, gamma_xx_x=gamma, gamma_xx_y=gamma)
+    return replace(
+        base,
+        energies=replace(base.energies, omega_x=0.0),
+        couplings=replace(base.couplings, g1y=0.0, g2y=0.0),
+        rates=replace(base.rates, **rates),
+        drive=system.DriveConfig(eta1=50.0, eta2=0.0),
+        numerics=replace(base.numerics, n_max_y=0),
+        laser_detuning=0.0,
+    )
+
+
+def test_phonons_thermalize_the_dressed_states():
+    # once phonon scattering outweighs decay, the dressed states
+    # (|G> +- |X>)/sqrt(2), split by Delta = 2 <B> eta1 = 88.37 ueV, fill in
+    # the Boltzmann ratio exp(-Delta / k_B T) (McCutcheon & Nazir, New J.
+    # Phys. 12, 113042 (2010)); decay perturbs it at O(gamma).  Measured:
+    # 2.33e-2, 2.68e-3 and 2.72e-4 at gamma = 0.56, 0.056 and 0.0056 ueV
+    spec = HilbertSpec(0)
+    even, _ = spec.parity_blocks()
+    g, x = spec.index("G", 0), spec.index("X", 0)
+    deviations = []
+    for gamma in (0.56, 0.056, 0.0056):
+        cfg = _thermalization_config(gamma)
+        rho = steady_state(liouvillian(*system._generator(cfg), even),
+                           kernel_rtol=cfg.numerics.steady_rtol, block=even)
+        coherence = rho[g, x].real
+        p_hi = 0.5 * (rho[g, g] + rho[x, x]).real + coherence  # (|G> + |X>)/sqrt(2)
+        p_lo = 0.5 * (rho[g, g] + rho[x, x]).real - coherence
+        delta = 2.0 * system._kernels_for(cfg).bracket_b * 50.0
+        assert delta == pytest.approx(88.37, abs=0.01)
+        boltzmann = math.exp(-delta / (K_B_UEV_PER_K * cfg.phonon.temperature))
+        deviations.append(abs(p_hi / p_lo / boltzmann - 1.0))
+    for larger, smaller in zip(deviations, deviations[1:]):
+        assert 8.0 < larger / smaller < 12.0  # tenfold per decade of gamma
+    assert deviations[-1] < 5e-4
 
 
 def test_params_validation():

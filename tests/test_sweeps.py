@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bixsim
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.export import export_map, export_spectrum
 from bixsim.liouville import SpectrumResult
@@ -20,7 +21,7 @@ from bixsim.sweeps import (
     phonon_comparison,
     power_sweep,
 )
-from bixsim.system import default_config
+from bixsim.system import compute_spectrum_y, default_config, load_config
 
 
 def small_config():
@@ -255,7 +256,7 @@ def test_failing_sweep_row_names_its_axis_value(monkeypatch):
                        match=r"^row at laser_detuning=-12\.5 failed: no steady"):
         detuning_sweep(cfg, detuning_values=[-25.0, -12.5, 0.0])
     assert [c.laser_detuning for c in calls] == [-25.0, -12.5]
-    assert not any(c.normalize for c in calls)
+    assert all(c.normalize for c in calls)
 
 
 def test_phonon_comparison_shares_common_scale():
@@ -267,6 +268,35 @@ def test_phonon_comparison_shares_common_scale():
     top = max(on.intensity.max(), off.intensity.max())
     assert top == pytest.approx(1.0, rel=1e-12)
     assert on.metadata["common_scale"] == off.metadata["common_scale"]
+
+
+def test_map_rows_are_normalized_spectra():
+    # a map row is the spectrum compute_spectrum_y returns for the row's
+    # config, bit for bit; the zero-drive row is dark and stays zero
+    base = load_config(os.path.join(os.path.dirname(bixsim.__file__), "data",
+                                    "baseline.json"))
+    power = power_sweep(base, n_rows=5)
+    assert not np.any(power.values[0])
+    for omega, row in zip(power.axis1, power.values):
+        cfg = replace(base, drive=replace(base.drive, omega=float(omega)))
+        assert np.array_equal(row, compute_spectrum_y(cfg).intensity)
+    detuning = detuning_sweep(base, n_rows=5)
+    for d, row in zip(detuning.axis1, detuning.values):
+        cfg = replace(base, laser_detuning=float(d))
+        assert np.array_equal(row, compute_spectrum_y(cfg).intensity)
+
+
+def test_phonon_comparison_divides_by_the_common_maximum():
+    cfg = replace(small_config(), numerics=replace(small_config().numerics,
+                                                   n_omega=161))
+    on, off = phonon_comparison(cfg)
+    assert max(on.intensity.max(), off.intensity.max()) == 1.0
+    raw = [compute_spectrum_y(replace(cfg, phonon=replace(cfg.phonon, enable=e),
+                                      normalize=False)).intensity
+           for e in (True, False)]
+    top = max(r.max() for r in raw)
+    assert np.array_equal(on.intensity, raw[0] / top)
+    assert np.array_equal(off.intensity, raw[1] / top)
 
 
 def test_sweep_map_validation():

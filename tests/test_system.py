@@ -541,6 +541,19 @@ def test_both_sources_match_per_frequency_direct_solve():
     assert err < 1e-10
 
 
+def test_source_operator_takes_one_channel():
+    # a `source` setting names channels; the operator is asked for one by
+    # name, never read from cfg.source, so "both" is no channel
+    cfg = fast_config(source="both")
+    with pytest.raises(TypeError):
+        source_operator(cfg)
+    with pytest.raises(ConfigurationError, match="unknown source 'both'"):
+        source_operator(cfg, "both")
+    spec = HilbertSpec(cfg.numerics.n_max_y)
+    assert np.array_equal(source_operator(cfg, "y-cavity"),
+                          embed_photon_annihilator(spec))
+
+
 @pytest.mark.parametrize("source", ["y-dipole", "y-cavity", "both"])
 def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
     calls = []
