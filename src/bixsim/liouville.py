@@ -382,16 +382,17 @@ def steady_state(
     if block is None:
         liouv = np.asarray(liouv)
         d = math.isqrt(liouv.shape[0])
-        if liouv.shape != (d * d, d * d):
+        if not d or liouv.shape != (d * d, d * d):
             raise ConfigurationError("the whole Liouvillian must be square, of size d^2")
         idx = np.arange(d * d)
         rows, cols = np.nonzero(liouv)
         l_h = _hermitian_scatter(rows, cols, liouv[rows, cols].astype(complex), idx, d)
     else:
         idx = np.asarray(block)
-        d = math.isqrt(int(idx[-1]) + 1)
+        last = int(idx[-1]) if idx.size else -1
+        d = math.isqrt(max(last, 0) + 1)
         holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
-        if d * d != idx[-1] + 1 or not holds or np.any(np.diff(idx) <= 0):
+        if d * d != last + 1 or not holds or np.any(np.diff(idx) <= 0):
             raise SolverError(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
@@ -486,7 +487,6 @@ def regression_spectrum(
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
     block,
-    norm: float | None = None,
 ) -> np.ndarray:
     """Summed quantum-regression spectrum of a sequence of (A, B) pairs.
 
@@ -498,8 +498,8 @@ def regression_spectrum(
     docstring), where L is the real L_h.  The component of each
     B rho_ss along the Liouvillian kernel is projected out, which removes
     the elastic (delta-function) line and leaves the incoherent spectrum.
-    Both paths below end in `_resolvent_sum`, over poles and weights that
-    serve every pair and every grid frequency.
+    Both paths below find the poles and weights by `_poles` and end in
+    `_resolvent_sum`; one model serves every pair and every grid frequency.
 
     One real `eig` of L_h gives the poles and weights on a block that
     holds rho_ss and on any block of at most 200 rows
@@ -520,30 +520,32 @@ def regression_spectrum(
     that block that `liouvillian(k, pairs, block)` builds, the only part
     decomposed.  For the model's weak Z2 symmetry this is the odd parity
     block: rho_ss is even and every source flips the parity.  A system
-    without a symmetry passes every vec index, `np.arange(d * d)`.
-    `norm`, the scale of the guards below, is ||L||_F of the whole L; it
-    defaults to that of `l_h`.
+    without a symmetry passes every vec index, `np.arange(d * d)`.  The
+    guards below scale by max(||L_h||_F, 1), written ||L||.
 
     Raises SolverError if the block holds rho_ss and ||L_h T vec(rho_ss)||
-    exceeds 1e-9 max(norm, 1) (not stationary), if a start vector has weight
+    exceeds 1e-9 ||L|| (not stationary), if a start vector has weight
     outside the block, if a block that does not hold rho_ss has a kernel (a
     second stationary state that `steady_state`, decomposing only its own
     block, cannot see: on the `eig` path an eigenvalue within 1e-10 ||L|| of
     zero, on the reduced-model path a certificate 1 / (||L_h^-1|| ||L||) of
     at most 1e-10 from one solve and one transposed solve of L_h), if the
-    eigenbasis is singular, or if some grid frequency coincides with an
-    undamped pole (add dissipation to every channel before asking for a
-    spectrum).  Raises SolverError too if the block is not closed under
-    rho -> rho+.  Raises ConfigurationError if `l_h` is complex or does not
-    have the block's size.
+    `eig` fails or its eigenbasis is singular, or if a pole with weight is
+    undamped, wherever the grid lies (add dissipation to every channel
+    before asking for a spectrum).  Raises SolverError too if the block is
+    not closed under rho -> rho+.  Raises ConfigurationError if `pairs` is
+    empty, if `l_h` is complex or if it does not have the block's size.
     """
+    if len(pairs) == 0:
+        raise ConfigurationError("no sources: give at least one (A, B) pair, or "
+                                 "one lowering operator to emission_spectrum")
     idx = np.asarray(block)
     l_h = _block_matrix(l_h, idx)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
     order, nd = _hermitian_basis(idx, rho_ss.shape[0])
-    scale = max(np.linalg.norm(l_h) if norm is None else norm, 1.0)
+    scale = max(np.linalg.norm(l_h), 1.0)
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
@@ -580,25 +582,29 @@ def regression_spectrum(
         spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
         if spectrum is not None:
             return spectrum
-    evals, vecs = np.linalg.eig(l_h)
-    if not holds_rho:
-        n_kernel = int(np.sum(np.abs(evals) <= _KERNEL_RTOL * scale))
+    try:
+        weights, poles = _poles(l_h, rows, starts)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"eigendecomposition of L_h failed: {exc}") from exc
+    if holds_rho:  # the starts were projected off the kernel mode: zero its rounding
+        weights[np.argmin(np.abs(poles))] = 0.0
+    else:
+        n_kernel = int(np.sum(np.abs(poles) <= _KERNEL_RTOL * scale))
         if n_kernel:
             raise SolverError(
                 f"steady state is not unique: {n_kernel} eigenvalue(s) of a block "
                 f"without rho_ss lie within {_KERNEL_RTOL:.0e} ||L|| of zero"
             )
-    try:
-        amp = np.linalg.solve(vecs, starts)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Liouvillian eigenbasis is singular: {exc}") from exc
-    weights = np.sum((rows @ vecs) * amp.T, axis=0)
-    # the starts were projected off the kernel mode, so its weight is rounding
-    # that the grid point omega = 0 would blow up; drop it by index
-    if holds_rho:
-        weights[np.argmin(np.abs(evals))] = 0.0
+    return _resolvent_sum(weights, poles, omega_grid, scale)
 
-    return _resolvent_sum(weights, evals, omega_grid, scale)
+
+def _poles(a, rows, starts, gram=None) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, poles) with Sum_k rows_k (z - A)^-1 starts_k =
+    Sum_n weights[n] / (z - poles[n]): one `eig` A X = X diag(poles), and one
+    solve of X (of `gram` X, for an oblique projection) for the amplitudes."""
+    poles, vecs = np.linalg.eig(a)
+    amp = np.linalg.solve(vecs if gram is None else gram @ vecs, starts)
+    return np.sum((rows @ vecs) * amp.T, axis=0), poles
 
 
 def _certify_no_kernel(l_h: np.ndarray, scale: float) -> None:
@@ -664,12 +670,11 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
         formed = end
         try:
             gram = w[:, :end].T @ v[:, :end]
-            evals, vecs = np.linalg.eig(np.linalg.solve(gram, w[:, :end].T @ lv[:, :end]))
-            amp = np.linalg.solve(gram @ vecs, w[:, :end].T @ starts)
+            model = _poles(np.linalg.solve(gram, w[:, :end].T @ lv[:, :end]),
+                           rows @ v[:, :end], w[:, :end].T @ starts, gram)
         except np.linalg.LinAlgError:
             return None
-        weights = np.sum((rows @ v[:, :end] @ vecs) * amp.T, axis=0)
-        spectrum = _resolvent_sum(weights, evals, omega_grid, scale)
+        spectrum = _resolvent_sum(*model, omega_grid, scale)
         if exact or previous is not None and np.max(np.abs(spectrum - previous)) <= (
             _KRYLOV_RTOL * np.max(np.abs(spectrum))
         ):
@@ -678,30 +683,22 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
     return None
 
 
-def _resolvent_sum(weights, evals, omega_grid, scale: float) -> np.ndarray:
-    """S(w_i) = Re Sum_n weights[n] / (-i w_i - evals[n]) on the grid.
+def _resolvent_sum(weights, poles, omega_grid, scale: float) -> np.ndarray:
+    """S(w_i) = Re Sum_n weights[n] / (-i w_i - poles[n]) on the grid.
 
-    One reciprocal of the (n_omega, n) resolvent in place, then one
-    matrix-vector product.  An entry within 1e-12 `scale` of zero is a
-    grid point on an undamped eigenvalue: it raises SolverError if the
-    eigenvalue's weight exceeds 1e-14 of the largest (or of 1), and is
-    dropped otherwise.
+    A pole with |Re lambda| below 1e-12 `scale` is undamped, a line of zero
+    width: SolverError names it if its weight exceeds 1e-14 of the largest
+    (or of 1), wherever the grid lies, and it is dropped otherwise.  Then one
+    reciprocal of the (n_omega, n) resolvent in place and one product.
     """
-    resolvent = -1j * omega_grid[:, None] - evals
-    # |-i w - lambda| >= |Re lambda|, so only the columns of eigenvalues
-    # with |Re lambda| below the guard's scale can come near zero
-    tiny = 1e-12 * scale
-    near = np.flatnonzero(np.abs(evals.real) < tiny)
-    bad = np.abs(resolvent[:, near]) < tiny
+    undamped = np.abs(poles.real) < 1e-12 * scale
     live = np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0)
-    hit = np.any(bad & live[near], axis=1)
-    if np.any(hit):
-        raise SolverError(
-            f"resolvent singular at omega={omega_grid[np.argmax(hit)]:g}: an "
-            "undamped eigenvalue coincides with the grid; every channel needs "
-            "nonzero dissipation"
-        )
-    resolvent[:, near] = np.where(bad, np.inf, resolvent[:, near])
+    if np.any(undamped & live):
+        n = np.argmax(undamped & live)
+        raise SolverError(f"undamped pole lambda = {poles[n]:.6g} has weight "
+                          f"{abs(weights[n]):.3e}; every channel needs dissipation")
+    weights, poles = weights[~undamped], poles[~undamped]
+    resolvent = -1j * omega_grid[:, None] - poles
     np.reciprocal(resolvent, out=resolvent)
     return (resolvent @ weights).real
 
@@ -712,7 +709,6 @@ def emission_spectrum(
     rho_ss: np.ndarray,
     omega_grid: np.ndarray,
     block,
-    norm: float | None = None,
 ) -> np.ndarray:
     """Summed normal-ordered emission spectrum of a sequence of sources.
 
@@ -720,13 +716,14 @@ def emission_spectrum(
     for the lowering operators s, which is the regression spectrum of the
     pairs (A, B) = (s+, s) evaluated at -w.  With this orientation a
     transition above the laser appears at positive offset, so red/blue
-    asymmetries read off the grid directly.  `block` and `norm` are passed
-    on to `regression_spectrum`: the odd parity block for P-odd sources.
+    asymmetries read off the grid directly.  `block` is passed on to
+    `regression_spectrum`, with its guards and errors: the odd parity block
+    for P-odd sources.  An empty `lowering_ops` raises ConfigurationError.
     """
     ops = [np.asarray(s, dtype=complex) for s in lowering_ops]
     grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     pairs = [(s.conj().T, s) for s in ops]
-    return regression_spectrum(l_h, pairs, rho_ss, -grid, block, norm)
+    return regression_spectrum(l_h, pairs, rho_ss, -grid, block)
 
 
 def solver_hygiene(liouv: np.ndarray, rho_ss: np.ndarray) -> dict:

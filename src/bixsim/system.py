@@ -501,8 +501,8 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     agree to 1e-10 on the grid, with the `eig` as its fallback.  A start
     vector with weight outside the odd block raises, and so do a steady
     state that is not unique over the whole L (a kernel of the even block
-    other than one-dimensional, or a kernel of the odd block) and a block
-    whose L has an imaginary part in that basis.
+    other than one-dimensional, or a kernel of the odd block), a block
+    whose L has an imaginary part in that basis, and an undamped pole.
     """
     n = cfg.numerics
     spec = HilbertSpec(n.n_max_y)
@@ -510,14 +510,12 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     even, odd = spec.parity_blocks()
     l_even = liouvillian(k, pairs, even)
     rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)
-    norm_even = np.linalg.norm(l_even)
     del l_even  # one block of L held at a time
     l_odd = liouvillian(k, pairs, odd)
-    norm = np.hypot(norm_even, np.linalg.norm(l_odd))  # ||L||
     grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
 
     ops = [source_operator(cfg, which) for which in _SOURCES[cfg.source]]
-    total = emission_spectrum(l_odd, ops, rho_ss, grid, odd, norm)
+    total = emission_spectrum(l_odd, ops, rho_ss, grid, odd)
     total = np.clip(total, 0.0, None)
     if cfg.normalize and total.max() > 0.0:
         total = total / total.max()

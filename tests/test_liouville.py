@@ -267,9 +267,7 @@ def test_block_path_matches_full_space_on_symmetric_tls():
     assert rho_block[0, 1] == 0.0 and rho_block[1, 0] == 0.0
     grid = np.linspace(-3.0, 3.0, 61)
     s_full = emission_spectrum(liouvillian(k, pairs, ALL), [SIGMA], rho_full, grid, ALL)
-    s_block = emission_spectrum(
-        liouvillian(k, pairs, ODD), [SIGMA], rho_block, grid, ODD, np.linalg.norm(liouv)
-    )
+    s_block = emission_spectrum(liouvillian(k, pairs, ODD), [SIGMA], rho_block, grid, ODD)
     assert np.max(np.abs(s_block - s_full)) < 1e-12 * np.max(s_full)
     # the spectrum functions take only the real L_h of a block: the whole
     # complex L is refused, with a block of another size or of its own
@@ -372,10 +370,13 @@ def test_resolvent_guard_on_undamped_odd_block():
     # vec entries, [[0, 0.7], [-0.7, 0]] in the Hermitian basis
     k, pairs = pumped_tls(delta=0.7)
     rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
-    grid = np.linspace(-1.4, 1.4, 5)
     undamped = np.array([[0.0, 0.7], [-0.7, 0.0]])
-    with pytest.raises(SolverError, match="resolvent singular"):
-        emission_spectrum(undamped, [SIGMA], rho, grid, ODD)
+    # the first grid holds +-0.7; the others miss it, and the pole raises all
+    # the same instead of leaving a spectrum of zeros
+    for grid in (np.linspace(-1.4, 1.4, 5), np.linspace(-1.4, 1.4, 6),
+                 np.linspace(-1.3, 1.3, 101)):
+        with pytest.raises(SolverError, match=r"undamped pole lambda = .*0\.7j"):
+            emission_spectrum(undamped, [SIGMA], rho, grid, ODD)
 
 
 def test_undamped_mode_without_weight_on_the_grid_is_dropped():
@@ -437,14 +438,29 @@ def test_start_vector_outside_block_raises():
 
 
 def test_steady_state_rejects_a_block_without_the_diagonal():
-    # the odd block holds no diagonal entry of rho, and an unsorted even block
-    # does not say where each kernel entry goes; both raise before any solve
+    # the odd block holds no diagonal entry of rho, an unsorted even block
+    # does not say where each kernel entry goes, and an empty block holds
+    # nothing; all raise before any solve, as does an empty whole L
     k, pairs = pumped_tls()
     with pytest.raises(SolverError, match="holding every diagonal entry"):
         steady_state(liouvillian(k, pairs, ODD), block=ODD)
     flipped = EVEN[::-1]
-    with pytest.raises(SolverError, match="must be sorted vec indices"):
-        steady_state(liouvillian(k, pairs, flipped), block=flipped)
+    for l_h, block in [(liouvillian(k, pairs, flipped), flipped),
+                       (np.zeros((0, 0)), [])]:
+        with pytest.raises(SolverError, match="must be sorted vec indices"):
+            steady_state(l_h, block=block)
+    with pytest.raises(ConfigurationError, match="whole Liouvillian must be square"):
+        steady_state(np.zeros((0, 0)))
+
+
+def test_spectrum_without_sources_raises():
+    k, pairs = pumped_tls()
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
+    l_odd, grid = liouvillian(k, pairs, ODD), np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ConfigurationError, match="no sources: .* lowering operator"):
+        emission_spectrum(l_odd, [], rho, grid, ODD)
+    with pytest.raises(ConfigurationError, match=r"no sources: .* \(A, B\) pair"):
+        regression_spectrum(l_odd, [], rho, grid, ODD)
 
 
 def test_builder_rejects_a_bare_hamiltonian_or_superoperators():
@@ -592,7 +608,7 @@ def test_hermitian_basis_matches_complex_decompositions(seed):
         (l_even, v_even, even, [flips @ flips.T]),  # a P-even pair, on the block with rho
     ]:
         pairs_ab = [(op.conj().T, op) for op in ops]
-        got = regression_spectrum(l_h, pairs_ab, rho, grid, idx, norm)
+        got = regression_spectrum(l_h, pairs_ab, rho, grid, idx)
         want = complex_regression_spectra(vec_l, pairs_ab, rho, grid, idx, 1e-10 * norm)
         want = want.sum(axis=0)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -711,9 +711,7 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
     ]:
         oracle = complex_regression_spectra(vec_l, ab, rho, -grid, idx, 1e-10 * norm)
         for rows in ([0], [1], [0, 1]):  # y-dipole, y-cavity, both
-            got = liouville.emission_spectrum(
-                l_h, [ops[r] for r in rows], rho, grid, idx, norm
-            )
+            got = liouville.emission_spectrum(l_h, [ops[r] for r in rows], rho, grid, idx)
             want = oracle[rows].sum(axis=0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
 
@@ -724,8 +722,8 @@ def test_hermitian_basis_matches_complex_decompositions(n_max_y, phonons):
     svd_l_odd = (t_odd @ v_odd @ t_odd.conj().T).real
     for rows in ([0], [1], [0, 1]):
         srcs = [ops[r] for r in rows]
-        got = liouville.emission_spectrum(l_odd, srcs, rho, grid, odd, norm)
-        want = liouville.emission_spectrum(svd_l_odd, srcs, rho_svd, grid, odd, norm)
+        got = liouville.emission_spectrum(l_odd, srcs, rho, grid, odd)
+        want = liouville.emission_spectrum(svd_l_odd, srcs, rho_svd, grid, odd)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), rows
 
 
