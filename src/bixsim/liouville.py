@@ -43,6 +43,11 @@ one real `eig` of L_h, except for a block without rho_ss of more than 200
 rows (the odd block from n_max_y=5 on): there a two-sided Krylov reduced
 model of the resolvent r^T (z - L_h)^-1 s serves, with the `eig` as its
 fallback (`regression_spectrum`).
+
+Every guard scales by max(||L_h||_F, 1) of the block it reads, written
+||L||, and one certificate decides uniqueness: `_solve_with_gap` gives
+1 / (||M^-1|| ||L||) for the trace-row matrix M of the steady state and for
+M = L_h of every block without rho_ss, and it must exceed the bound.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .hilbert import is_hermitian
 
 _HERMIT_RTOL = 1e-12  # Hermiticity of H, relative
 _RESIDUAL_TOL = 1e-9  # ||L vec(rho_ss)|| accepted from steady_state
-_KERNEL_RTOL = 1e-10  # kernel gap or |eigenvalue| counted as kernel, relative
+_KERNEL_RTOL = 1e-10  # uniqueness certificate counted as a kernel, relative
 _BLOCK_RTOL = 1e-12  # vector weight in or outside a block, relative to its max
 _PARITY_RTOL = 1e-12  # operator entries crossing parity, relative to max|op|
 _HERMITICITY_RTOL = 1e-12  # |Im L_h| in the Hermitian basis, relative to max|L_h|
@@ -347,21 +352,18 @@ def steady_state(
 
     L_h is L in the Hermitian basis of the block (see the module
     docstring).  Its row for d rho_00/dt is replaced by the trace row,
-    scaled to s, an estimate of the largest singular value of L_h, and
-    M x = s e_0 is solved.  For a trace-preserving L that row is minus the
-    sum of the other diagonal rows, so x is the kernel vector of unit trace.
-    M is singular exactly when the kernel holds a traceless vector, which
-    for a physical generator means a kernel of dimension 2 or more.  The
-    same solve takes a probe column and one transposed solve follows: the
-    power step |M^-1 z| -> |M^-T M^-1 z| estimates ||M^-1||, and the
-    uniqueness certificate is the relative gap 1 / (||M^-1|| s).  It
-    stands in for the second smallest singular value of L_h over the
-    largest: a rank-one change interlaces singular values, so sigma_min(M)
-    never exceeds sigma_(n-1)(L_h), and on the packaged baseline it is
-    0.85-0.9 of it.  `kernel_rtol` (the config's `Numerics.steady_rtol`)
-    bounds the certificate from below.  The power step is exact to first
-    order when one singular value of M is small, which is where the bound
-    decides; s lies within 5% below sigma_1 after 8 power steps.
+    scaled to s = ||L|| = max(||L_h||_F, 1), and M x = s e_0 is solved.
+    For a trace-preserving L that row is minus the sum of the other
+    diagonal rows, so x is the kernel vector of unit trace.  M is singular
+    exactly when the kernel holds a traceless vector, which for a physical
+    generator means a kernel of dimension 2 or more.  The uniqueness
+    certificate is 1 / (||M^-1|| s) from `_solve_with_gap`, whose probe
+    rides in the same solve.  It stands in for the second smallest singular
+    value of L_h over ||L||: a rank-one change interlaces singular values,
+    so sigma_min(M) never exceeds sigma_(n-1)(L_h).  `kernel_rtol` (the
+    config's `Numerics.steady_rtol`) bounds the certificate from below, the
+    same form as the check on a block without rho_ss in
+    `regression_spectrum`.
 
     `block` holds the sorted vec indices of a sector that L leaves
     invariant and that holds every diagonal entry of rho (the even parity
@@ -374,14 +376,15 @@ def steady_state(
     Raises ConfigurationError if `liouv` is not the real L_h of the block,
     or without one, not square of size d^2.
     Raises SolverError if the block is unsorted or misses a diagonal entry,
-    if L is zero, if the gap is at most `kernel_rtol` ("not unique"), if
-    ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state found": L does
-    not preserve the trace), if ||L vec(rho)|| > 1e-9, if the block is not
-    closed under rho -> rho+, or if L does not preserve Hermiticity.
+    if L is zero, if the certificate is at most `kernel_rtol` ("not
+    unique"), if ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state
+    found": L does not preserve the trace), if ||L vec(rho)|| > 1e-9, if
+    the block is not closed under rho -> rho+, or if L does not preserve
+    Hermiticity.
     """
     if block is None:
         liouv = np.asarray(liouv)
-        d = math.isqrt(liouv.shape[0])
+        d = math.isqrt(liouv.shape[0]) if liouv.ndim else 0
         if not d or liouv.shape != (d * d, d * d):
             raise ConfigurationError("the whole Liouvillian must be square, of size d^2")
         idx = np.arange(d * d)
@@ -399,26 +402,20 @@ def steady_state(
             )
         l_h = _block_matrix(liouv, idx)
     order, nd = _hermitian_basis(idx, d)
-    n = l_h.shape[0]
-    # a fixed pseudo-random power start and probe; numpy.random would add
-    # 6 MB of resident memory to every process on import
-    rng = random.Random(0)
-    start = np.array([rng.random() - 0.5 for _ in range(2 * n)]).reshape(n, 2)
-    scale = _norm_estimate(l_h, start[:, 0])
-    if scale == 0.0:
+    if not l_h.any():
         raise SolverError("Liouvillian is identically zero")
+    scale = max(np.linalg.norm(l_h), 1.0)
     m = l_h.copy()
     m[0, :nd], m[0, nd:] = scale, 0.0  # rho_00 is the first diagonal entry
-    rhs = np.zeros((n, 2))
-    rhs[0, 0], rhs[:, 1] = scale, start[:, 1]
-    sol, gap = _solve_with_gap(m, rhs, scale)
+    rhs = np.zeros(l_h.shape[0])
+    rhs[0] = scale
+    x, gap = _solve_with_gap(m, scale, rhs)
     if not gap > kernel_rtol:  # also a nan from an overflowing solve
         raise SolverError(
             "steady state is not unique: Liouvillian kernel dimension 2 or more, "
             f"or a traceless kernel vector (relative gap {gap:.3e} of the "
             f"trace-row matrix, at most {kernel_rtol:.3e})"
         )
-    x = sol[:, 0]
     miss = np.linalg.norm(l_h @ x) / np.linalg.norm(x)
     if miss > kernel_rtol * scale:
         raise SolverError(
@@ -436,27 +433,26 @@ def steady_state(
     return unvec(kernel)
 
 
-def _solve_with_gap(m: np.ndarray, rhs: np.ndarray, scale: float) -> tuple:
-    """(M^-1 rhs, 1 / (||M^-1|| scale)), or (None, 0.0) for a singular M: the
-    last column of `rhs` is the probe z of the power step |M^-1 z| ->
-    |M^-T M^-1 z| that estimates ||M^-1|| with one transposed solve."""
+def _solve_with_gap(m: np.ndarray, scale: float, rhs=None) -> tuple:
+    """(M^-1 rhs, 1 / (||M^-1|| scale)), or (None, 0.0) for a singular M.
+
+    A fixed probe z rides in the solve of `rhs` as one more column, and one
+    transposed solve gives the power step |M^-1 z| -> |M^-T M^-1 z|, which
+    estimates ||M^-1|| from below.  It is exact to first order when one
+    singular value of M is small, which is where the bound decides.
+    Without `rhs` the first value is M^-1 z.
+    """
+    # a fixed pseudo-random probe; numpy.random would add 6 MB of resident
+    # memory to every process on import
+    rng = random.Random(0)
+    z = np.array([rng.random() - 0.5 for _ in range(m.shape[0])])
+    columns = z[:, None] if rhs is None else np.column_stack([rhs, z])
     try:
-        sol = np.linalg.solve(m, rhs)
+        sol = np.linalg.solve(m, columns)
         back = np.linalg.solve(m.T, sol[:, -1])
     except np.linalg.LinAlgError:
         return None, 0.0
-    return sol, np.linalg.norm(sol[:, -1]) / (np.linalg.norm(back) * scale)
-
-
-def _norm_estimate(a: np.ndarray, x: np.ndarray) -> float:
-    """Largest singular value of a, by 8 power steps on a^T a from x."""
-    for _ in range(8):
-        x = a.T @ (a @ x)
-        size = np.linalg.norm(x)
-        if size == 0.0:
-            return 0.0
-        x /= size
-    return float(np.linalg.norm(a @ x))
+    return sol[:, 0], np.linalg.norm(sol[:, -1]) / (np.linalg.norm(back) * scale)
 
 
 @dataclass(frozen=True)
@@ -527,14 +523,14 @@ def regression_spectrum(
     exceeds 1e-9 ||L|| (not stationary), if a start vector has weight
     outside the block, if a block that does not hold rho_ss has a kernel (a
     second stationary state that `steady_state`, decomposing only its own
-    block, cannot see: on the `eig` path an eigenvalue within 1e-10 ||L|| of
-    zero, on the reduced-model path a certificate 1 / (||L_h^-1|| ||L||) of
-    at most 1e-10 from one solve and one transposed solve of L_h), if the
-    `eig` fails or its eigenbasis is singular, or if a pole with weight is
-    undamped, wherever the grid lies (add dissipation to every channel
-    before asking for a spectrum).  Raises SolverError too if the block is
-    not closed under rho -> rho+.  Raises ConfigurationError if `pairs` is
-    empty, if `l_h` is complex or if it does not have the block's size.
+    block, cannot see: the certificate 1 / (||L_h^-1|| ||L||) of
+    `_solve_with_gap` is at most 1e-10, checked on every such block before
+    either path runs), if the `eig` fails or its eigenbasis is singular, or
+    if a pole with weight is undamped, wherever the grid lies (add
+    dissipation to every channel before asking for a spectrum).  Raises
+    SolverError too if the block is not closed under rho -> rho+.  Raises
+    ConfigurationError if `pairs` or the grid is empty, if `l_h` is complex
+    or if it does not have the block's size.
     """
     if len(pairs) == 0:
         raise ConfigurationError("no sources: give at least one (A, B) pair, or "
@@ -542,6 +538,8 @@ def regression_spectrum(
     idx = np.asarray(block)
     l_h = _block_matrix(l_h, idx)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    if omega_grid.size == 0:
+        raise ConfigurationError("the frequency grid is empty")
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
     order, nd = _hermitian_basis(idx, rho_ss.shape[0])
@@ -577,24 +575,18 @@ def regression_spectrum(
         drift = np.linalg.norm(l_h @ _to_hermitian(rho_v[idx], order, nd))
         if drift > _RESIDUAL_TOL * scale:
             raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
-    elif l_h.shape[0] > _KRYLOV_MIN_ROWS:
+    else:
         _certify_no_kernel(l_h, scale)
-        spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
-        if spectrum is not None:
-            return spectrum
+        if l_h.shape[0] > _KRYLOV_MIN_ROWS:
+            spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
+            if spectrum is not None:
+                return spectrum
     try:
         weights, poles = _poles(l_h, rows, starts)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigendecomposition of L_h failed: {exc}") from exc
     if holds_rho:  # the starts were projected off the kernel mode: zero its rounding
         weights[np.argmin(np.abs(poles))] = 0.0
-    else:
-        n_kernel = int(np.sum(np.abs(poles) <= _KERNEL_RTOL * scale))
-        if n_kernel:
-            raise SolverError(
-                f"steady state is not unique: {n_kernel} eigenvalue(s) of a block "
-                f"without rho_ss lie within {_KERNEL_RTOL:.0e} ||L|| of zero"
-            )
     return _resolvent_sum(weights, poles, omega_grid, scale)
 
 
@@ -608,11 +600,9 @@ def _poles(a, rows, starts, gram=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certify_no_kernel(l_h: np.ndarray, scale: float) -> None:
-    """Raise SolverError if L_h has a kernel: the gap 1 / (||L_h^-1|| scale)
-    of `_solve_with_gap`, from a fixed probe, is at most 1e-10."""
-    rng = random.Random(1)
-    probe = np.array([rng.random() - 0.5 for _ in range(l_h.shape[0])])
-    gap = _solve_with_gap(l_h, probe[:, None], scale)[1]
+    """Raise SolverError if L_h has a kernel: the certificate
+    1 / (||L_h^-1|| scale) of `_solve_with_gap` is at most 1e-10."""
+    gap = _solve_with_gap(l_h, scale)[1]
     if not gap > _KERNEL_RTOL:
         raise SolverError(
             "steady state is not unique: a block without rho_ss has a kernel "

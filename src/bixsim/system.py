@@ -494,8 +494,9 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     operator with an entry across parity.  The steady state is one real LU
     solve in the even block, with the trace row in place of one diagonal
     row and a uniqueness certificate from one more solve (`steady_state`);
-    both y sources flip P, so every s rho_ss lies in the odd block, and one
-    decomposition of that block serves all sources (`regression_spectrum`):
+    both y sources flip P, so every s rho_ss lies in the odd block.  The
+    same certificate shows that block has no kernel, and one decomposition
+    of it serves all sources (`regression_spectrum`):
     a real `eig` up to 200 rows (n_max_y <= 4), above that a two-sided
     Krylov reduced model whose order grows until two successive orders
     agree to 1e-10 on the grid, with the `eig` as its fallback.  A start

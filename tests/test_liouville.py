@@ -292,7 +292,11 @@ def test_even_block_kernel_must_be_one_dimensional():
 
 def two_cluster_rates(eps):
     """Populations of two fast pairs {0, 1} and {2, 3} joined by the slow
-    link 1 <-> 2 at rate eps: the kernel gap of this L_h is eps / 2."""
+    link 1 <-> 2 at rate eps.  To first order in eps, ||L_h||_F = 2 sqrt(2)
+    and the trace-row matrix M has sigma_min(M) = eps / sqrt(2): the null
+    vector (1, 1, -1, -1) / 2 of M at eps = 0 meets the left one
+    (0, 0, 1, 1) / sqrt(2) through the link.  So the certificate
+    sigma_min(M) / ||L_h||_F is eps / 4."""
     rates = np.zeros((4, 4))
     rates[0, 1] = rates[1, 0] = rates[2, 3] = rates[3, 2] = 1.0
     rates[1, 2] = rates[2, 1] = eps
@@ -306,14 +310,18 @@ POPULATIONS = np.array([0, 5, 10, 15])
 
 @pytest.mark.parametrize("factor", [2.0, 0.5, 0.0], ids=["above", "below", "2d-kernel"])
 def test_kernel_gap_near_steady_rtol(factor):
-    # the certificate reads sigma_min of the trace-row matrix, which lies
-    # between the gap / sqrt(2) here and the gap itself (interlacing); the
-    # SVD oracle sets the gap to factor * rtol, and at 0 the clusters are
-    # apart and the kernel two-dimensional
+    # the certificate reads sigma_min(M) / ||L|| for the trace-row matrix M,
+    # whose row 0 is ||L|| = max(||L_h||_F, 1) on every population; a link
+    # eps = 4 factor rtol puts it at factor * rtol, which the SVD oracle
+    # checks, and at 0 the clusters are apart and the kernel two-dimensional
     rtol = 1e-10
-    l_h = two_cluster_rates(2.0 * factor * rtol)
-    rho_svd, s = svd_steady_state(l_h, POPULATIONS, 4)
-    assert s[-2] / s[0] == pytest.approx(factor * rtol, rel=1e-6, abs=1e-15)
+    l_h = two_cluster_rates(4.0 * factor * rtol)
+    scale = max(np.linalg.norm(l_h), 1.0)
+    m = l_h.copy()
+    m[0] = scale
+    sigma_min = np.linalg.svd(m, compute_uv=False)[-1]
+    assert sigma_min / scale == pytest.approx(factor * rtol, rel=1e-6, abs=1e-15)
+    rho_svd, _ = svd_steady_state(l_h, POPULATIONS, 4)
     if factor > 1.0:
         rho = steady_state(l_h, kernel_rtol=rtol, block=POPULATIONS)
         assert np.max(np.abs(rho - np.diag([0.25] * 4))) < 1e-6
@@ -343,7 +351,7 @@ def test_odd_block_kernel_raises():
     t = hermitian_basis_matrix(ODD, 2)
     odd_block = (t @ np.array([[-1.0, 1.0], [1.0, -1.0]]) @ t.conj().T).real
     assert np.array_equal(np.round(odd_block, 15), np.diag([0.0, -2.0]))
-    with pytest.raises(SolverError, match="not unique: 1 eigenvalue"):
+    with pytest.raises(SolverError, match="a block without rho_ss has a kernel"):
         emission_spectrum(odd_block, [SIGMA], rho, grid, ODD)
 
 
@@ -440,7 +448,7 @@ def test_start_vector_outside_block_raises():
 def test_steady_state_rejects_a_block_without_the_diagonal():
     # the odd block holds no diagonal entry of rho, an unsorted even block
     # does not say where each kernel entry goes, and an empty block holds
-    # nothing; all raise before any solve, as does an empty whole L
+    # nothing; all raise before any solve, as do an empty and a 0-d whole L
     k, pairs = pumped_tls()
     with pytest.raises(SolverError, match="holding every diagonal entry"):
         steady_state(liouvillian(k, pairs, ODD), block=ODD)
@@ -449,8 +457,9 @@ def test_steady_state_rejects_a_block_without_the_diagonal():
                        (np.zeros((0, 0)), [])]:
         with pytest.raises(SolverError, match="must be sorted vec indices"):
             steady_state(l_h, block=block)
-    with pytest.raises(ConfigurationError, match="whole Liouvillian must be square"):
-        steady_state(np.zeros((0, 0)))
+    for liouv in (np.zeros((0, 0)), np.zeros(())):
+        with pytest.raises(ConfigurationError, match="whole Liouvillian must be square"):
+            steady_state(liouv)
 
 
 def test_spectrum_without_sources_raises():
@@ -461,6 +470,10 @@ def test_spectrum_without_sources_raises():
         emission_spectrum(l_odd, [], rho, grid, ODD)
     with pytest.raises(ConfigurationError, match=r"no sources: .* \(A, B\) pair"):
         regression_spectrum(l_odd, [], rho, grid, ODD)
+    # nor an empty grid, on the eig path as on the reduced model's
+    # (test_invariant_start_subspace_serves_the_model_without_eig)
+    with pytest.raises(ConfigurationError, match="the frequency grid is empty"):
+        emission_spectrum(l_odd, [SIGMA], rho, np.array([]), ODD)
 
 
 def test_builder_rejects_a_bare_hamiltonian_or_superoperators():

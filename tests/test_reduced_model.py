@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bixsim import liouville
-from bixsim.errors import SolverError
+from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import HilbertSpec
 from bixsim.liouville import emission_spectrum, lindblad_generator, liouvillian
 from bixsim.system import compute_spectrum_y
@@ -123,8 +123,9 @@ def test_kernel_in_a_large_odd_block_raises(monkeypatch):
 @pytest.mark.parametrize("source", ["y-dipole", "both"])
 def test_small_odd_blocks_keep_the_dense_eig(monkeypatch, source, phonons):
     # n_max_y=2 (70 rows) and 4 (198 rows) are at or below the measured
-    # crossover: they never reach the model or its certificate, so their
-    # spectra are the dense eig's, bit for bit
+    # crossover: they pass the kernel certificate, as every block without
+    # rho_ss does, but never reach the model, so their spectra are the
+    # dense eig's, bit for bit
     def unused(*args):
         raise AssertionError("the reduced model was reached")
 
@@ -134,7 +135,6 @@ def test_small_odd_blocks_keep_the_dense_eig(monkeypatch, source, phonons):
         cfg = config(n_max_y, phonons, source)
         with monkeypatch.context() as patch:
             patch.setattr(liouville, "_reduced_spectrum", unused)
-            patch.setattr(liouville, "_certify_no_kernel", unused)
             got = compute_spectrum_y(cfg).intensity
         with monkeypatch.context() as patch:
             patch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
@@ -172,6 +172,10 @@ def test_invariant_start_subspace_serves_the_model_without_eig(monkeypatch):
     monkeypatch.setattr(liouville.np.linalg, "eig", recorded)
     got = emission_spectrum(l_odd, [sigma], rho, grid, odd)
     assert shapes == [(2, 2)]
+    # an empty grid raises before any decomposition, as on the eig path
+    with pytest.raises(ConfigurationError, match="the frequency grid is empty"):
+        emission_spectrum(l_odd, [sigma], rho, np.array([]), odd)
+    assert shapes == [(2, 2)]
     monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
     want = emission_spectrum(l_odd, [sigma], rho, grid, odd)
     assert shapes[-1] == (242, 242)
@@ -190,15 +194,27 @@ def test_live_poles_keep_a_margin_from_the_undamped_guard(monkeypatch, case, pho
     # 7.2e-6 at worst, at an intermediate order of the tripled-g config
     # without phonons.  The guard raises below 1e-12; the 1e-8 asserted here,
     # 700 times under the worst case and 1e4 times over the guard, shows the
-    # guard cannot fire on a healthy model
+    # guard cannot fire on a healthy model.  Likewise every uniqueness
+    # certificate 1 / (||M^-1|| scale) of `_solve_with_gap`, on the even
+    # block's trace-row matrix and on the odd block, measured 7.6e-5 (even)
+    # and 1.0e-2 (odd) at n_max_y=2 and 8.0e-6 at worst, on the even block
+    # at n_max_y=8 without phonons.  The bound is 1e-10; the 1e-8 asserted
+    # here is 100 times the bound and 800 times under the worst case
     margins, resolvent_sum = [], liouville._resolvent_sum
+    gaps, solve_with_gap = [], liouville._solve_with_gap
 
     def recorded(weights, poles, grid, scale):
         live = np.abs(weights) > 1e-14 * max(np.abs(weights).max(), 1.0)
         margins.append(np.abs(poles[live].real).min() / scale)
         return resolvent_sum(weights, poles, grid, scale)
 
+    def recorded_gap(*args):
+        sol, gap = solve_with_gap(*args)
+        gaps.append(gap)
+        return sol, gap
+
     monkeypatch.setattr(liouville, "_resolvent_sum", recorded)
+    monkeypatch.setattr(liouville, "_solve_with_gap", recorded_gap)
     if case.startswith("baseline-"):
         cfg = config(int(case.rsplit("-", 1)[1]), phonons)
     else:
@@ -207,3 +223,5 @@ def test_live_poles_keep_a_margin_from_the_undamped_guard(monkeypatch, case, pho
     compute_spectrum_y(cfg)
     assert margins
     assert min(margins) >= 1e-8
+    assert len(gaps) == 2  # the even block's steady state, the odd block
+    assert min(gaps) >= 1e-8

@@ -574,7 +574,8 @@ def test_one_eigendecomposition_per_spectrum(monkeypatch, source):
 def test_spectrum_takes_no_svd(monkeypatch):
     # the steady state is one real LU solve of the even block in the Hermitian
     # basis, with a probe column, and one solve of its transpose for the
-    # uniqueness certificate; the odd block is solved once, for the eigenbasis
+    # uniqueness certificate; the odd block takes the same two solves for its
+    # kernel certificate, then one complex solve for the eigenbasis
     calls = {"svd": 0, "solve": []}
     svd, solve = np.linalg.svd, np.linalg.solve
 
@@ -596,6 +597,8 @@ def test_spectrum_takes_no_svd(monkeypatch):
     assert calls["solve"] == [
         ((n, n), (n, 2), np.float64),  # trace-row system and probe column
         ((n, n), (n,), np.float64),  # its transpose, for the certificate
+        ((m, m), (m, 1), np.float64),  # the odd block and the probe column
+        ((m, m), (m,), np.float64),  # its transpose, for the certificate
         ((m, m), (m, 2), np.complex128),  # eigenbasis amplitudes of 2 sources
     ]
 
