@@ -44,8 +44,7 @@ __all__ = [
     "drive_for_splitting",
 ]
 
-# basis order of the emitter block used by this module
-_LEVELS = ("G", "Y", "X", "XX")
+# emitter block indices, in the basis order of hilbert.QD_LEVELS
 _G, _Y, _X, _XX = 0, 1, 2, 3
 _D4_TOL = 1e-9  # |delta4| (ueV) up to which the closed form is used
 

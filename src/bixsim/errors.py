@@ -9,6 +9,8 @@ import numbers
 import typing
 from dataclasses import is_dataclass
 
+__all__ = ["BixsimError", "ConfigurationError", "SolverError"]
+
 
 class BixsimError(Exception):
     """Base class for package errors."""

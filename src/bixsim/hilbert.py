@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, check_fields
 
+__all__ = ["HilbertSpec"]
+
 QD_LEVELS = ("G", "Y", "X", "XX")
 
 

@@ -86,8 +86,6 @@ _REAL_WEIGHTS = np.array([
 _IMAG_WEIGHTS = _REAL_WEIGHTS * np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 __all__ = [
-    "vec",
-    "unvec",
     "lindblad_generator",
     "liouvillian",
     "steady_state",
@@ -507,9 +505,10 @@ def regression_spectrum(
     small `eig`.  Its order grows by 10 blocks until two successive
     orders give spectra that agree to 1e-10 of their largest |S| on the
     grid; that is evidence, not a proof, of that accuracy over the whole
-    grid.  At 80 blocks, or at half the rows of the block, or if the
-    projection cannot be solved, the dense `eig` serves.  The 200 rows are
-    the measured crossover with one BLAS thread (see the README).
+    grid.  At 80 blocks, or at half the rows of the block, or if sigma
+    exceeds max(||L_h||_F, 1) or the projection cannot be solved, the
+    dense `eig` serves.  The 200 rows are the measured crossover with one
+    BLAS thread (see the README).
 
     `block` holds the vec indices of a sector that L leaves invariant and
     that holds every start vector B rho_ss, and `l_h` is the real L_h of
@@ -529,8 +528,9 @@ def regression_spectrum(
     if a pole with weight is undamped, wherever the grid lies (add
     dissipation to every channel before asking for a spectrum).  Raises
     SolverError too if the block is not closed under rho -> rho+.  Raises
-    ConfigurationError if `pairs` or the grid is empty, if `l_h` is complex
-    or if it does not have the block's size.
+    ConfigurationError if `pairs` or the grid is empty, if the grid is not
+    1-D or not finite, if `l_h` is complex or if it does not have the
+    block's size.
     """
     if len(pairs) == 0:
         raise ConfigurationError("no sources: give at least one (A, B) pair, or "
@@ -540,6 +540,8 @@ def regression_spectrum(
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omega_grid.size == 0:
         raise ConfigurationError("the frequency grid is empty")
+    if omega_grid.ndim != 1 or not np.isfinite(omega_grid).all():
+        raise ConfigurationError("the frequency grid must be 1-D and finite")
     rho_ss = np.asarray(rho_ss, dtype=complex)
     rho_v = vec(rho_ss)
     order, nd = _hermitian_basis(idx, rho_ss.shape[0])
@@ -625,11 +627,14 @@ def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):
     leaves a new block below `_KRYLOV_BREAKDOWN` of its size: V (or W) then
     spans an invariant subspace, and the model without that block is exact.
     None, for the dense `eig`, at the cap of `_KRYLOV_MAX_BLOCKS` blocks or
-    half the rows of L_h, or if sigma - L_h, W^T V or the small eigenbasis
-    is singular.
+    half the rows of L_h, if sigma - L_h, W^T V or the small eigenbasis is
+    singular, or at once if sigma exceeds `scale` = max(||L_h||_F, 1): B is
+    then close to I / sigma, and every new block would look invariant.
     """
     n = l_h.shape[0]
     sigma = _KRYLOV_SHIFT * np.abs(omega_grid).max()
+    if sigma > scale:
+        return None
     op = -l_h
     op.flat[::n + 1] += sigma
     try:

@@ -44,7 +44,6 @@ from .units import K_B_UEV_PER_K, alpha_ps2_to_internal
 
 __all__ = [
     "PhononConfig",
-    "PhononKernels",
     "build_kernels",
     "polaron_dissipator",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "Couplings",
     "Rates",
     "DriveConfig",
-    "PhononConfig",
     "Numerics",
     "SystemConfig",
     "default_config",
@@ -69,9 +68,7 @@ __all__ = [
     "config_hash",
     "detunings",
     "drive_params",
-    "dephasing_projector_rates",
     "assemble_liouvillian",
-    "source_operator",
     "compute_spectrum_y",
     "calibrate_drive",
 ]

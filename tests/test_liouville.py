@@ -35,6 +35,10 @@ from bixsim.liouville import (
 )
 
 SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
+# grids the spectrum path rejects besides the empty one: a NaN or inf point
+# would give a NaN entry silently, a 2-D grid a numpy broadcast error
+BAD_GRIDS = (np.array([0.0, np.nan, 1.0]), np.array([0.0, np.inf]),
+             np.linspace(-1.0, 1.0, 6).reshape(2, 3))
 ALL = np.arange(4)  # every vec index of a 2 x 2 rho, as one block
 
 
@@ -470,10 +474,13 @@ def test_spectrum_without_sources_raises():
         emission_spectrum(l_odd, [], rho, grid, ODD)
     with pytest.raises(ConfigurationError, match=r"no sources: .* \(A, B\) pair"):
         regression_spectrum(l_odd, [], rho, grid, ODD)
-    # nor an empty grid, on the eig path as on the reduced model's
-    # (test_invariant_start_subspace_serves_the_model_without_eig)
+    # nor an empty, 2-D or non-finite grid, on the eig path as on the
+    # reduced model's (test_invariant_start_subspace_serves_the_model_without_eig)
     with pytest.raises(ConfigurationError, match="the frequency grid is empty"):
         emission_spectrum(l_odd, [SIGMA], rho, np.array([]), ODD)
+    for bad in BAD_GRIDS:
+        with pytest.raises(ConfigurationError, match="the frequency grid must be 1-D and finite"):
+            emission_spectrum(l_odd, [SIGMA], rho, bad, ODD)
 
 
 def test_builder_rejects_a_bare_hamiltonian_or_superoperators():

@@ -12,10 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bixsim import liouville
+from bixsim import liouville, system
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import HilbertSpec
-from bixsim.liouville import emission_spectrum, lindblad_generator, liouvillian
+from bixsim.liouville import emission_spectrum, lindblad_generator, liouvillian, steady_state
 from bixsim.system import compute_spectrum_y
 
 from stressed_configs import STRESSED, config, stressed
@@ -88,6 +88,33 @@ def test_order_cap_falls_back_to_dense_eig(monkeypatch):
     got, want, served, orders = both_paths(monkeypatch, config(6))
     assert served == [None]
     assert orders == 2 + 1  # orders 10 and 20, then the eig path
+    assert np.array_equal(got, want)
+
+
+def test_shift_far_above_the_block_takes_the_dense_eig(monkeypatch):
+    # one grid point at 1e16 puts the shift at sigma = 7e15, far above
+    # ||L_h||_F = 2.6e4 of the 390-row odd block: B = (sigma - L_h)^-1 is
+    # then close to I / sigma, every new Arnoldi block looks invariant, and
+    # a model served on that false breakdown is 128% off the eig.  The model
+    # declines before its inverse, and the eig serves, bit for bit
+    cfg = config(6)
+    k, pairs = system._generator(cfg)
+    even, odd = HilbertSpec(6).parity_blocks()
+    rho = steady_state(liouvillian(k, pairs, even), block=even)
+    l_odd = liouvillian(k, pairs, odd)
+    assert l_odd.shape[0] == 390 > liouville._KRYLOV_MIN_ROWS
+    ops = [system.source_operator(cfg, "y-dipole")]
+    grid = np.append(np.linspace(-1400.0, 1400.0, 41), 1e16)
+
+    def no_inv(*args):
+        raise AssertionError("the reduced model inverted sigma - L_h")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(liouville.np.linalg, "inv", no_inv)
+        got = emission_spectrum(l_odd, ops, rho, grid, odd)
+    monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
+    want = emission_spectrum(l_odd, ops, rho, grid, odd)
+    assert np.max(want) > 0.0
     assert np.array_equal(got, want)
 
 
@@ -172,9 +199,13 @@ def test_invariant_start_subspace_serves_the_model_without_eig(monkeypatch):
     monkeypatch.setattr(liouville.np.linalg, "eig", recorded)
     got = emission_spectrum(l_odd, [sigma], rho, grid, odd)
     assert shapes == [(2, 2)]
-    # an empty grid raises before any decomposition, as on the eig path
+    # an empty, 2-D or non-finite grid raises before any decomposition, as
+    # on the eig path
     with pytest.raises(ConfigurationError, match="the frequency grid is empty"):
         emission_spectrum(l_odd, [sigma], rho, np.array([]), odd)
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], grid.reshape(1, -1)):
+        with pytest.raises(ConfigurationError, match="the frequency grid must be 1-D and finite"):
+            emission_spectrum(l_odd, [sigma], rho, np.array(bad), odd)
     assert shapes == [(2, 2)]
     monkeypatch.setattr(liouville, "_KRYLOV_MIN_ROWS", 10**9)
     want = emission_spectrum(l_odd, [sigma], rho, grid, odd)

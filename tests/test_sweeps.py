@@ -121,7 +121,8 @@ def test_import_loads_no_scipy():
 def test_spectrum_request_loads_no_scipy(tmp_path):
     # a whole request (phonon-on spectrum, peaks, export) and the numerical
     # branch of the dressed ladder stay numpy-only, so a first request pays no
-    # scipy import
+    # scipy import; nor does it load numpy.random, which would add 6 MB of
+    # RSS (the probe of liouville._solve_with_gap comes from random.Random)
     import bixsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
@@ -142,11 +143,12 @@ def test_spectrum_request_loads_no_scipy(tmp_path):
         "extract_peaks(res)\n"
         "export_spectrum(res, sys.argv[1])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('numpy.random' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
     assert (tmp_path / "spectrum.csv").exists()
 
 
