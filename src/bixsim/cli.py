@@ -18,7 +18,7 @@ from . import __version__
 from .dressed import dressed_eigenvalues, transition_catalog
 from .errors import ConfigurationError, SolverError
 from .export import _pyplot, export_map, export_spectrum
-from .hilbert import HilbertSpec, identity
+from .hilbert import HilbertSpec
 from .liouville import solver_hygiene, steady_state, vec
 from .sweeps import detuning_sweep, extract_peaks, phonon_comparison, power_sweep
 from .system import (
@@ -164,7 +164,7 @@ def _cmd_check(args):
 
     liouv = assemble_liouvillian(cfg)
     spec9 = HilbertSpec(cfg.numerics.n_max_y)
-    trace_row = vec(identity(spec9)).conj().T @ liouv
+    trace_row = vec(np.eye(spec9.dim)).conj().T @ liouv
     tp = float(np.max(np.abs(trace_row)))
     report("trace-preservation", tp < 1e-9 * max(1.0, float(np.abs(liouv).max())),
            f"max |tr(L rho)| row norm {tp:.2e}")

@@ -284,8 +284,11 @@ def photon_number_for_splitting(
 
     Inverting the exact two-photon-resonant splitting gives
     |alpha|^2 = delta_omega * (delta_omega + delta3) / (g1x^2 + g2x^2),
-    which is exact, not only the low-power limit.
+    which is exact, not only the low-power limit.  A negative splitting
+    raises, since below -delta3 the formula would calibrate another one.
     """
+    if delta_omega < 0:
+        raise ConfigurationError(f"target splitting {delta_omega:g} ueV is negative")
     gsq = g1x * g1x + g2x * g2x
     if gsq == 0.0:
         raise ConfigurationError("photon number undefined for zero couplings")

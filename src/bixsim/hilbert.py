@@ -11,9 +11,9 @@ Basis convention (fixed):
 
 All operators returned here are dense complex ndarrays on the composite
 space.  Dimensions stay small (a few tens), so dense algebra is used
-throughout the package.  The embedded transitions, projectors and the
-photon annihilator are built once per (spec, levels) and cached; they are
-read-only, so a caller that needs to modify one copies it first.
+throughout the package.  The embedded transitions (projectors included)
+and the photon annihilator are built once per (spec, levels) and cached;
+they are read-only, so a caller that needs to modify one copies it first.
 """
 
 from __future__ import annotations
@@ -114,20 +114,12 @@ def embed_qd_transition(spec: HilbertSpec, frm: str, to: str) -> np.ndarray:
 
     ``embed_qd_transition(spec, "X", "G")`` annihilates the x exciton into
     the ground state; its adjoint is the corresponding raising operator.
+    With ``frm == to`` it is the projector |to><to| (x) identity.
     """
     i_from = spec.level_index(frm)
     i_to = spec.level_index(to)
     mat4 = np.zeros((4, 4), dtype=complex)
     mat4[i_to, i_from] = 1.0
-    return _frozen(qd_operator(spec, mat4))
-
-
-@functools.cache
-def embed_qd_projector(spec: HilbertSpec, level: str) -> np.ndarray:
-    """Projector |level><level| (x) identity."""
-    i = spec.level_index(level)
-    mat4 = np.zeros((4, 4), dtype=complex)
-    mat4[i, i] = 1.0
     return _frozen(qd_operator(spec, mat4))
 
 
@@ -139,10 +131,6 @@ def embed_photon_annihilator(spec: HilbertSpec) -> np.ndarray:
     for k in range(1, n):
         a[k - 1, k] = np.sqrt(k)
     return _frozen(np.kron(np.eye(4, dtype=complex), a))
-
-
-def identity(spec: HilbertSpec) -> np.ndarray:
-    return np.eye(spec.dim, dtype=complex)
 
 
 def is_hermitian(op: np.ndarray, rtol: float = 1e-12) -> bool:

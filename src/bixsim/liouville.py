@@ -53,7 +53,6 @@ M = L_h of every block without rho_ss, and it must exceed the bound.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,16 +114,18 @@ def lindblad_generator(h: np.ndarray, channels) -> tuple[np.ndarray, list]:
 
     `channels` holds (c, rate).  K = -iH - (1/2) Sum rate c+ c, and each
     channel gives the pair (sqrt(rate) c, sqrt(rate) c+).  Raises
-    ConfigurationError if H is not Hermitian to a relative 1e-12, or for a
-    negative rate, which does not generate a completely positive map.
+    ConfigurationError if H is not Hermitian to a relative 1e-12, for a
+    negative rate, which does not generate a completely positive map, or for
+    a nan or infinite rate.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, rtol=_HERMIT_RTOL):
         raise ConfigurationError("Hamiltonian is not Hermitian within tolerance")
     k, pairs = -1j * h, []
     for op, rate in channels:
-        if rate < 0:
-            raise ConfigurationError(f"negative dissipation rate {rate}")
+        if not 0 <= rate < math.inf:  # nan too
+            kind = "negative" if rate < 0 else "non-finite"
+            raise ConfigurationError(f"{kind} dissipation rate {rate}")
         c = np.sqrt(rate) * np.asarray(op, dtype=complex)
         k -= 0.5 * (c.conj().T @ c)
         pairs.append((c, c.conj().T))
@@ -440,10 +441,9 @@ def _solve_with_gap(m: np.ndarray, scale: float, rhs=None) -> tuple:
     singular value of M is small, which is where the bound decides.
     Without `rhs` the first value is M^-1 z.
     """
-    # a fixed pseudo-random probe; numpy.random would add 6 MB of resident
-    # memory to every process on import
-    rng = random.Random(0)
-    z = np.array([rng.random() - 0.5 for _ in range(m.shape[0])])
+    # a fixed quasi-random probe, the Weyl sequence frac(k / p) - 1/2 for the
+    # plastic number p; nothing is seeded or imported
+    z = np.arange(1, m.shape[0] + 1) * 0.7548776662466927 % 1.0 - 0.5
     columns = z[:, None] if rhs is None else np.column_stack([rhs, z])
     try:
         sol = np.linalg.solve(m, columns)
@@ -473,6 +473,10 @@ class SpectrumResult:
         object.__setattr__(self, "intensity", np.asarray(self.intensity, dtype=float))
         if self.omega_offsets.shape != self.intensity.shape:
             raise ConfigurationError("grid and intensity shapes differ")
+        if not np.isfinite(self.intensity).all():
+            raise ConfigurationError("spectrum intensity must be finite")
+        if self.intensity.size and self.intensity.min() < 0.0:
+            raise ConfigurationError("spectrum intensity must be nonnegative")
 
 
 def regression_spectrum(
@@ -578,7 +582,12 @@ def regression_spectrum(
         if drift > _RESIDUAL_TOL * scale:
             raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
     else:
-        _certify_no_kernel(l_h, scale)
+        gap = _solve_with_gap(l_h, scale)[1]
+        if not gap > _KERNEL_RTOL:
+            raise SolverError(
+                "steady state is not unique: a block without rho_ss has a kernel "
+                f"(relative gap {gap:.3e} of its L, at most {_KERNEL_RTOL:.0e})"
+            )
         if l_h.shape[0] > _KRYLOV_MIN_ROWS:
             spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
             if spectrum is not None:
@@ -599,17 +608,6 @@ def _poles(a, rows, starts, gram=None) -> tuple[np.ndarray, np.ndarray]:
     poles, vecs = np.linalg.eig(a)
     amp = np.linalg.solve(vecs if gram is None else gram @ vecs, starts)
     return np.sum((rows @ vecs) * amp.T, axis=0), poles
-
-
-def _certify_no_kernel(l_h: np.ndarray, scale: float) -> None:
-    """Raise SolverError if L_h has a kernel: the certificate
-    1 / (||L_h^-1|| scale) of `_solve_with_gap` is at most 1e-10."""
-    gap = _solve_with_gap(l_h, scale)[1]
-    if not gap > _KERNEL_RTOL:
-        raise SolverError(
-            "steady state is not unique: a block without rho_ss has a kernel "
-            f"(relative gap {gap:.3e} of its L, at most {_KERNEL_RTOL:.0e})"
-        )
 
 
 def _reduced_spectrum(l_h, rows, starts, omega_grid, scale):

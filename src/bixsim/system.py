@@ -38,12 +38,7 @@ import numpy as np
 from . import __version__ as _version
 from .dressed import DetuningSet, DriveParams, drive_for_splitting
 from .errors import ConfigurationError, _schema, check_fields
-from .hilbert import (
-    HilbertSpec,
-    embed_photon_annihilator,
-    embed_qd_projector,
-    embed_qd_transition,
-)
+from .hilbert import HilbertSpec, embed_photon_annihilator, embed_qd_transition
 from .liouville import (
     SpectrumResult,
     emission_spectrum,
@@ -415,9 +410,9 @@ def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
     det = detunings(cfg)
     a = embed_photon_annihilator(spec)
     h = (
-        det.delta4 * embed_qd_projector(spec, "XX")
-        + det.delta3 * embed_qd_projector(spec, "X")
-        + det.delta2 * embed_qd_projector(spec, "Y")
+        det.delta4 * embed_qd_transition(spec, "XX", "XX")
+        + det.delta3 * embed_qd_transition(spec, "X", "X")
+        + det.delta2 * embed_qd_transition(spec, "Y", "Y")
         + delta_cl_y(cfg) * (a.conj().T @ a)
     )
     for op, _ in terms:
@@ -447,7 +442,7 @@ def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
     ]
     for level, rate in dephasing_projector_rates(r).items():
         if rate > 0.0:
-            channels.append((embed_qd_projector(spec, level), rate))
+            channels.append((embed_qd_transition(spec, level, level), rate))
     k, pairs = lindblad_generator(h, channels)
     if kernels is not None:
         k_ph, pairs_ph = polaron_dissipator(h, terms, kernels)

@@ -295,6 +295,12 @@ def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
                      id="rows-negative"),
         pytest.param(["detuning-sweep", "--config", "{cfg}", "--rows", "3", "--span", "0"],
                      "laser_detuning", True, id="span-zero"),
+        pytest.param(["detuning-sweep", "--config", "{cfg}", "--rows", "2", "--grid", "3",
+                      "--zero-splitting", "-1500"], "splitting -1500", True,
+                     id="zero-splitting-negative"),
+        pytest.param(["power-sweep", "--config", "{cfg}", "--rows", "2", "--grid", "3",
+                      "--max-splitting", "-1500"], "splitting -1500", True,
+                     id="max-splitting-negative"),
         pytest.param(["spectrum", "--config", "{dir}"], "{dir}", True, id="config-directory"),
         pytest.param(["spectrum", "--config", "{latin1}"], "{latin1}", True,
                      id="config-not-utf8"),

@@ -208,3 +208,15 @@ def test_splitting_calibration_roundtrip():
 def test_zero_coupling_rejected():
     with pytest.raises(ConfigurationError):
         photon_number_for_splitting(300.0, 990.0, 0.0, 0.0)
+
+
+def test_unreachable_target_splitting_rejected():
+    # S (S + delta3) is positive again below S = -delta3: -1500 used to
+    # calibrate a 510 ueV splitting and -995 one of 5 ueV
+    for target in (-1500.0, -995.0):
+        with pytest.raises(ConfigurationError, match="is negative"):
+            drive_for_splitting(target, 990.0, 0.0, 74.0, G1X, G2X)
+    # a positive target below a negative delta3 needs negative power
+    with pytest.raises(ConfigurationError, match="negative power"):
+        drive_for_splitting(10.0, -25.0, 0.0, 74.0, G1X, G2X)
+    assert drive_for_splitting(0.0, 990.0, 0.0, 74.0, G1X, G2X) == 0.0

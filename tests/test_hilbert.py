@@ -11,9 +11,7 @@ from bixsim.hilbert import (
     QD_LEVELS,
     HilbertSpec,
     embed_photon_annihilator,
-    embed_qd_projector,
     embed_qd_transition,
-    identity,
     is_hermitian,
     qd_operator,
 )
@@ -37,6 +35,8 @@ def test_dimensions_and_indexing():
         spec.index("G", 3)
     with pytest.raises(ConfigurationError):
         spec.index("Z", 0)
+    with pytest.raises(ConfigurationError, match="n_max_y must be >= 0"):
+        HilbertSpec(-1)
 
 
 def test_minimal_space_transition_matrix():
@@ -52,14 +52,14 @@ def test_transition_products_are_projectors():
     spec = HilbertSpec(n_max_y=1)
     lower = embed_qd_transition(spec, "X", "G")
     raise_ = embed_qd_transition(spec, "G", "X")
-    assert np.allclose(lower @ raise_, embed_qd_projector(spec, "G"))
-    assert np.allclose(raise_ @ lower, embed_qd_projector(spec, "X"))
+    assert np.allclose(lower @ raise_, embed_qd_transition(spec, "G", "G"))
+    assert np.allclose(raise_ @ lower, embed_qd_transition(spec, "X", "X"))
 
 
 def test_projectors_resolve_identity():
     spec = HilbertSpec(n_max_y=2)
-    total = sum(embed_qd_projector(spec, lv) for lv in QD_LEVELS)
-    assert np.array_equal(total, identity(spec))
+    total = sum(embed_qd_transition(spec, lv, lv) for lv in QD_LEVELS)
+    assert np.array_equal(total, np.eye(spec.dim))
 
 
 def test_photon_operators():
@@ -83,6 +83,8 @@ def test_qd_operator_embedding_commutes_with_photons():
     a = embed_photon_annihilator(spec)
     q = qd_operator(spec, m)
     assert np.allclose(q @ a, a @ q)
+    with pytest.raises(ConfigurationError, match="emitter operator must be 4x4"):
+        qd_operator(spec, np.eye(3))
 
 
 def test_is_hermitian():
@@ -108,7 +110,7 @@ def test_embedded_operators_are_cached_read_only_kron_builds(n_max_y):
     cases = [(embed_photon_annihilator(spec), np.kron(np.eye(4), a))]
     for i, frm in enumerate(QD_LEVELS):
         want = np.kron(_matrix_unit(i, i, 4), eye_ph)
-        cases.append((embed_qd_projector(spec, frm), want))
+        cases.append((embed_qd_transition(spec, frm, frm), want))
         for j, to in enumerate(QD_LEVELS):
             want = np.kron(_matrix_unit(j, i, 4), eye_ph)
             cases.append((embed_qd_transition(spec, frm, to), want))
@@ -122,7 +124,7 @@ def test_embedded_operators_are_cached_read_only_kron_builds(n_max_y):
     # an equal spec hits the same cache entry
     again = HilbertSpec(n_max_y)
     assert embed_photon_annihilator(again) is embed_photon_annihilator(spec)
-    assert embed_qd_projector(again, "XX") is embed_qd_projector(spec, "XX")
+    assert embed_qd_transition(again, "XX", "XX") is embed_qd_transition(spec, "XX", "XX")
     assert embed_qd_transition(again, "Y", "G") is embed_qd_transition(spec, "Y", "G")
     # qd_operator takes an array and stays an uncached, writable build
     q = qd_operator(spec, np.eye(4))
@@ -189,7 +191,7 @@ def test_jump_operators_have_definite_parity(n_max_y):
     even_ops = [
         embed_qd_transition(spec, "X", "G"),
         embed_qd_transition(spec, "XX", "X"),
-    ] + [embed_qd_projector(spec, level) for level in QD_LEVELS]
+    ] + [embed_qd_transition(spec, level, level) for level in QD_LEVELS]
     odd_ops = [
         embed_qd_transition(spec, "Y", "G"),
         embed_qd_transition(spec, "XX", "Y"),
@@ -199,7 +201,7 @@ def test_jump_operators_have_definite_parity(n_max_y):
     assert [_parity_sign(spec, op) for op in odd_ops] == [-1] * len(odd_ops)
     # an even Hamiltonian plus a y-mode drive a + a+ has no definite parity
     a = embed_photon_annihilator(spec)
-    assert _parity_sign(spec, a + a.conj().T + embed_qd_projector(spec, "G")) is None
+    assert _parity_sign(spec, a + a.conj().T + embed_qd_transition(spec, "G", "G")) is None
 
 
 @pytest.mark.parametrize("xx_scaling", [2.0, 2.5])

@@ -21,6 +21,7 @@ from kron_oracle import (
 
 from bixsim.errors import ConfigurationError, SolverError
 from bixsim.liouville import (
+    SpectrumResult,
     _from_hermitian,
     _hermitian_basis,
     _resolvent_sum,
@@ -156,6 +157,10 @@ def test_steady_state_requires_unique_kernel():
     liouv = liouvillian(*lindblad_generator(np.zeros((3, 3)), [(sig, 1.0)]))
     with pytest.raises(SolverError, match="kernel"):
         steady_state(liouv)
+    # an all-zero L, whole or as a block, raises before any solve
+    for l_h, block in [(np.zeros((4, 4)), None), (np.zeros((2, 2)), EVEN)]:
+        with pytest.raises(SolverError, match="Liouvillian is identically zero"):
+            steady_state(l_h, block=block)
 
 
 def test_lindblad_rejects_negative_rate():
@@ -163,6 +168,10 @@ def test_lindblad_rejects_negative_rate():
 
     with pytest.raises(ConfigurationError, match="negative dissipation rate"):
         lindblad_generator(np.zeros((2, 2)), [(SIGMA, -0.1)])
+    # nan < 0 is False, so a nan rate used to reach steady_state
+    for rate in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="non-finite dissipation rate"):
+            lindblad_generator(np.zeros((2, 2)), [(SIGMA, rate)])
 
 
 def test_lindblad_generator_rejects_non_hermitian_hamiltonian():
@@ -481,6 +490,18 @@ def test_spectrum_without_sources_raises():
     for bad in BAD_GRIDS:
         with pytest.raises(ConfigurationError, match="the frequency grid must be 1-D and finite"):
             emission_spectrum(l_odd, [SIGMA], rho, bad, ODD)
+
+
+def test_spectrum_result_rejects_bad_intensity():
+    # extract_peaks found no peak, silently, on a spectrum with one NaN point
+    grid = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ConfigurationError, match="grid and intensity shapes differ"):
+        SpectrumResult(grid, np.ones(2))
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
+        with pytest.raises(ConfigurationError, match="intensity must be finite"):
+            SpectrumResult(grid, bad)
+    with pytest.raises(ConfigurationError, match="intensity must be nonnegative"):
+        SpectrumResult(grid, [0.0, -1e-3, 1.0])
 
 
 def test_builder_rejects_a_bare_hamiltonian_or_superoperators():

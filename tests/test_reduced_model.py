@@ -227,10 +227,10 @@ def test_live_poles_keep_a_margin_from_the_undamped_guard(monkeypatch, case, pho
     # 700 times under the worst case and 1e4 times over the guard, shows the
     # guard cannot fire on a healthy model.  Likewise every uniqueness
     # certificate 1 / (||M^-1|| scale) of `_solve_with_gap`, on the even
-    # block's trace-row matrix and on the odd block, measured 7.6e-5 (even)
-    # and 1.0e-2 (odd) at n_max_y=2 and 8.0e-6 at worst, on the even block
+    # block's trace-row matrix and on the odd block, measured 8.2e-5 (even)
+    # and 1.1e-2 (odd) at n_max_y=2 and 8.4e-6 at worst, on the even block
     # at n_max_y=8 without phonons.  The bound is 1e-10; the 1e-8 asserted
-    # here is 100 times the bound and 800 times under the worst case
+    # here is 100 times the bound and 840 times under the worst case
     margins, resolvent_sum = [], liouville._resolvent_sum
     gaps, solve_with_gap = [], liouville._solve_with_gap
 

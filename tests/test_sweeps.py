@@ -122,7 +122,7 @@ def test_spectrum_request_loads_no_scipy(tmp_path):
     # a whole request (phonon-on spectrum, peaks, export) and the numerical
     # branch of the dressed ladder stay numpy-only, so a first request pays no
     # scipy import; nor does it load numpy.random, which would add 6 MB of
-    # RSS (the probe of liouville._solve_with_gap comes from random.Random)
+    # RSS (the probe of liouville._solve_with_gap is a closed-form sequence)
     import bixsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
@@ -308,6 +308,8 @@ def test_sweep_map_validation():
         SweepMap(np.arange(2.0), np.arange(2.0), -np.ones((2, 2)), "x", {})
     with pytest.raises(ConfigurationError):
         SweepMap(np.arange(2.0), np.arange(2.0), np.full((2, 2), np.nan), "x", {})
+    with pytest.raises(ConfigurationError, match="sweep axes must be finite"):
+        SweepMap(np.array([0.0, np.inf]), np.arange(2.0), np.zeros((2, 2)), "x", {})
 
 
 def test_spectrum_export_roundtrip(tmp_path):

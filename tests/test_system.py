@@ -28,9 +28,7 @@ from bixsim.errors import ConfigurationError, SolverError
 from bixsim.hilbert import (
     HilbertSpec,
     embed_photon_annihilator,
-    embed_qd_projector,
     embed_qd_transition,
-    identity,
 )
 from bixsim.liouville import steady_state, unvec, vec
 from bixsim.phonons import polaron_dissipator
@@ -256,6 +254,8 @@ def test_config_rejects_unknown_keys():
     data["rates"]["gamma_zz"] = 1.0
     with pytest.raises(ConfigurationError, match="gamma_zz"):
         config_from_dict(data)
+    with pytest.raises(ConfigurationError, match="rates must be an object"):
+        config_from_dict({"rates": 5})
 
 
 def test_config_parses_complex_amplitudes(tmp_path):
@@ -357,6 +357,12 @@ def test_phonon_grid_checked_at_load(enable, name, value):
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         config_from_dict(data)
     assert config_from_dict({"numerics": {"phonon_n_t": 3, "phonon_t_max": None}})
+
+
+@pytest.mark.parametrize("name, value", [("n_omega", 2), ("omega_half_span", 0.0)])
+def test_frequency_grid_checked_at_load(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        config_from_dict({"numerics": {name: value}})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -518,7 +524,7 @@ def test_both_sources_match_per_frequency_direct_solve():
 
     liouv = assemble_liouvillian(cfg)
     d2 = liouv.shape[0]
-    trace = vec(identity(HilbertSpec(2)))
+    trace = vec(np.eye(HilbertSpec(2).dim))
     bordered = np.zeros((d2 + 1, d2 + 1), dtype=complex)
     bordered[:d2, :d2] = liouv
     bordered[:d2, d2] = trace.conj()
@@ -807,7 +813,7 @@ def kron_oracle_liouvillian(cfg):
     ]
     for level, rate in dephasing_projector_rates(r).items():
         if rate > 0.0:
-            channels.append((embed_qd_projector(spec, level), rate))
+            channels.append((embed_qd_transition(spec, level, level), rate))
     liouv = hamiltonian_superop(h)
     for op, rate in channels:
         liouv = liouv + lindblad_dissipator(op, rate)
