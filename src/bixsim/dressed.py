@@ -306,8 +306,11 @@ def drive_for_splitting(
     """Drive amplitude Omega producing a target doublet splitting.
 
     Chains the exact photon-number inversion with the cavity filter:
-    Omega = |alpha| * sqrt(delta_cl_x^2 + kappa_x^2 / 4).
+    Omega = |alpha| * sqrt(delta_cl_x^2 + kappa_x^2 / 4).  A nan or
+    infinite target raises ConfigurationError naming it.
     """
+    if not math.isfinite(delta_omega):
+        raise ConfigurationError(f"target splitting {delta_omega:g} ueV must be finite")
     n_c = photon_number_for_splitting(delta_omega, delta3, g1x, g2x)
     if n_c < 0:
         raise ConfigurationError("target splitting is unreachable (negative power)")

@@ -48,6 +48,18 @@ Every guard scales by max(||L_h||_F, 1) of the block it reads, written
 ||L||, and one certificate decides uniqueness: `_solve_with_gap` gives
 1 / (||M^-1|| ||L||) for the trace-row matrix M of the steady state and for
 M = L_h of every block without rho_ss, and it must exceed the bound.
+
+The pipeline takes an optional leading row axis, so that the rows of a
+sweep run through it as one stack: `lindblad_generator` takes a stack of H,
+`liouvillian` a stack (R, d, d) of K with pairs of (d, d) or (R, d, d)
+operators and returns (R, n, n) blocks, and `steady_state` and
+`regression_spectrum` take the stacks of blocks and of steady states.  A
+row of a stack goes through the same LAPACK and BLAS calls, per-row norms
+and bincount order as it does alone, so it comes out bit for bit as its
+own call.  A stack raises for the first row that fails a check, the checks
+taken one after another, so the row named is not always the first failing
+row of the stack; a caller that must name that row runs the stack again
+one row at a time.
 """
 
 from __future__ import annotations
@@ -96,30 +108,32 @@ __all__ = [
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix, or of each of a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.swapaxes(-1, -2).reshape(rho.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
     """Inverse of `vec`; the length must be a perfect square."""
     v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
         raise ConfigurationError("vector length is not a perfect square")
-    return v.reshape((d, d), order="F")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def lindblad_generator(h: np.ndarray, channels) -> tuple[np.ndarray, list]:
     """K and sandwich pairs of rho -> -i[H, rho] + Sum rate D[c] rho.
 
     `channels` holds (c, rate).  K = -iH - (1/2) Sum rate c+ c, and each
-    channel gives the pair (sqrt(rate) c, sqrt(rate) c+).  Raises
-    ConfigurationError if H is not Hermitian to a relative 1e-12, for a
-    negative rate, which does not generate a completely positive map, or for
-    a nan or infinite rate.
+    channel gives the pair (sqrt(rate) c, sqrt(rate) c+).  H may be a stack
+    of rows (R, d, d) that share the channels; K is then a stack too.
+    Raises ConfigurationError if H is not Hermitian to a relative 1e-12, for
+    a negative rate, which does not generate a completely positive map, or
+    for a nan or infinite rate.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, rtol=_HERMIT_RTOL):
+    if not all(is_hermitian(m, rtol=_HERMIT_RTOL) for m in h.reshape((-1,) + h.shape[-2:])):
         raise ConfigurationError("Hamiltonian is not Hermitian within tolerance")
     k, pairs = -1j * h, []
     for op, rate in channels:
@@ -143,24 +157,33 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
     with the same `block`.  Both come from the nonzero products of
     `_products`: summed into vec entries by one bincount each for the real
     and imaginary parts, or scattered into L_h by `_hermitian_scatter`.
+
+    K may be a stack (R, d, d) of the generators of R rows, and each
+    operator of a pair either (d, d), shared by the rows, or (R, d, d); the
+    result is then the stack of the R matrices, each equal bit for bit to
+    the one built for its row alone (one products plan for all rows, and
+    bins filled in the same order).
     Raises SolverError from either (an operator across the parity sectors,
     an L_h with an imaginary part), and ConfigurationError for a pair that
     is not two operators of the shape of K, such as a superoperator.
     """
     k = np.asarray(k, dtype=complex)
-    d = k.shape[0]
+    d = k.shape[-1]
     for pair in pairs:
-        if len(pair) != 2 or any(np.shape(op) != k.shape for op in pair):
+        if len(pair) != 2 or any(np.shape(op) not in (k.shape, (d, d)) for op in pair):
             raise ConfigurationError(
                 f"pairs must hold (A, B) operators of shape {k.shape}"
             )
+    stack = k.reshape(-1, d, d)
     idx = np.arange(d * d) if block is None else np.asarray(block)
-    rows, cols, vals = _products(k, pairs, idx)
+    rows, cols, vals = _products(stack, pairs, idx)
     if block is not None:
-        return _hermitian_scatter(rows, cols, vals, idx, d)
-    flat = rows * d * d + cols
-    re = np.bincount(flat, vals.real, d**4)
-    return (re + 1j * np.bincount(flat, vals.imag, d**4)).reshape(d * d, d * d)
+        l_h = _hermitian_scatter(rows, cols, vals, idx, d)
+        return l_h.reshape(k.shape[:-2] + l_h.shape[1:])
+    flat = (rows * d * d + cols + d**4 * np.arange(len(stack))[:, None]).ravel()
+    re = np.bincount(flat, vals.real.ravel(), len(stack) * d**4)
+    im = np.bincount(flat, vals.imag.ravel(), re.size)
+    return (re + 1j * im).reshape(k.shape[:-2] + (d * d, d * d))
 
 
 def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
@@ -177,48 +200,66 @@ def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
     A_1, ... and its largest entry of the wrong kind, if that exceeds 1e-12
     of the operator's largest entry; smaller ones are rounding and dropped.
 
-    All operators are handled at once: their nonzero entries are grouped
-    by pair and by the parity of A's row a (B's column f), and each A entry
-    meets the B entries of the group that puts a + d f in `idx`.
+    `k` is a stack (R, d, d), and the values come as (R, N), one row per
+    generator, on one plan: the union of the rows' nonzero entries that
+    keep the right kind, with each row's other entries set to zero.  A
+    zero product added to a bin leaves its sum as it was, and the plan
+    lists a row's own products in the order of its plan alone.  All
+    operators are handled at once: their entries are grouped by pair and
+    by the parity of A's row a (B's column f), and each A entry meets the
+    B entries of the group that puts a + d f in `idx`.
     """
-    d = k.shape[0]
+    n_rows, d = k.shape[0], k.shape[-1]
     inside = np.zeros(d * d, dtype=bool)
     inside[idx] = True
     same = inside[:d] == inside[0]  # P_i == P_0
     sector = (same[:, None] == same[None, :]) == inside[0]
     if not np.array_equal(inside.reshape((d, d), order="F"), sector):
         raise SolverError("a block of L must be one parity sector of rho")
-    ops = np.array([k] + [op for pair in pairs for op in pair], dtype=complex)
-    op, r, c = np.nonzero(ops)  # op 0 is K, 1 + 2n is A_n, 2 + 2n is B_n
-    v = ops[op, r, c]
+    n_ops = 1 + 2 * len(pairs)
+    ops = np.empty((n_rows, n_ops, d, d), dtype=complex)
+    ops[:, 0] = k  # op 0 is K, 1 + 2n is A_n, 2 + 2n is B_n
+    for n, op in enumerate(op for pair in pairs for op in pair):
+        ops[:, n + 1] = op
+    op, r, c = np.nonzero(ops.any(axis=0))  # every row's nonzero entries
+    v = ops[:, op, r, c]
+    del ops  # a stack of rows holds the products next
     mag, keeps = np.abs(v), same[r] == same[c]
-    top = np.zeros((len(ops), 2))  # largest entry that flips, keeps P
-    np.maximum.at(top, (op, keeps.astype(int)), mag)
-    pair_top = top[1:].reshape(-1, 2, 2).max(axis=1)
-    want = np.concatenate([[True], np.repeat(pair_top[:, 1] >= pair_top[:, 0], 2)])
-    wrong = keeps != want[op]
-    above = wrong & (mag > _PARITY_RTOL * top.max(axis=1)[op])
+    top = np.zeros(n_rows * n_ops * 2)  # each row's largest entry that flips, keeps P
+    slot = (np.arange(n_rows)[:, None] * n_ops + op) * 2 + keeps
+    np.maximum.at(top, slot.ravel(), mag.ravel())
+    top = top.reshape(n_rows, n_ops, 2)
+    pair_top = top[:, 1:].reshape(n_rows, -1, 2, 2).max(axis=2)
+    want = np.concatenate([np.ones((n_rows, 1), dtype=bool),
+                           np.repeat(pair_top[..., 1] >= pair_top[..., 0], 2, axis=1)],
+                          axis=1)
+    wrong = keeps != want[:, op]
+    above = wrong & (mag > _PARITY_RTOL * top.max(axis=2)[:, op])
     if above.any():
-        bad = op[above].min()
-        n = np.flatnonzero(wrong & (op == bad))
-        n = n[np.argmax(mag[n])]
+        row = np.flatnonzero(above.any(axis=1))[0]
+        bad = op[above[row]].min()
+        n = np.flatnonzero(wrong[row] & (op == bad))
+        n = n[np.argmax(mag[row, n])]
         name = "K" if bad == 0 else f"{'BA'[bad % 2]}_{(bad - 1) // 2}"
-        bound = _PARITY_RTOL * top[bad].max()
+        bound = _PARITY_RTOL * top[row, bad].max()
         raise SolverError(
             f"{name} breaks the parity symmetry: |{name}[{r[n]}, {c[n]}]| = "
-            f"{mag[n]:.3e} {'flips' if want[bad] else 'keeps'} P, above "
+            f"{mag[row, n]:.3e} {'flips' if want[row, bad] else 'keeps'} P, above "
             f"{_PARITY_RTOL:.0e} * max|{name}| = {bound:.3e}"
         )
-    op, r, c, v = op[~wrong], r[~wrong], c[~wrong], v[~wrong]
+    v[wrong] = 0.0
+    live = v.any(axis=0)
+    op, r, c, v = op[live], r[live], c[live], v[:, live]
     # A side: K (term 0), 1 (term 1), A_n (term n + 2); B side: 1, K+, B_n
     on_k, on_a = op == 0, op % 2 == 1
     on_b = ~on_k & ~on_a
-    eye, ones = np.arange(d), np.ones(d)
+    eye, ones = np.arange(d), np.ones((n_rows, d))
     n_k = np.count_nonzero(on_k)
     ra, ca = (np.concatenate([x[on_k], eye, x[on_a]]) for x in (r, c))
-    av = np.concatenate([v[on_k], ones, v[on_a]])
+    av = np.concatenate([v[:, on_k], ones, v[:, on_a]], axis=1)
     rb, cb = (np.concatenate([eye, x[on_k], y[on_b]]) for x, y in ((c, r), (r, c)))
-    bv = np.concatenate([ones, v[on_k].conj(), v[on_b]])
+    bv = np.concatenate([ones, v[:, on_k].conj(), v[:, on_b]], axis=1)
+    del v
     ta = np.concatenate([np.zeros(n_k, int), np.ones(d, int), (op[on_a] + 3) // 2])
     tb = np.concatenate([np.zeros(d, int), np.ones(n_k, int), (op[on_b] + 2) // 2])
     ga, gb = 2 * ta + ~same[ra], 2 * tb + (same[cb] != inside[0])
@@ -229,7 +270,10 @@ def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
     offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
     ib = ib[np.repeat(start[ga[ia]], reps) + offset]
     ia = np.repeat(ia, reps)
-    return ra[ia] + d * cb[ib], ca[ia] + d * rb[ib], av[ia] * bv[ib]
+    vals = np.empty((n_rows, ia.size), dtype=complex)
+    for v_r, a_r, b_r in zip(vals, av, bv):  # one row's temporaries at a time
+        np.multiply(a_r[ia], b_r[ib], out=v_r)
+    return ra[ia] + d * cb[ib], ca[ia] + d * rb[ib], vals
 
 
 def _hermitian_basis(idx: np.ndarray, d: int) -> tuple[np.ndarray, int]:
@@ -258,7 +302,8 @@ def _hermitian_basis(idx: np.ndarray, d: int) -> tuple[np.ndarray, int]:
 
 
 def _hermitian_scatter(rows, cols, vals, idx: np.ndarray, d: int) -> np.ndarray:
-    """L_h = T L T+ from the entries vals of L at vec indices (rows, cols).
+    """The stack of L_h = T L T+ from the entries vals (R, N) of R matrices
+    L, all at vec indices (rows, cols).
 
     T (module docstring) has at most two entries per column: vec index v of
     rho[i, j] goes to the pair's first row s with weight c and to its second
@@ -268,13 +313,13 @@ def _hermitian_scatter(rows, cols, vals, idx: np.ndarray, d: int) -> np.ndarray:
     i c_m t_n v, -i t_m c_n v and t_m t_n v.  Their real parts are
     Re v c_m c_n, -Im v c_m t_n, Im v t_m c_n and Re v t_m t_n, and their
     imaginary parts Im v c_m c_n, Re v c_m t_n, -Re v t_m c_n and
-    Im v t_m t_n.  One (4, N) float buffer takes either set of weights,
-    each slot filled from a 9-entry table by the sides of m and n and then
-    scaled in place by Re v or Im v, so no complex temporary is formed, and
-    one bincount sums it.  The imaginary sum comes first and only its
-    largest entry is kept: SolverError names it if it exceeds
-    1e-12 max|L_h|, since L then does not preserve Hermiticity.
-    Rows and columns of L_h follow `_hermitian_basis`.
+    Im v t_m t_n.  For each matrix one (4, N) float buffer takes either
+    set of weights, each slot filled from a 9-entry table by the sides of m
+    and n and then scaled in place by Re v or Im v, so no complex temporary
+    is formed, and one bincount sums it.  The imaginary sum comes first and
+    only its largest entry is kept: SolverError names it, in the first
+    matrix where it exceeds 1e-12 max|L_h|, since L then does not preserve
+    Hermiticity.  Rows and columns of L_h follow `_hermitian_basis`.
     """
     order, nd = _hermitian_basis(idx, d)
     n, p = idx.size, (idx.size - nd) // 2
@@ -296,52 +341,59 @@ def _hermitian_scatter(rows, cols, vals, idx: np.ndarray, d: int) -> np.ndarray:
             w[m] *= part
         return np.bincount(flat.ravel(), w.ravel(), n * n)
 
-    imag = summed(vals.imag, vals.real, _IMAG_WEIGHTS)
-    worst = np.abs(imag, out=imag).argmax()
-    worst_im = imag[worst]
-    del imag
-    l_h = summed(vals.real, vals.imag, _REAL_WEIGHTS).reshape(n, n)
-    bound = _HERMITICITY_RTOL * max(l_h.max(), -l_h.min())
-    if worst_im > bound:
-        k, m = divmod(int(worst), n)
-        raise SolverError(
-            f"L does not preserve Hermiticity: |Im L_h[{k}, {m}]| = "
-            f"{worst_im:.3e} in the Hermitian basis, above "
-            f"{_HERMITICITY_RTOL:.0e} * max|L_h| = {bound:.3e}"
-        )
-    return l_h
+    blocks = []
+    for v in vals:
+        imag = summed(v.imag, v.real, _IMAG_WEIGHTS)
+        worst = np.abs(imag, out=imag).argmax()
+        worst_im = imag[worst]
+        del imag
+        l_h = summed(v.real, v.imag, _REAL_WEIGHTS).reshape(n, n)
+        bound = _HERMITICITY_RTOL * max(l_h.max(), -l_h.min())
+        if worst_im > bound:
+            k, m = divmod(int(worst), n)
+            raise SolverError(
+                f"L does not preserve Hermiticity: |Im L_h[{k}, {m}]| = "
+                f"{worst_im:.3e} in the Hermitian basis, above "
+                f"{_HERMITICITY_RTOL:.0e} * max|L_h| = {bound:.3e}"
+            )
+        blocks.append(l_h)
+    return np.stack(blocks) if len(blocks) > 1 else blocks[0][None]  # one is not copied
 
 
 def _to_hermitian(v: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
-    """T v: a vector, or the columns of a matrix, from vec entries (idx order)."""
-    p = (v.shape[0] - nd) // 2
-    va, vb = v[order[nd:nd + p]], v[order[nd + p:]]
+    """T v for the columns of a matrix, or of each of a stack, in vec entries
+    (idx order) along the second-to-last axis."""
+    p = (v.shape[-2] - nd) // 2
+    va, vb = v[..., order[nd:nd + p], :], v[..., order[nd + p:], :]
     return np.concatenate(
-        [v[order[:nd]], (va + vb) * _SQRT_HALF, (vb - va) * (1j * _SQRT_HALF)]
+        [v[..., order[:nd], :], (va + vb) * _SQRT_HALF, (vb - va) * (1j * _SQRT_HALF)],
+        axis=-2,
     )
 
 
 def _from_hermitian(x: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
-    """T+ x: a vector, or the columns of a matrix, back in vec entries (idx order)."""
+    """T+ x for the columns of a matrix, or of each of a stack, back in vec
+    entries (idx order) along the second-to-last axis."""
     x = np.asarray(x)
-    p = (x.shape[0] - nd) // 2
-    xa, xb = x[nd:nd + p], x[nd + p:]
+    p = (x.shape[-2] - nd) // 2
+    xa, xb = x[..., nd:nd + p, :], x[..., nd + p:, :]
     v = np.empty(x.shape, dtype=complex)
-    v[order[:nd]] = x[:nd]
-    v[order[nd:nd + p]] = (xa + 1j * xb) * _SQRT_HALF
-    v[order[nd + p:]] = (xa - 1j * xb) * _SQRT_HALF
+    v[..., order[:nd], :] = x[..., :nd, :]
+    v[..., order[nd:nd + p], :] = (xa + 1j * xb) * _SQRT_HALF
+    v[..., order[nd + p:], :] = (xa - 1j * xb) * _SQRT_HALF
     return v
 
 
 def _block_matrix(l_h, idx: np.ndarray) -> np.ndarray:
-    """`l_h` as floats if it is a real L_h on `idx`, else ConfigurationError."""
+    """`l_h` as a float stack (R, n, n) if it is a real L_h on `idx`, or a
+    stack of them, else ConfigurationError."""
     l_h = np.asarray(l_h)
-    if np.iscomplexobj(l_h) or l_h.shape != (idx.size, idx.size):
+    if np.iscomplexobj(l_h) or l_h.ndim not in (2, 3) or l_h.shape[-2:] != (idx.size,) * 2:
         raise ConfigurationError(
             f"pass the real L_h restricted to the block ({idx.size} vec indices) "
             "that liouvillian(k, pairs, block) builds"
         )
-    return l_h.astype(float, copy=False)
+    return l_h.astype(float, copy=False).reshape(-1, idx.size, idx.size)
 
 
 def steady_state(
@@ -368,8 +420,11 @@ def steady_state(
     invariant and that holds every diagonal entry of rho (the even parity
     block, whose last index is d^2 - 1), and `liouv` is the real L_h that
     `liouvillian(k, pairs, block)` builds; rho is embedded back into d x d
-    with zeros elsewhere.  The caller owns the uniqueness check on the
-    other sectors (`regression_spectrum` makes it for the odd block).
+    with zeros elsewhere.  `liouv` may be a stack (R, n, n) of the blocks
+    of R rows: the result is then the (R, d, d) stack of their steady
+    states, each equal bit for bit to its row's alone (stacked LU solves,
+    norms and checks row by row).  The caller owns the uniqueness check on
+    the other sectors (`regression_spectrum` makes it for the odd block).
     Without `block`, `liouv` is the whole complex L in vec entries, scattered
     into L_h here: a form kept for `bixsim check` and `bench/gate.py`.
     Raises ConfigurationError if `liouv` is not the real L_h of the block,
@@ -379,7 +434,8 @@ def steady_state(
     unique"), if ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state
     found": L does not preserve the trace), if ||L vec(rho)|| > 1e-9, if
     the block is not closed under rho -> rho+, or if L does not preserve
-    Hermiticity.
+    Hermiticity; for a stack, the first row that fails a check raises, the
+    checks taken one after another.
     """
     if block is None:
         liouv = np.asarray(liouv)
@@ -388,7 +444,8 @@ def steady_state(
             raise ConfigurationError("the whole Liouvillian must be square, of size d^2")
         idx = np.arange(d * d)
         rows, cols = np.nonzero(liouv)
-        l_h = _hermitian_scatter(rows, cols, liouv[rows, cols].astype(complex), idx, d)
+        vals = liouv[rows, cols].astype(complex)[None]
+        l_h, lead = _hermitian_scatter(rows, cols, vals, idx, d), ()
     else:
         idx = np.asarray(block)
         last = int(idx[-1]) if idx.size else -1
@@ -399,58 +456,72 @@ def steady_state(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
-        l_h = _block_matrix(liouv, idx)
+        l_h, lead = _block_matrix(liouv, idx), np.shape(liouv)[:-2]
     order, nd = _hermitian_basis(idx, d)
-    if not l_h.any():
+    if not l_h.any(axis=(1, 2)).all():
         raise SolverError("Liouvillian is identically zero")
-    scale = max(np.linalg.norm(l_h), 1.0)
+    scale = np.array([max(np.linalg.norm(m), 1.0) for m in l_h])
     m = l_h.copy()
-    m[0, :nd], m[0, nd:] = scale, 0.0  # rho_00 is the first diagonal entry
-    rhs = np.zeros(l_h.shape[0])
-    rhs[0] = scale
-    x, gap = _solve_with_gap(m, scale, rhs)
-    if not gap > kernel_rtol:  # also a nan from an overflowing solve
-        raise SolverError(
-            "steady state is not unique: Liouvillian kernel dimension 2 or more, "
-            f"or a traceless kernel vector (relative gap {gap:.3e} of the "
-            f"trace-row matrix, at most {kernel_rtol:.3e})"
-        )
-    miss = np.linalg.norm(l_h @ x) / np.linalg.norm(x)
-    if miss > kernel_rtol * scale:
-        raise SolverError(
-            f"no steady state found: ||L x|| / ||x|| = {miss:.3e} for the "
-            f"trace-row solution x exceeds tolerance {kernel_rtol * scale:.3e}"
-        )
-    x = x / x[:nd].sum()
-    residual = np.linalg.norm(l_h @ x)
-    if residual > _RESIDUAL_TOL:
-        raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
-        )
-    kernel = np.zeros(d * d, dtype=complex)
-    kernel[idx] = _from_hermitian(x, order, nd)
-    return unvec(kernel)
+    m[:, 0, :nd], m[:, 0, nd:] = scale[:, None], 0.0  # rho_00: first diagonal entry
+    rhs = np.zeros(l_h.shape[:2])
+    rhs[:, 0] = scale
+    x, gaps = _solve_with_gap(m, scale, rhs)
+    for gap in gaps:
+        if not gap > kernel_rtol:  # also a nan from an overflowing solve
+            raise SolverError(
+                "steady state is not unique: Liouvillian kernel dimension 2 or more, "
+                f"or a traceless kernel vector (relative gap {gap:.3e} of the "
+                f"trace-row matrix, at most {kernel_rtol:.3e})"
+            )
+    for l_r, x_r, s_r in zip(l_h, x, scale):
+        miss = np.linalg.norm(l_r @ x_r) / np.linalg.norm(x_r)
+        if miss > kernel_rtol * s_r:
+            raise SolverError(
+                f"no steady state found: ||L x|| / ||x|| = {miss:.3e} for the "
+                f"trace-row solution x exceeds tolerance {kernel_rtol * s_r:.3e}"
+            )
+    x = x / x[:, :nd].sum(axis=1, keepdims=True)
+    for l_r, x_r in zip(l_h, x):
+        residual = np.linalg.norm(l_r @ x_r)
+        if residual > _RESIDUAL_TOL:
+            raise SolverError(
+                f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
+            )
+    kernel = np.zeros((len(l_h), d * d), dtype=complex)
+    kernel[:, idx] = _from_hermitian(x[..., None], order, nd)[..., 0]
+    return unvec(kernel).reshape(lead + (d, d))
 
 
-def _solve_with_gap(m: np.ndarray, scale: float, rhs=None) -> tuple:
-    """(M^-1 rhs, 1 / (||M^-1|| scale)), or (None, 0.0) for a singular M.
+def _solve_with_gap(m: np.ndarray, scale: np.ndarray, rhs=None) -> tuple:
+    """(M^-1 rhs, 1 / (||M^-1|| scale)) for each M of the stack m (R, n, n),
+    as an (R, n) and an (R,) array; (0, 0.0) for a singular M.
 
-    A fixed probe z rides in the solve of `rhs` as one more column, and one
-    transposed solve gives the power step |M^-1 z| -> |M^-T M^-1 z|, which
-    estimates ||M^-1|| from below.  It is exact to first order when one
-    singular value of M is small, which is where the bound decides.
-    Without `rhs` the first value is M^-1 z.
+    A fixed probe z rides in the solve of `rhs` (R, n) as one more column,
+    and one transposed solve gives the power step |M^-1 z| -> |M^-T M^-1 z|,
+    which estimates ||M^-1|| from below.  It is exact to first order when
+    one singular value of M is small, which is where the bound decides.
+    Without `rhs` the first value is M^-1 z.  A stack with a singular
+    matrix is solved again one matrix at a time.
     """
     # a fixed quasi-random probe, the Weyl sequence frac(k / p) - 1/2 for the
     # plastic number p; nothing is seeded or imported
-    z = np.arange(1, m.shape[0] + 1) * 0.7548776662466927 % 1.0 - 0.5
-    columns = z[:, None] if rhs is None else np.column_stack([rhs, z])
+    columns = np.empty(m.shape[:-1] + (1 if rhs is None else 2,))
+    columns[..., -1] = np.arange(1, m.shape[-1] + 1) * 0.7548776662466927 % 1.0 - 0.5
+    if rhs is not None:
+        columns[..., 0] = rhs
     try:
         sol = np.linalg.solve(m, columns)
-        back = np.linalg.solve(m.T, sol[:, -1])
+        back = np.linalg.solve(m.swapaxes(-1, -2), sol[..., -1:])
     except np.linalg.LinAlgError:
-        return None, 0.0
-    return sol[:, 0], np.linalg.norm(sol[:, -1]) / (np.linalg.norm(back) * scale)
+        if len(m) == 1:
+            return np.zeros(m.shape[:-1]), np.zeros(1)
+        parts = [_solve_with_gap(m[i:i + 1], scale[i:i + 1],
+                                 None if rhs is None else rhs[i:i + 1])
+                 for i in range(len(m))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    gaps = [np.linalg.norm(s[:, -1]) / (np.linalg.norm(b) * sc)
+            for s, b, sc in zip(sol, back, scale)]
+    return sol[..., 0], np.array(gaps)
 
 
 @dataclass(frozen=True)
@@ -458,8 +529,9 @@ class SpectrumResult:
     """A one-sided emission spectrum on a frequency grid.
 
     omega_offsets are energies relative to the drive laser (ueV), positive
-    values above the laser.  `intensity` is nonnegative (arbitrary units,
-    unit maximum if normalized).  `metadata` records provenance.
+    values above the laser, 1-D and finite.  `intensity` is nonnegative
+    (arbitrary units, unit maximum if normalized), one value per offset.
+    `metadata` records provenance.  Anything else raises ConfigurationError.
     """
 
     omega_offsets: np.ndarray
@@ -471,6 +543,8 @@ class SpectrumResult:
             self, "omega_offsets", np.asarray(self.omega_offsets, dtype=float)
         )
         object.__setattr__(self, "intensity", np.asarray(self.intensity, dtype=float))
+        if self.omega_offsets.ndim != 1 or not np.isfinite(self.omega_offsets).all():
+            raise ConfigurationError("spectrum grid must be 1-D and finite")
         if self.omega_offsets.shape != self.intensity.shape:
             raise ConfigurationError("grid and intensity shapes differ")
         if not np.isfinite(self.intensity).all():
@@ -522,6 +596,13 @@ def regression_spectrum(
     without a symmetry passes every vec index, `np.arange(d * d)`.  The
     guards below scale by max(||L_h||_F, 1), written ||L||.
 
+    `l_h` (R, n, n) and `rho_ss` (R, d, d) may be stacks of R rows that
+    share the pairs; the result is then (R, n_omega), each row equal bit
+    for bit to the spectrum of that row alone.  The start vectors and the
+    kernel certificates run stacked; the `eig` or reduced model and
+    `_resolvent_sum` run row by row, so a stack holds one eigenbasis and
+    one (n_omega, n) resolvent at a time.
+
     Raises SolverError if the block holds rho_ss and ||L_h T vec(rho_ss)||
     exceeds 1e-9 ||L|| (not stationary), if a start vector has weight
     outside the block, if a block that does not hold rho_ss has a kernel (a
@@ -531,15 +612,18 @@ def regression_spectrum(
     either path runs), if the `eig` fails or its eigenbasis is singular, or
     if a pole with weight is undamped, wherever the grid lies (add
     dissipation to every channel before asking for a spectrum).  Raises
-    SolverError too if the block is not closed under rho -> rho+.  Raises
-    ConfigurationError if `pairs` or the grid is empty, if the grid is not
-    1-D or not finite, if `l_h` is complex or if it does not have the
-    block's size.
+    SolverError too if the block is not closed under rho -> rho+.  For a
+    stack, the first row that fails a check raises, the checks taken one
+    after another.  Raises ConfigurationError if `pairs` or the grid is
+    empty, if the grid is not 1-D or not finite, if `l_h` is complex or if
+    it does not have the block's size, or if `rho_ss` is not one d x d
+    matrix per block.
     """
     if len(pairs) == 0:
         raise ConfigurationError("no sources: give at least one (A, B) pair, or "
                                  "one lowering operator to emission_spectrum")
     idx = np.asarray(block)
+    lead = np.shape(l_h)[:-2]
     l_h = _block_matrix(l_h, idx)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omega_grid.size == 0:
@@ -547,27 +631,33 @@ def regression_spectrum(
     if omega_grid.ndim != 1 or not np.isfinite(omega_grid).all():
         raise ConfigurationError("the frequency grid must be 1-D and finite")
     rho_ss = np.asarray(rho_ss, dtype=complex)
+    d = rho_ss.shape[-1]
+    if rho_ss.shape != lead + (d, d):
+        raise ConfigurationError("pass one steady state rho_ss per block of L_h")
+    rho_ss = rho_ss.reshape(-1, d, d)
     rho_v = vec(rho_ss)
-    order, nd = _hermitian_basis(idx, rho_ss.shape[0])
-    scale = max(np.linalg.norm(l_h), 1.0)
+    order, nd = _hermitian_basis(idx, d)
+    scale = np.array([max(np.linalg.norm(m), 1.0) for m in l_h])
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
     starts = []
     for _, op_b in pairs:
         b_rho = np.asarray(op_b, dtype=complex) @ rho_ss
-        starts.append(vec(b_rho) - np.trace(b_rho) * rho_v)
-    starts = np.column_stack(starts)
+        trace = np.trace(b_rho, axis1=1, axis2=2)
+        starts.append(vec(b_rho) - trace[:, None] * rho_v)
+    starts = np.stack(starts, axis=-1)
     outside = np.abs(starts)
-    top = outside.max()
-    outside[idx] = 0.0
-    k, n = np.unravel_index(np.argmax(outside), outside.shape)
-    if outside[k, n] > _BLOCK_RTOL * top:
-        raise SolverError(
-            f"start vector {n} (B rho_ss) has weight {outside[k, n]:.3e} at vec "
-            f"index {k}, outside the block; B does not map rho_ss into it"
-        )
-    starts = _to_hermitian(starts[idx], order, nd)
+    top = outside.max(axis=(1, 2))
+    outside[:, idx] = 0.0
+    for row, out_r in enumerate(outside):
+        k, n = np.unravel_index(np.argmax(out_r), out_r.shape)
+        if out_r[k, n] > _BLOCK_RTOL * top[row]:
+            raise SolverError(
+                f"start vector {n} (B rho_ss) has weight {out_r[k, n]:.3e} at vec "
+                f"index {k}, outside the block; B does not map rho_ss into it"
+            )
+    starts = _to_hermitian(starts[:, idx], order, nd)
     # Tr(A rho) = vec(A^T) . vec(rho) under column stacking, and the row r
     # acts on the Hermitian basis as r T+ = conj(T conj(r))
     rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
@@ -576,29 +666,36 @@ def regression_spectrum(
     # a block holding rho_ss must leave it stationary; steady_state decomposed
     # only that block, so a block without rho_ss must have no kernel, or the
     # steady state is not unique
-    holds_rho = np.abs(rho_v[idx]).max() > _BLOCK_RTOL * np.abs(rho_v).max()
-    if holds_rho:
-        drift = np.linalg.norm(l_h @ _to_hermitian(rho_v[idx], order, nd))
-        if drift > _RESIDUAL_TOL * scale:
+    holds_rho = np.array([np.abs(v[idx]).max() > _BLOCK_RTOL * np.abs(v).max()
+                          for v in rho_v])
+    for l_r, v, s_r in zip(l_h[holds_rho], rho_v[holds_rho], scale[holds_rho]):
+        drift = np.linalg.norm(l_r @ _to_hermitian(v[idx, None], order, nd)[:, 0])
+        if drift > _RESIDUAL_TOL * s_r:
             raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
-    else:
-        gap = _solve_with_gap(l_h, scale)[1]
-        if not gap > _KERNEL_RTOL:
-            raise SolverError(
-                "steady state is not unique: a block without rho_ss has a kernel "
-                f"(relative gap {gap:.3e} of its L, at most {_KERNEL_RTOL:.0e})"
-            )
-        if l_h.shape[0] > _KRYLOV_MIN_ROWS:
-            spectrum = _reduced_spectrum(l_h, rows, starts, omega_grid, scale)
+    free = ~holds_rho
+    if free.any():
+        stack = l_h if free.all() else l_h[free]  # no copy for an odd block
+        for gap in _solve_with_gap(stack, scale[free])[1]:
+            if not gap > _KERNEL_RTOL:
+                raise SolverError(
+                    "steady state is not unique: a block without rho_ss has a kernel "
+                    f"(relative gap {gap:.3e} of its L, at most {_KERNEL_RTOL:.0e})"
+                )
+    spectra = np.empty((len(l_h), omega_grid.size))
+    for row, (l_r, starts_r, s_r) in enumerate(zip(l_h, starts, scale)):
+        if not holds_rho[row] and l_r.shape[0] > _KRYLOV_MIN_ROWS:
+            spectrum = _reduced_spectrum(l_r, rows, starts_r, omega_grid, s_r)
             if spectrum is not None:
-                return spectrum
-    try:
-        weights, poles = _poles(l_h, rows, starts)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigendecomposition of L_h failed: {exc}") from exc
-    if holds_rho:  # the starts were projected off the kernel mode: zero its rounding
-        weights[np.argmin(np.abs(poles))] = 0.0
-    return _resolvent_sum(weights, poles, omega_grid, scale)
+                spectra[row] = spectrum
+                continue
+        try:
+            weights, poles = _poles(l_r, rows, starts_r)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"eigendecomposition of L_h failed: {exc}") from exc
+        if holds_rho[row]:  # the starts were projected off the kernel mode:
+            weights[np.argmin(np.abs(poles))] = 0.0  # zero its rounding
+        spectra[row] = _resolvent_sum(weights, poles, omega_grid, s_r)
+    return spectra.reshape(lead + omega_grid.shape)
 
 
 def _poles(a, rows, starts, gram=None) -> tuple[np.ndarray, np.ndarray]:

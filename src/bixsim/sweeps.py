@@ -1,9 +1,16 @@
 """Power and detuning sweeps of the emission spectrum, plus peak analysis.
 
 Both sweeps run one row loop, `_sweep`: each row sets one config field (the
-drive amplitude or the laser detuning) and is one normalized
-`compute_spectrum_y`; the rows, in order, form a SweepMap, and a failing
-row names its axis value.
+drive amplitude or the laser detuning) and is one normalized spectrum; the
+rows, in order, form a SweepMap, and a failing row names its axis value.
+The rows go through the solver as stacks with a leading row axis
+(`system._spectra`), each of as many rows as keep its larger parity block
+within `_STACK_ENTRIES` matrix entries (5 rows at n_max_y=2, 2 at 3, one
+from 4 on); each row equals `compute_spectrum_y` of its config, bit for
+bit.  The budget is set by memory: every row of a stack keeps its odd block
+alive while one row's (n_omega, n) resolvent is formed.  A stack that
+raises is run again row by row, so the first failing row raises as if the
+rows had never been stacked.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
+from .hilbert import HilbertSpec
 from .liouville import SpectrumResult
-from .system import SystemConfig, calibrate_drive, compute_spectrum_y, config_hash
+from .system import SystemConfig, _spectra, calibrate_drive, compute_spectrum_y, config_hash
 
 __all__ = [
     "SweepMap",
@@ -25,6 +33,7 @@ __all__ = [
     "extract_peaks",
 ]
 
+_STACK_ENTRIES = 2**15  # entries of a stack of the larger parity block, all rows
 _MIN_PROMINENCE = 0.01  # of the spectrum maximum
 _CLUSTER_OFFSET = 500.0  # ueV from the laser
 
@@ -62,9 +71,14 @@ class SweepMap:
 def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
     """Map of the spectra of vary(cfg, v) for v in values, one row each.
 
-    Each row is `compute_spectrum_y` with normalize=True, so it is divided
-    by its own maximum and a dark row stays zero.  The values must be at
-    least two and distinct, or ConfigurationError."""
+    Each row is the spectrum of its config with normalize=True, so it is
+    divided by its own maximum and a dark row stays zero.  The rows run as
+    stacks of at most `_STACK_ENTRIES` entries of the larger parity block
+    (one row at least); a stack that raises SolverError or LinAlgError is
+    run again one row at a time, and the first row that fails raises
+    SolverError naming its axis value.  The values must be at least two and
+    distinct, or ConfigurationError.  The config is hashed once, for the
+    map; the rows make no SpectrumResult."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ConfigurationError("a sweep needs at least two rows")
@@ -73,17 +87,27 @@ def _sweep(cfg, values, vary, *, kind, label, axis1_name) -> SweepMap:
             f"sweep values of {label} must be distinct; each row would repeat "
             "the spectrum of another"
         )
+    base = replace(cfg, normalize=True)
+    configs = [vary(base, float(v)) for v in values]
+    block = max(b.size for b in HilbertSpec(cfg.numerics.n_max_y).parity_blocks())
+    size = max(_STACK_ENTRIES // block**2, 1)
     rows = []
-    for v in values:
-        row = replace(vary(cfg, float(v)), normalize=True)
+    for start in range(0, values.size, size):
+        chunk = configs[start:start + size]
         try:
-            rows.append(compute_spectrum_y(row))
-        except SolverError as exc:
-            raise SolverError(f"row at {label}={v:g} failed: {exc}") from exc
+            grid, intensity = _spectra(chunk)
+        except (SolverError, np.linalg.LinAlgError):
+            intensity = []
+            for v, row in zip(values[start:], chunk):
+                try:
+                    grid, spectrum = _spectra([row])
+                except SolverError as exc:
+                    raise SolverError(f"row at {label}={v:g} failed: {exc}") from exc
+                intensity.append(spectrum[0])
+        rows.extend(intensity)
     meta = {"base_config_hash": config_hash(cfg), "sweep": kind,
             "normalization": "per-row"}
-    intensity = np.array([r.intensity for r in rows])
-    return SweepMap(values, rows[0].omega_offsets, intensity, axis1_name, meta)
+    return SweepMap(values, grid, np.array(rows), axis1_name, meta)
 
 
 def power_sweep(

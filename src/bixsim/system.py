@@ -366,14 +366,36 @@ def dephasing_projector_rates(rates: Rates) -> dict:
 # -- Hamiltonian and Liouvillian ---------------------------------------------
 
 
-def _coupling_terms(cfg: SystemConfig, spec: HilbertSpec, kernels):
+def _per_row(cfg, value):
+    """value(c) of the config cfg, as an array; or, for a sequence of row
+    configs, the (R, 1, 1, ...) array of value(c) for each, so that a
+    factor times a d x d operator is (d, d) or (R, d, d)."""
+    if isinstance(cfg, SystemConfig):
+        return np.asarray(value(cfg))
+    values = np.array([value(c) for c in cfg])
+    return values.reshape(values.shape[:1] + (1, 1) + values.shape[1:])
+
+
+def _shared(cfg) -> SystemConfig:
+    """cfg, or the first of a sequence of row configs, whose settings the
+    rows share: they may differ only in what `_per_row` reads, the level
+    energies, cavity split, laser detuning and drive, and in `normalize`."""
+    return cfg if isinstance(cfg, SystemConfig) else cfg[0]
+
+
+def _coupling_terms(cfg, spec: HilbertSpec, kernels):
     """Renormalized raising halves of all coherent couplings.
 
     Returns a list of (raising_op, displacement_factor); the factor is 1
-    for exciton steps and xx_scaling - 1 for biexciton steps.
+    for exciton steps and xx_scaling - 1 for biexciton steps.  For a
+    sequence of row configs the drive terms are (R, d, d) stacks.
     """
-    dp = drive_params(cfg)
-    c = cfg.couplings
+    def drive(c):
+        dp = drive_params(c)
+        return dp.eta1, dp.eta2
+
+    eta = _per_row(cfg, drive)
+    c = _shared(cfg).couplings
     a = embed_photon_annihilator(spec)
     if kernels is None:
         b1 = b2 = 1.0
@@ -383,8 +405,8 @@ def _coupling_terms(cfg: SystemConfig, spec: HilbertSpec, kernels):
         b1 = kernels.bracket(1.0)
         b2 = kernels.bracket(f2)
     terms = [
-        (b1 * dp.eta1 * embed_qd_transition(spec, "G", "X"), 1.0),
-        (b2 * dp.eta2 * embed_qd_transition(spec, "X", "XX"), f2),
+        (b1 * eta[..., 0] * embed_qd_transition(spec, "G", "X"), 1.0),
+        (b2 * eta[..., 1] * embed_qd_transition(spec, "X", "XX"), f2),
         (b1 * c.g1y * (embed_qd_transition(spec, "G", "Y") @ a), 1.0),
         (b2 * c.g2y * (embed_qd_transition(spec, "Y", "XX") @ a), f2),
     ]
@@ -405,34 +427,43 @@ def _assemble_hamiltonian(cfg, spec, terms) -> np.ndarray:
     """Rotating-frame Hamiltonian on the emitter (x) y-mode space.
 
     Level and y-mode detunings on the diagonal, plus op + op+ for each of
-    `_coupling_terms` (drive and y couplings, phonon-renormalized).
+    `_coupling_terms` (drive and y couplings, phonon-renormalized); an
+    (R, d, d) stack for a sequence of row configs.
     """
-    det = detunings(cfg)
+    def diagonal(c):
+        det = detunings(c)
+        return det.delta4, det.delta3, det.delta2, delta_cl_y(c)
+
+    delta = _per_row(cfg, diagonal)
     a = embed_photon_annihilator(spec)
     h = (
-        det.delta4 * embed_qd_transition(spec, "XX", "XX")
-        + det.delta3 * embed_qd_transition(spec, "X", "X")
-        + det.delta2 * embed_qd_transition(spec, "Y", "Y")
-        + delta_cl_y(cfg) * (a.conj().T @ a)
+        delta[..., 0] * embed_qd_transition(spec, "XX", "XX")
+        + delta[..., 1] * embed_qd_transition(spec, "X", "X")
+        + delta[..., 2] * embed_qd_transition(spec, "Y", "Y")
+        + delta[..., 3] * (a.conj().T @ a)
     )
     for op, _ in terms:
-        h = h + op + op.conj().T
+        h = h + op + op.conj().swapaxes(-1, -2)
     return h
 
 
-def _generator(cfg: SystemConfig) -> tuple[np.ndarray, list]:
+def _generator(cfg) -> tuple[np.ndarray, list]:
     """K and sandwich pairs of the master equation, the input of `liouvillian`.
 
     K = -iH - (1/2) Sum rate c+ c - Sum (g P + g+ Q); the pairs are the
     Lindblad jumps (sqrt(rate) c, sqrt(rate) c+) and, with phonons, the
     polaron pairs (P, g), (g+, P+), (Q, g+) and (g, Q+) of each
-    displacement group's raising operator g (`polaron_dissipator`).
+    displacement group's raising operator g (`polaron_dissipator`).  For a
+    sequence of R row configs (`_shared` says what they may vary) K and the
+    polaron pairs are (R, d, d) stacks, built in one pass for all rows, and
+    the Lindblad pairs, equal in every row, stay (d, d).
     """
-    spec = HilbertSpec(cfg.numerics.n_max_y)
-    kernels = _kernels_for(cfg)
+    base = _shared(cfg)
+    spec = HilbertSpec(base.numerics.n_max_y)
+    kernels = _kernels_for(base)
     terms = _coupling_terms(cfg, spec, kernels)
     h = _assemble_hamiltonian(cfg, spec, terms)
-    r = cfg.rates
+    r = base.rates
     channels = [
         (embed_qd_transition(spec, "X", "G"), r.gamma_x_g),
         (embed_qd_transition(spec, "Y", "G"), r.gamma_y_g),
@@ -496,23 +527,12 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     state that is not unique over the whole L (a kernel of the even block
     other than one-dimensional, or a kernel of the odd block), a block
     whose L has an imaginary part in that basis, and an undamped pole.
+
+    This is the one-row case of `_spectra`, which runs the rows of a sweep
+    through the same pipeline as one stack with a leading row axis, each
+    row's intensity equal bit for bit to this function's for its config.
     """
-    n = cfg.numerics
-    spec = HilbertSpec(n.n_max_y)
-    k, pairs = _generator(cfg)
-    even, odd = spec.parity_blocks()
-    l_even = liouvillian(k, pairs, even)
-    rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)
-    del l_even  # one block of L held at a time
-    l_odd = liouvillian(k, pairs, odd)
-    grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
-
-    ops = [source_operator(cfg, which) for which in _SOURCES[cfg.source]]
-    total = emission_spectrum(l_odd, ops, rho_ss, grid, odd)
-    total = np.clip(total, 0.0, None)
-    if cfg.normalize and total.max() > 0.0:
-        total = total / total.max()
-
+    grid, total = _spectra(cfg)
     meta = {
         "config_hash": config_hash(cfg),
         "source": cfg.source,
@@ -522,3 +542,39 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
         "tool": f"bixsim {_version}",
     }
     return SpectrumResult(omega_offsets=grid, intensity=total, metadata=meta)
+
+
+def _spectra(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, intensity) of cfg, or of each of a sequence of R row configs.
+
+    The intensity is (n_omega,) for one config and (R, n_omega) for rows,
+    which may differ only as `_shared` says (a sweep varies the drive or
+    the laser detuning).  The rows go through every
+    stage at once, with a leading row axis: one `_generator`, one
+    `liouvillian` call per parity block, one `steady_state` and one
+    `emission_spectrum` for the stack.  Each row is clipped at zero and,
+    if its config says so, divided by its own maximum when that is
+    positive.  Errors are those of `compute_spectrum_y`; in a stack the
+    first row that fails a check raises.
+    """
+    base = _shared(cfg)
+    n = base.numerics
+    spec = HilbertSpec(n.n_max_y)
+    k, pairs = _generator(cfg)
+    even, odd = spec.parity_blocks()
+    l_even = liouvillian(k, pairs, even)
+    rho_ss = steady_state(l_even, kernel_rtol=n.steady_rtol, block=even)
+    del l_even  # one block of L held at a time
+    l_odd = liouvillian(k, pairs, odd)
+    del k, pairs
+    grid = np.linspace(-n.omega_half_span, n.omega_half_span, n.n_omega)
+
+    ops = [source_operator(base, which) for which in _SOURCES[base.source]]
+    total = emission_spectrum(l_odd, ops, rho_ss, grid, odd)
+    total = np.clip(total, 0.0, None)
+    rows = [cfg] if isinstance(cfg, SystemConfig) else cfg
+    for c, row in zip(rows, total.reshape(-1, grid.size)):
+        top = row.max()
+        if c.normalize and top > 0.0:
+            row /= top
+    return grid, total

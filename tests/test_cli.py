@@ -301,6 +301,9 @@ def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
         pytest.param(["power-sweep", "--config", "{cfg}", "--rows", "2", "--grid", "3",
                       "--max-splitting", "-1500"], "splitting -1500", True,
                      id="max-splitting-negative"),
+        pytest.param(["power-sweep", "--config", "{cfg}", "--rows", "2", "--grid", "3",
+                      "--max-splitting", "nan"], "splitting nan", True,
+                     id="max-splitting-nan"),
         pytest.param(["spectrum", "--config", "{dir}"], "{dir}", True, id="config-directory"),
         pytest.param(["spectrum", "--config", "{latin1}"], "{latin1}", True,
                      id="config-not-utf8"),

@@ -1,5 +1,7 @@
 """Closed-form dressed-state results against independent diagonalization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,9 @@ def test_unreachable_target_splitting_rejected():
     with pytest.raises(ConfigurationError, match="negative power"):
         drive_for_splitting(10.0, -25.0, 0.0, 74.0, G1X, G2X)
     assert drive_for_splitting(0.0, 990.0, 0.0, 74.0, G1X, G2X) == 0.0
+    # a nan or infinite target used to return nan or inf, which failed later
+    # as "drive.omega must be finite"
+    for target, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ConfigurationError,
+                           match=f"^target splitting {shown} ueV must be finite$"):
+            drive_for_splitting(target, 990.0, 0.0, 74.0, G1X, G2X)

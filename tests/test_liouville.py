@@ -1,5 +1,7 @@
 """Oracle tests for the superoperator layer on small hand-checkable systems."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson, trapezoid
@@ -502,6 +504,11 @@ def test_spectrum_result_rejects_bad_intensity():
             SpectrumResult(grid, bad)
     with pytest.raises(ConfigurationError, match="intensity must be nonnegative"):
         SpectrumResult(grid, [0.0, -1e-3, 1.0])
+    # the grid is checked as SweepMap checks its axes: extract_peaks reported
+    # a peak at nan on this one
+    for bad in ([0.0, np.nan, 2.0, 3.0], [0.0, np.inf, 2.0, 3.0], [[0.0, 1.0, 2.0, 3.0]]):
+        with pytest.raises(ConfigurationError, match="^spectrum grid must be 1-D and finite$"):
+            SpectrumResult(np.array(bad), np.reshape([0.0, 1.0, 0.0, 0.5], np.shape(bad)))
 
 
 def test_builder_rejects_a_bare_hamiltonian_or_superoperators():
@@ -653,3 +660,50 @@ def test_hermitian_basis_matches_complex_decompositions(seed):
         want = complex_regression_spectra(vec_l, pairs_ab, rho, grid, idx, 1e-10 * norm)
         want = want.sum(axis=0)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_stacked_rows_match_each_row_alone():
+    # a stack (R, d, d) of generators through the builder and both solvers
+    # gives each row bit for bit as alone, on blocks with and without
+    # rho_ss; a failing row raises as it does alone
+    gens = [random_parity_generator(seed) for seed in (7, 8, 9)]
+    k = np.array([g[0] for g in gens])
+    pairs = [tuple(np.array([g[1][n][side] for g in gens]) for side in (0, 1))
+             for n in range(len(gens[0][1]))]
+    even, odd = parity_blocks_4()
+    everything = np.arange(16)
+    for idx in (everything, even, odd):
+        stacked = liouvillian(k, pairs, idx)
+        assert stacked.shape == (3, idx.size, idx.size)
+        for row, (k_r, pairs_r) in zip(stacked, gens):
+            assert np.array_equal(row, liouvillian(k_r, pairs_r, idx))
+    l_even, l_odd = liouvillian(k, pairs, even), liouvillian(k, pairs, odd)
+    rho = steady_state(l_even, block=even)
+    assert rho.shape == (3, 4, 4)
+    for r in range(3):
+        assert np.array_equal(rho[r], steady_state(l_even[r], block=even))
+    flips = np.where(np.equal.outer(P_4, P_4), 0, np.arange(16.0).reshape(4, 4) % 3)
+    grid = np.linspace(-5.0, 5.0, 101)
+    for l_h, idx, op in [(l_odd, odd, flips), (l_even, even, flips @ flips.T),
+                         (liouvillian(k, pairs, everything), everything, flips)]:
+        got = regression_spectrum(l_h, [(op.T, op)], rho, grid, idx)
+        assert got.shape == (3, grid.size)
+        for r in range(3):
+            want = regression_spectrum(l_h[r], [(op.T, op)], rho[r], grid, idx)
+            assert np.array_equal(got[r], want)
+
+    # row 1 without dissipation has a kernel of dimension 4 in the even block:
+    # its trace-row matrix is singular, and the stack raises its message
+    k[1] = -1j * np.diag([0.0, 1.0, 2.0, 3.0])
+    for a, b in pairs:
+        a[1], b[1] = 0.0, 0.0
+    l_even = liouvillian(k, pairs, even)
+    with pytest.raises(SolverError) as alone:
+        steady_state(l_even[1], block=even)
+    assert "not unique" in str(alone.value)
+    with pytest.raises(SolverError, match=re.escape(str(alone.value))):
+        steady_state(l_even, block=even)
+    # and K of row 2 across the parity sectors is named as alone
+    k[2, 0, 1] = 0.3
+    with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):
+        liouvillian(k, pairs, odd)

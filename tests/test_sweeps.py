@@ -11,6 +11,7 @@ import pytest
 
 import bixsim
 from bixsim.errors import ConfigurationError, SolverError
+from bixsim.hilbert import HilbertSpec
 from bixsim.export import export_map, export_spectrum
 from bixsim.liouville import SpectrumResult
 from bixsim.sweeps import (
@@ -119,18 +120,19 @@ def test_import_loads_no_scipy():
 
 
 def test_spectrum_request_loads_no_scipy(tmp_path):
-    # a whole request (phonon-on spectrum, peaks, export) and the numerical
-    # branch of the dressed ladder stay numpy-only, so a first request pays no
-    # scipy import; nor does it load numpy.random, which would add 6 MB of
-    # RSS (the probe of liouville._solve_with_gap is a closed-form sequence)
+    # a whole request (phonon-on spectrum, peaks, export), a stacked 3-row
+    # power sweep with its export, and the numerical branch of the dressed
+    # ladder stay numpy-only, so a first request pays no scipy import; nor
+    # does it load numpy.random, which would add 6 MB of RSS (the probe of
+    # liouville._solve_with_gap is a closed-form sequence)
     import bixsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(bixsim.__file__)))
     code = (
         "import sys\n"
         "from dataclasses import replace\n"
-        "from bixsim.export import export_spectrum\n"
-        "from bixsim.sweeps import extract_peaks\n"
+        "from bixsim.export import export_map, export_spectrum\n"
+        "from bixsim.sweeps import extract_peaks, power_sweep\n"
         "from bixsim.dressed import DetuningSet, DriveParams, dressed_eigenvalues\n"
         "from bixsim.system import compute_spectrum_y, default_config\n"
         "off_resonance = DetuningSet(965.0, 990.0, 37.0)\n"
@@ -142,6 +144,7 @@ def test_spectrum_request_loads_no_scipy(tmp_path):
         "assert res.metadata['phonons']\n"
         "extract_peaks(res)\n"
         "export_spectrum(res, sys.argv[1])\n"
+        "export_map(power_sweep(cfg, n_rows=3), sys.argv[1])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "print('numpy.random' in sys.modules)\n"
     )
@@ -150,6 +153,7 @@ def test_spectrum_request_loads_no_scipy(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == ["[]", "False"]
     assert (tmp_path / "spectrum.csv").exists()
+    assert (tmp_path / "map_values.csv").exists()
 
 
 def test_power_sweep_shapes_and_normalization():
@@ -188,13 +192,13 @@ def test_sweeps_reject_fewer_than_two_rows(sweep, n_rows):
 )
 def test_sweeps_reject_repeated_axis_values(monkeypatch, run, label):
     # a zero span or a repeated value computes one spectrum several times;
-    # the rule fires before any row is solved
+    # the rule fires before any row is solved, stacked or alone
     from bixsim import sweeps
 
-    def no_spectrum(cfg):
+    def no_spectrum(cfgs):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(sweeps, "compute_spectrum_y", no_spectrum)
+    monkeypatch.setattr(sweeps, "_spectra", no_spectrum)
     with pytest.raises(ConfigurationError, match=f"^sweep values of {label} must be distinct"):
         run(small_config())
 
@@ -236,29 +240,34 @@ def test_detuning_sweep_point_symmetry_of_symmetrized_model():
 
 
 def test_failing_sweep_row_names_its_axis_value(monkeypatch):
+    # the stack of all rows fails, so the sweep runs them again one at a
+    # time, in order, and the first row that fails names its axis value
     import bixsim.sweeps
 
-    real = bixsim.sweeps.compute_spectrum_y
+    real = bixsim.sweeps._spectra
     calls = []
 
-    def fails_on_row_2(cfg):
-        calls.append(cfg)
-        if len(calls) == 2:
+    def fails_on_row_2(cfgs, axis, value):
+        calls.append([axis(c) for c in cfgs])
+        assert all(c.normalize for c in cfgs)
+        if value in calls[-1]:
             raise SolverError("no steady state found")
-        return real(cfg)
+        return real(cfgs)
 
-    monkeypatch.setattr(bixsim.sweeps, "compute_spectrum_y", fails_on_row_2)
     cfg = small_config()
+    monkeypatch.setattr(bixsim.sweeps, "_spectra",
+                        lambda cfgs: fails_on_row_2(cfgs, lambda c: c.drive.omega, 130.0))
     with pytest.raises(SolverError,
                        match=r"^row at Omega=130 failed: no steady state found$"):
         power_sweep(cfg, omega_values=[0.0, 130.0, 260.0])
-    assert [c.drive.omega for c in calls] == [0.0, 130.0]  # one call per row
+    assert calls == [[0.0, 130.0, 260.0], [0.0], [130.0]]  # then one call per row
     calls.clear()
+    monkeypatch.setattr(bixsim.sweeps, "_spectra",
+                        lambda cfgs: fails_on_row_2(cfgs, lambda c: c.laser_detuning, -12.5))
     with pytest.raises(SolverError,
                        match=r"^row at laser_detuning=-12\.5 failed: no steady"):
         detuning_sweep(cfg, detuning_values=[-25.0, -12.5, 0.0])
-    assert [c.laser_detuning for c in calls] == [-25.0, -12.5]
-    assert all(c.normalize for c in calls)
+    assert calls == [[-25.0, -12.5, 0.0], [-25.0], [-12.5]]
 
 
 def test_phonon_comparison_shares_common_scale():
@@ -272,20 +281,72 @@ def test_phonon_comparison_shares_common_scale():
     assert on.metadata["common_scale"] == off.metadata["common_scale"]
 
 
-def test_map_rows_are_normalized_spectra():
+def test_map_rows_are_normalized_spectra(monkeypatch):
     # a map row is the spectrum compute_spectrum_y returns for the row's
-    # config, bit for bit; the zero-drive row is dark and stays zero
+    # config, bit for bit, however the rows are stacked: at the baseline,
+    # with phonons off, with source="both", at n_max_y=5 (odd blocks on the
+    # reduced model) and split into chunks of two rows; the zero-drive row
+    # is dark and stays zero
+    from bixsim import liouville, sweeps
+
     base = load_config(os.path.join(os.path.dirname(bixsim.__file__), "data",
                                     "baseline.json"))
-    power = power_sweep(base, n_rows=5)
-    assert not np.any(power.values[0])
-    for omega, row in zip(power.axis1, power.values):
-        cfg = replace(base, drive=replace(base.drive, omega=float(omega)))
-        assert np.array_equal(row, compute_spectrum_y(cfg).intensity)
-    detuning = detuning_sweep(base, n_rows=5)
-    for d, row in zip(detuning.axis1, detuning.values):
-        cfg = replace(base, laser_detuning=float(d))
-        assert np.array_equal(row, compute_spectrum_y(cfg).intensity)
+    cases = {
+        "baseline": base,
+        "phonons-off": replace(base, phonon=replace(base.phonon, enable=False)),
+        "both": replace(base, source="both"),
+        "n_max_y-5": replace(base, numerics=replace(base.numerics, n_max_y=5)),
+        "chunked": base,
+    }
+    stacks = []
+    real = sweeps._spectra
+
+    def recorded(cfgs):
+        stacks.append(len(cfgs))
+        return real(cfgs)
+
+    monkeypatch.setattr(sweeps, "_spectra", recorded)
+    for case, cfg in cases.items():
+        even, odd = HilbertSpec(cfg.numerics.n_max_y).parity_blocks()
+        if case == "chunked":
+            monkeypatch.setattr(sweeps, "_STACK_ENTRIES", 2 * even.size**2)
+        if case == "n_max_y-5":
+            assert odd.size > liouville._KRYLOV_MIN_ROWS
+        per_stack = max(sweeps._STACK_ENTRIES // max(even.size, odd.size) ** 2, 1)
+        stacks.clear()
+        power = power_sweep(cfg, n_rows=5)
+        expected = [min(per_stack, 5 - i) for i in range(0, 5, per_stack)]
+        assert stacks == expected, case
+        if cfg.numerics.n_max_y == 2:  # one stack of all rows, or stacks of two
+            assert expected == ([2, 2, 1] if case == "chunked" else [5])
+        assert not np.any(power.values[0])
+        for omega, row in zip(power.axis1, power.values):
+            row_cfg = replace(cfg, drive=replace(cfg.drive, omega=float(omega)))
+            assert np.array_equal(row, compute_spectrum_y(row_cfg).intensity), case
+        detuning = detuning_sweep(cfg, n_rows=5)
+        for d, row in zip(detuning.axis1, detuning.values):
+            row_cfg = replace(cfg, laser_detuning=float(d))
+            assert np.array_equal(row, compute_spectrum_y(row_cfg).intensity), case
+
+
+def test_sweep_hashes_its_config_once(monkeypatch):
+    # the map's metadata holds the base config's hash; its rows make no
+    # SpectrumResult and hash nothing
+    from bixsim import sweeps, system
+
+    hashed = []
+    real = system.config_hash
+
+    def counted(cfg):
+        hashed.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(system, "config_hash", counted)
+    monkeypatch.setattr(sweeps, "config_hash", counted)
+    cfg = small_config()
+    m = power_sweep(cfg, omega_values=[0.0, 130.0, 260.0])
+    assert hashed == [cfg]
+    assert m.metadata["base_config_hash"] == real(cfg)
 
 
 def test_phonon_comparison_divides_by_the_common_maximum():

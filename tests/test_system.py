@@ -581,7 +581,9 @@ def test_spectrum_takes_no_svd(monkeypatch):
     # the steady state is one real LU solve of the even block in the Hermitian
     # basis, with a probe column, and one solve of its transpose for the
     # uniqueness certificate; the odd block takes the same two solves for its
-    # kernel certificate, then one complex solve for the eigenbasis
+    # kernel certificate, then one complex solve for the eigenbasis; the
+    # four certificate solves take a stack of one block, the form a sweep's
+    # stacked rows take
     calls = {"svd": 0, "solve": []}
     svd, solve = np.linalg.svd, np.linalg.solve
 
@@ -601,10 +603,10 @@ def test_spectrum_takes_no_svd(monkeypatch):
     n, m = even.size, odd.size
     assert calls["svd"] == 0
     assert calls["solve"] == [
-        ((n, n), (n, 2), np.float64),  # trace-row system and probe column
-        ((n, n), (n,), np.float64),  # its transpose, for the certificate
-        ((m, m), (m, 1), np.float64),  # the odd block and the probe column
-        ((m, m), (m,), np.float64),  # its transpose, for the certificate
+        ((1, n, n), (1, n, 2), np.float64),  # trace-row system and probe column
+        ((1, n, n), (1, n, 1), np.float64),  # its transpose, for the certificate
+        ((1, m, m), (1, m, 1), np.float64),  # the odd block and the probe column
+        ((1, m, m), (1, m, 1), np.float64),  # its transpose, for the certificate
         ((m, m), (m, 2), np.complex128),  # eigenbasis amplitudes of 2 sources
     ]
 
