@@ -270,10 +270,7 @@ def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
     offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
     ib = ib[np.repeat(start[ga[ia]], reps) + offset]
     ia = np.repeat(ia, reps)
-    vals = np.empty((n_rows, ia.size), dtype=complex)
-    for v_r, a_r, b_r in zip(vals, av, bv):  # one row's temporaries at a time
-        np.multiply(a_r[ia], b_r[ib], out=v_r)
-    return ra[ia] + d * cb[ib], ca[ia] + d * rb[ib], vals
+    return ra[ia] + d * cb[ib], ca[ia] + d * rb[ib], av[:, ia] * bv[:, ib]
 
 
 def _hermitian_basis(idx: np.ndarray, d: int) -> tuple[np.ndarray, int]:

@@ -529,8 +529,10 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
     whose L has an imaginary part in that basis, and an undamped pole.
 
     This is the one-row case of `_spectra`, which runs the rows of a sweep
-    through the same pipeline as one stack with a leading row axis, each
-    row's intensity equal bit for bit to this function's for its config.
+    through the same pipeline as stacks with a leading row axis, each row's
+    intensity equal bit for bit to this function's for its config; `sweeps`
+    sizes the stacks by `_STACK_ENTRIES` and runs a stack that fails again
+    row by row, so the first failing row is the one named.
     """
     grid, total = _spectra(cfg)
     meta = {

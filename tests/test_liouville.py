@@ -663,18 +663,19 @@ def test_hermitian_basis_matches_complex_decompositions(seed):
 
 
 def test_stacked_rows_match_each_row_alone():
-    # a stack (R, d, d) of generators through the builder and both solvers
-    # gives each row bit for bit as alone, on blocks with and without
-    # rho_ss; a failing row raises as it does alone
+    # a stack (R, d, d) of generators through the builder (the whole L and
+    # blocks) and both solvers gives each row bit for bit as alone, on
+    # blocks with and without rho_ss; a failing row raises as it does alone
     gens = [random_parity_generator(seed) for seed in (7, 8, 9)]
     k = np.array([g[0] for g in gens])
     pairs = [tuple(np.array([g[1][n][side] for g in gens]) for side in (0, 1))
              for n in range(len(gens[0][1]))]
     even, odd = parity_blocks_4()
     everything = np.arange(16)
-    for idx in (everything, even, odd):
+    for idx in (None, everything, even, odd):
         stacked = liouvillian(k, pairs, idx)
-        assert stacked.shape == (3, idx.size, idx.size)
+        size = 16 if idx is None else idx.size
+        assert stacked.shape == (3, size, size)
         for row, (k_r, pairs_r) in zip(stacked, gens):
             assert np.array_equal(row, liouvillian(k_r, pairs_r, idx))
     l_even, l_odd = liouvillian(k, pairs, even), liouvillian(k, pairs, odd)
