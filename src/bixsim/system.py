@@ -551,13 +551,13 @@ def _spectra(cfg) -> tuple[np.ndarray, np.ndarray]:
 
     The intensity is (n_omega,) for one config and (R, n_omega) for rows,
     which may differ only as `_shared` says (a sweep varies the drive or
-    the laser detuning).  The rows go through every
-    stage at once, with a leading row axis: one `_generator`, one
-    `liouvillian` call per parity block, one `steady_state` and one
-    `emission_spectrum` for the stack.  Each row is clipped at zero and,
-    if its config says so, divided by its own maximum when that is
-    positive.  Errors are those of `compute_spectrum_y`; in a stack the
-    first row that fails a check raises.
+    the laser detuning).  The rows go through every stage at once, with a
+    leading row axis: one `_generator`, one `liouvillian` call per parity
+    block, one `steady_state` and one `emission_spectrum` for the stack.
+    Each row is clipped at zero and, if its config says so, divided by its
+    own maximum when that is positive.  Errors are those of
+    `compute_spectrum_y`; in a stack the first row that fails a check
+    raises.
     """
     base = _shared(cfg)
     n = base.numerics
