@@ -3,9 +3,9 @@
 Both go through one writer, `_export`: CSV tables at 17 significant digits
 (floats round-trip exactly) or one JSON document of the same arrays, then a
 .meta.json sidecar with the metadata dict (config hash, tool version) and
-an optional PNG.  An unknown format is rejected before any directory is
-made.  Nothing time- or host-dependent is written, so repeated exports of
-the same result are byte-identical.
+an optional PNG.  An unknown format, or a PNG without matplotlib, is
+rejected before any directory is made.  Nothing time- or host-dependent
+is written, so repeated exports of the same result are byte-identical.
 
 An existing file is overwritten in place rather than truncated first.  On
 ext4, truncating a file to zero and rewriting it makes the close flush the
@@ -84,6 +84,8 @@ def _export(out_dir, fmt, stem, tables, arrays, meta, draw) -> list[str]:
     meta sidecar and draw's PNG if given; returns the paths in that order."""
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"unknown export format {fmt!r}; use csv or json")
+    if draw is not None:
+        _pyplot()
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. out_dir names an existing file

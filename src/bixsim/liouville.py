@@ -45,9 +45,10 @@ model of the resolvent r^T (z - L_h)^-1 s serves, with the `eig` as its
 fallback (`regression_spectrum`).
 
 Every guard scales by max(||L_h||_F, 1) of the block it reads, written
-||L||, and one certificate decides uniqueness: `_solve_with_gap` gives
-1 / (||M^-1|| ||L||) for the trace-row matrix M of the steady state and for
-M = L_h of every block without rho_ss, and it must exceed the bound.
+||L||, except the absolute bound 1e-9 on the residual of `steady_state`.
+One certificate decides uniqueness: `_solve_with_gap` raises unless
+1 / (||M^-1|| ||L||) exceeds the bound, for the trace-row matrix M of the
+steady state and for M = L_h of a block without rho's diagonal.
 
 The pipeline takes an optional leading row axis, so that the rows of a
 sweep run through it as one stack: `lindblad_generator` takes a stack of H,
@@ -381,16 +382,19 @@ def _from_hermitian(x: np.ndarray, order: np.ndarray, nd: int) -> np.ndarray:
     return v
 
 
-def _block_matrix(l_h, idx: np.ndarray) -> np.ndarray:
-    """`l_h` as a float stack (R, n, n) if it is a real L_h on `idx`, or a
-    stack of them, else ConfigurationError."""
+def _block_stack(l_h, idx: np.ndarray, d: int) -> tuple:
+    """(stack (R, n, n), leading shape, order, nd, ||L|| of each matrix) for
+    `l_h`, a real L_h on the vec indices `idx` of a d x d rho or a stack of
+    them, with the Hermitian basis of `idx`; else ConfigurationError."""
     l_h = np.asarray(l_h)
     if np.iscomplexobj(l_h) or l_h.ndim not in (2, 3) or l_h.shape[-2:] != (idx.size,) * 2:
         raise ConfigurationError(
             f"pass the real L_h restricted to the block ({idx.size} vec indices) "
             "that liouvillian(k, pairs, block) builds"
         )
-    return l_h.astype(float, copy=False).reshape(-1, idx.size, idx.size)
+    order, nd = _hermitian_basis(idx, d)
+    lead, l_h = l_h.shape[:-2], l_h.astype(float, copy=False).reshape(-1, idx.size, idx.size)
+    return l_h, lead, order, nd, np.array([max(np.linalg.norm(m), 1.0) for m in l_h])
 
 
 def steady_state(
@@ -409,9 +413,7 @@ def steady_state(
     rides in the same solve.  It stands in for the second smallest singular
     value of L_h over ||L||: a rank-one change interlaces singular values,
     so sigma_min(M) never exceeds sigma_(n-1)(L_h).  `kernel_rtol` (the
-    config's `Numerics.steady_rtol`) bounds the certificate from below, the
-    same form as the check on a block without rho_ss in
-    `regression_spectrum`.
+    config's `Numerics.steady_rtol`, in (0, 1)) bounds it from below.
 
     `block` holds the sorted vec indices of a sector that L leaves
     invariant and that holds every diagonal entry of rho (the even parity
@@ -420,12 +422,12 @@ def steady_state(
     with zeros elsewhere.  `liouv` may be a stack (R, n, n) of the blocks
     of R rows: the result is then the (R, d, d) stack of their steady
     states, each equal bit for bit to its row's alone (stacked LU solves,
-    norms and checks row by row).  The caller owns the uniqueness check on
-    the other sectors (`regression_spectrum` makes it for the odd block).
-    Without `block`, `liouv` is the whole complex L in vec entries, scattered
-    into L_h here: a form kept for `bixsim check` and `bench/gate.py`.
-    Raises ConfigurationError if `liouv` is not the real L_h of the block,
-    or without one, not square of size d^2.
+    norms and checks row by row).  `regression_spectrum` checks the other
+    sectors for a kernel.  Without `block`, `liouv` is the whole complex L
+    in vec entries, scattered into L_h here (for `bixsim check` and
+    `bench/gate.py`).  Raises ConfigurationError for a `kernel_rtol` outside
+    (0, 1), if `liouv` is not the real L_h of the block, or without one,
+    not square of size d^2.
     Raises SolverError if the block is unsorted or misses a diagonal entry,
     if L is zero, if the certificate is at most `kernel_rtol` ("not
     unique"), if ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state
@@ -434,6 +436,8 @@ def steady_state(
     Hermiticity; for a stack, the first row that fails a check raises, the
     checks taken one after another.
     """
+    if not 0 < kernel_rtol < 1:  # nan too
+        raise ConfigurationError(f"kernel_rtol must be above 0 and below 1, got {kernel_rtol}")
     if block is None:
         liouv = np.asarray(liouv)
         d = math.isqrt(liouv.shape[0]) if liouv.ndim else 0
@@ -442,7 +446,7 @@ def steady_state(
         idx = np.arange(d * d)
         rows, cols = np.nonzero(liouv)
         vals = liouv[rows, cols].astype(complex)[None]
-        l_h, lead = _hermitian_scatter(rows, cols, vals, idx, d), ()
+        liouv = _hermitian_scatter(rows, cols, vals, idx, d)[0]
     else:
         idx = np.asarray(block)
         last = int(idx[-1]) if idx.size else -1
@@ -453,23 +457,15 @@ def steady_state(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
-        l_h, lead = _block_matrix(liouv, idx), np.shape(liouv)[:-2]
-    order, nd = _hermitian_basis(idx, d)
+    l_h, lead, order, nd, scale = _block_stack(liouv, idx, d)
     if not l_h.any(axis=(1, 2)).all():
         raise SolverError("Liouvillian is identically zero")
-    scale = np.array([max(np.linalg.norm(m), 1.0) for m in l_h])
     m = l_h.copy()
     m[:, 0, :nd], m[:, 0, nd:] = scale[:, None], 0.0  # rho_00: first diagonal entry
     rhs = np.zeros(l_h.shape[:2])
     rhs[:, 0] = scale
-    x, gaps = _solve_with_gap(m, scale, rhs)
-    for gap in gaps:
-        if not gap > kernel_rtol:  # also a nan from an overflowing solve
-            raise SolverError(
-                "steady state is not unique: Liouvillian kernel dimension 2 or more, "
-                f"or a traceless kernel vector (relative gap {gap:.3e} of the "
-                f"trace-row matrix, at most {kernel_rtol:.3e})"
-            )
+    x = _solve_with_gap(m, scale, kernel_rtol, "Liouvillian kernel dimension 2 or "
+                        "more, or a traceless kernel vector", rhs)[0]
     for l_r, x_r, s_r in zip(l_h, x, scale):
         miss = np.linalg.norm(l_r @ x_r) / np.linalg.norm(x_r)
         if miss > kernel_rtol * s_r:
@@ -489,16 +485,19 @@ def steady_state(
     return unvec(kernel).reshape(lead + (d, d))
 
 
-def _solve_with_gap(m: np.ndarray, scale: np.ndarray, rhs=None) -> tuple:
+def _solve_with_gap(m: np.ndarray, scale: np.ndarray, bound: float, reason: str,
+                    rhs=None) -> tuple:
     """(M^-1 rhs, 1 / (||M^-1|| scale)) for each M of the stack m (R, n, n),
-    as an (R, n) and an (R,) array; (0, 0.0) for a singular M.
+    as an (R, n) and an (R,) array.
 
     A fixed probe z rides in the solve of `rhs` (R, n) as one more column,
     and one transposed solve gives the power step |M^-1 z| -> |M^-T M^-1 z|,
     which estimates ||M^-1|| from below.  It is exact to first order when
     one singular value of M is small, which is where the bound decides.
-    Without `rhs` the first value is M^-1 z.  A stack with a singular
-    matrix is solved again one matrix at a time.
+    Without `rhs` the first value is M^-1 z.  The first M whose gap is not
+    above `bound` > 0 (a singular M has gap 0) raises SolverError "steady
+    state is not unique: `reason`".  A stack with a singular matrix is
+    solved again one matrix at a time.
     """
     # a fixed quasi-random probe, the Weyl sequence frac(k / p) - 1/2 for the
     # plastic number p; nothing is seeded or imported
@@ -509,16 +508,20 @@ def _solve_with_gap(m: np.ndarray, scale: np.ndarray, rhs=None) -> tuple:
     try:
         sol = np.linalg.solve(m, columns)
         back = np.linalg.solve(m.swapaxes(-1, -2), sol[..., -1:])
+        gaps = np.array([np.linalg.norm(s[:, -1]) / (np.linalg.norm(b) * sc)
+                         for s, b, sc in zip(sol, back, scale)])
     except np.linalg.LinAlgError:
-        if len(m) == 1:
-            return np.zeros(m.shape[:-1]), np.zeros(1)
-        parts = [_solve_with_gap(m[i:i + 1], scale[i:i + 1],
-                                 None if rhs is None else rhs[i:i + 1])
-                 for i in range(len(m))]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    gaps = [np.linalg.norm(s[:, -1]) / (np.linalg.norm(b) * sc)
-            for s, b, sc in zip(sol, back, scale)]
-    return sol[..., 0], np.array(gaps)
+        if len(m) > 1:
+            parts = [_solve_with_gap(m[i:i + 1], scale[i:i + 1], bound, reason,
+                                     None if rhs is None else rhs[i:i + 1])
+                     for i in range(len(m))]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        sol, gaps = None, np.zeros(1)
+    for gap in gaps:
+        if not gap > bound:
+            raise SolverError(f"steady state is not unique: {reason} "
+                              f"(relative gap {gap:.3e}, at most {bound:.3e})")
+    return sol[..., 0], gaps
 
 
 @dataclass(frozen=True)
@@ -581,31 +584,31 @@ def regression_spectrum(
     orders give spectra that agree to 1e-10 of their largest |S| on the
     grid; that is evidence, not a proof, of that accuracy over the whole
     grid.  At 80 blocks, or at half the rows of the block, or if sigma
-    exceeds max(||L_h||_F, 1) or the projection cannot be solved, the
-    dense `eig` serves.  The 200 rows are the measured crossover with one
-    BLAS thread (see the README).
+    exceeds ||L|| = max(||L_h||_F, 1) or the projection cannot be solved,
+    the dense `eig` serves.  The 200 rows are the measured crossover with
+    one BLAS thread (see the README).
 
     `block` holds the vec indices of a sector that L leaves invariant and
     that holds every start vector B rho_ss, and `l_h` is the real L_h of
     that block that `liouvillian(k, pairs, block)` builds, the only part
     decomposed.  For the model's weak Z2 symmetry this is the odd parity
     block: rho_ss is even and every source flips the parity.  A system
-    without a symmetry passes every vec index, `np.arange(d * d)`.  The
-    guards below scale by max(||L_h||_F, 1), written ||L||.
+    without a symmetry passes every vec index, `np.arange(d * d)`.
 
-    `l_h` (R, n, n) and `rho_ss` (R, d, d) may be stacks of R rows that
-    share the pairs; the result is then (R, n_omega), each row equal bit
-    for bit to the spectrum of that row alone.  The start vectors and the
-    kernel certificates run stacked; the `eig` or reduced model and
-    `_resolvent_sum` run row by row, so a stack holds one eigenbasis and
-    one (n_omega, n) resolvent at a time.
+    The block holds rho_ss when it holds a diagonal entry of rho (the even
+    block, or every index); with a block-diagonal L and a unique steady
+    state, rho_ss has no weight in any other.  `l_h` (R, n, n) and `rho_ss`
+    (R, d, d) may be stacks of R rows that share the pairs; the result is
+    then (R, n_omega), each row equal bit for bit to its spectrum alone.
+    The start vectors and the certificate run stacked, and every row takes
+    the same path; the `eig` or reduced model and `_resolvent_sum` run row
+    by row, so a stack holds one eigenbasis and one resolvent at a time.
 
     Raises SolverError if the block holds rho_ss and ||L_h T vec(rho_ss)||
     exceeds 1e-9 ||L|| (not stationary), if a start vector has weight
-    outside the block, if a block that does not hold rho_ss has a kernel (a
-    second stationary state that `steady_state`, decomposing only its own
-    block, cannot see: the certificate 1 / (||L_h^-1|| ||L||) of
-    `_solve_with_gap` is at most 1e-10, checked on every such block before
+    outside the block, if a block without rho_ss has a kernel (a second
+    stationary state that `steady_state` cannot see: `_solve_with_gap`'s
+    certificate 1 / (||L_h^-1|| ||L||) is at most 1e-10, checked before
     either path runs), if the `eig` fails or its eigenbasis is singular, or
     if a pole with weight is undamped, wherever the grid lies (add
     dissipation to every channel before asking for a spectrum).  Raises
@@ -619,9 +622,6 @@ def regression_spectrum(
     if len(pairs) == 0:
         raise ConfigurationError("no sources: give at least one (A, B) pair, or "
                                  "one lowering operator to emission_spectrum")
-    idx = np.asarray(block)
-    lead = np.shape(l_h)[:-2]
-    l_h = _block_matrix(l_h, idx)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omega_grid.size == 0:
         raise ConfigurationError("the frequency grid is empty")
@@ -629,12 +629,12 @@ def regression_spectrum(
         raise ConfigurationError("the frequency grid must be 1-D and finite")
     rho_ss = np.asarray(rho_ss, dtype=complex)
     d = rho_ss.shape[-1]
-    if rho_ss.shape != lead + (d, d):
+    if rho_ss.shape != np.shape(l_h)[:-2] + (d, d):
         raise ConfigurationError("pass one steady state rho_ss per block of L_h")
+    idx = np.asarray(block)
+    l_h, lead, order, nd, scale = _block_stack(l_h, idx, d)
     rho_ss = rho_ss.reshape(-1, d, d)
     rho_v = vec(rho_ss)
-    order, nd = _hermitian_basis(idx, d)
-    scale = np.array([max(np.linalg.norm(m), 1.0) for m in l_h])
 
     # left kernel of a trace-preserving L is the trace functional, so the
     # kernel component of B rho_ss has coefficient Tr(B rho_ss)
@@ -660,27 +660,20 @@ def regression_spectrum(
     rows = np.array([vec(np.transpose(op_a))[idx] for op_a, _ in pairs])
     rows = _to_hermitian(rows.conj().T, order, nd).conj().T
 
-    # a block holding rho_ss must leave it stationary; steady_state decomposed
-    # only that block, so a block without rho_ss must have no kernel, or the
-    # steady state is not unique
-    holds_rho = np.array([np.abs(v[idx]).max() > _BLOCK_RTOL * np.abs(v).max()
-                          for v in rho_v])
-    for l_r, v, s_r in zip(l_h[holds_rho], rho_v[holds_rho], scale[holds_rho]):
-        drift = np.linalg.norm(l_r @ _to_hermitian(v[idx, None], order, nd)[:, 0])
-        if drift > _RESIDUAL_TOL * s_r:
-            raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
-    free = ~holds_rho
-    if free.any():
-        stack = l_h if free.all() else l_h[free]  # no copy for an odd block
-        for gap in _solve_with_gap(stack, scale[free])[1]:
-            if not gap > _KERNEL_RTOL:
-                raise SolverError(
-                    "steady state is not unique: a block without rho_ss has a kernel "
-                    f"(relative gap {gap:.3e} of its L, at most {_KERNEL_RTOL:.0e})"
-                )
+    # a block holding rho_ss must leave it stationary; steady_state solved only
+    # that block, so one without rho_ss must have no kernel, or rho_ss is not unique
+    holds_rho = nd > 0
+    if holds_rho:
+        for l_r, v, s_r in zip(l_h, rho_v, scale):
+            drift = np.linalg.norm(l_r @ _to_hermitian(v[idx, None], order, nd)[:, 0])
+            if drift > _RESIDUAL_TOL * s_r:
+                raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
+    else:
+        _solve_with_gap(l_h, scale, _KERNEL_RTOL, "a block without rho_ss has a kernel")
+    reduced = not holds_rho and idx.size > _KRYLOV_MIN_ROWS
     spectra = np.empty((len(l_h), omega_grid.size))
     for row, (l_r, starts_r, s_r) in enumerate(zip(l_h, starts, scale)):
-        if not holds_rho[row] and l_r.shape[0] > _KRYLOV_MIN_ROWS:
+        if reduced:
             spectrum = _reduced_spectrum(l_r, rows, starts_r, omega_grid, s_r)
             if spectrum is not None:
                 spectra[row] = spectrum
@@ -689,7 +682,7 @@ def regression_spectrum(
             weights, poles = _poles(l_r, rows, starts_r)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigendecomposition of L_h failed: {exc}") from exc
-        if holds_rho[row]:  # the starts were projected off the kernel mode:
+        if holds_rho:  # the starts were projected off the kernel mode:
             weights[np.argmin(np.abs(poles))] = 0.0  # zero its rounding
         spectra[row] = _resolvent_sum(weights, poles, omega_grid, s_r)
     return spectra.reshape(lead + omega_grid.shape)

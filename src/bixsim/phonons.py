@@ -141,13 +141,16 @@ def build_kernels(
     an 800-node table in the test suite.  The phases e^{i w_n t_k} come from
     `_phase_factors`, so a miss builds two (_N_NODES, ~sqrt(n_t)) tables
     and contracts them with the Re and Im weights in one small product,
-    with no (_N_NODES, n_t) table at all.  Raises SolverError when the
+    with no (_N_NODES, n_t) table at all.  Raises ConfigurationError for a
+    t_max that is not positive and finite, and SolverError when the
     correlation has not decayed below 1e-8 at the end of the grid.
     """
     if n_t < 3 or n_t % 2 == 0:
         raise ConfigurationError("n_t must be an odd integer >= 3 (Simpson grid)")
     if t_max is None:
         t_max = 10.0 / params.omega_b
+    if not 0 < t_max < math.inf:  # nan too
+        raise ConfigurationError(f"t_max must be positive and finite, got {t_max!r}")
     t_grid = np.linspace(0.0, t_max, n_t)
     cut = 12.0 * params.omega_b
     nodes, weights = _gauss_legendre()
@@ -165,7 +168,7 @@ def build_kernels(
     coef = np.stack([wts * gauss * thermal, wts * gauss])
     sums = ((coef[:, None, :] * big.T) @ small).reshape(2, -1)[:, :n_t]
     phi_t = sums[0].real - 1j * sums[1].imag
-    if abs(phi_t[-1]) > 1e-8:
+    if not abs(phi_t[-1]) <= 1e-8:
         raise SolverError(
             f"phonon correlation not converged: |phi({t_max:g})| = "
             f"{abs(phi_t[-1]):.3e} > 1e-8; extend t_max"
@@ -276,7 +279,7 @@ def polaron_dissipator(
     """
     h = np.asarray(h_system, dtype=complex)
     dim = h.shape[-1]
-    if abs(kernels.phi_t[-1]) > 1e-8:
+    if not abs(kernels.phi_t[-1]) <= 1e-8:  # nan too
         raise SolverError("phonon correlation table not converged at its endpoint")
 
     # group coupling terms by displacement factor

@@ -183,6 +183,8 @@ class SystemConfig:
             raise ConfigurationError("n_omega must be at least 3")
         if n.omega_half_span <= 0:
             raise ConfigurationError("omega_half_span must be positive")
+        if not 0 < n.steady_rtol < 1:  # the certificate never exceeds 1
+            raise ConfigurationError("steady_rtol must be above 0 and below 1")
         if n.phonon_n_t < 3 or n.phonon_n_t % 2 == 0:
             raise ConfigurationError(
                 "phonon_n_t must be an odd integer >= 3 (Simpson grid)"

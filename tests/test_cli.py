@@ -32,12 +32,18 @@ def test_version_flag(capsys):
     assert "bixsim" in capsys.readouterr().out
 
 
-def test_dressed_reports_eigenvalues(fast_config_path, capsys):
+def test_dressed_reports_eigenvalues(fast_config_path, tmp_path, capsys):
     rc = main(["dressed", "--config", fast_config_path])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "lambda_1" in out and "lambda_4" in out
     assert "R1" in out and "L3" in out
+    # eta overrides in place of a drive amplitude are reported as given
+    d = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    d["drive"].update(omega=0.0, eta1=150.0, eta2=180.0)
+    (tmp_path / "eta.json").write_text(json.dumps(d), encoding="utf-8")
+    assert main(["dressed", "--config", str(tmp_path / "eta.json")]) == EXIT_OK
+    assert "drive: eta1=150 eta2=180 ueV (direct)" in capsys.readouterr().out
 
 
 def test_dressed_uses_packaged_baseline(capsys):
@@ -309,6 +315,8 @@ def test_bad_phonon_grid_is_config_error(tmp_path, capsys, name, value):
                      id="config-not-utf8"),
         pytest.param(["spectrum", "--config", "{cfg}", "--out", "{file}"], "{file}", False,
                      id="out-is-a-file"),
+        pytest.param(["spectrum", "--config", "{rtol}"], "steady_rtol", True,
+                     id="steady-rtol-one"),
     ],
 )
 def test_bad_input_is_config_error(fast_config_path, tmp_path, capsys, argv, named,
@@ -318,8 +326,12 @@ def test_bad_input_is_config_error(fast_config_path, tmp_path, capsys, argv, nam
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"_notes": "Stra\xdfe"}'.encode("latin-1"))
     (tmp_path / "a_file").write_text("kept\n")
+    rtol = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    rtol["numerics"]["steady_rtol"] = 1.0  # every spectrum would fail as not unique
+    (tmp_path / "rtol.json").write_text(json.dumps(rtol), encoding="utf-8")
     paths = {"cfg": fast_config_path, "dir": str(tmp_path / "a_dir"),
-             "latin1": str(latin1), "file": str(tmp_path / "a_file")}
+             "latin1": str(latin1), "file": str(tmp_path / "a_file"),
+             "rtol": str(tmp_path / "rtol.json")}
     argv = [a.format(**paths) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]

@@ -77,6 +77,9 @@ def test_vec_unvec_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.array_equal(unvec(vec(m)), m)
+    for bad in (np.zeros(5), np.zeros((2, 8))):
+        with pytest.raises(ConfigurationError, match="not a perfect square"):
+            unvec(bad)
 
 
 def test_superop_identities():
@@ -159,6 +162,11 @@ def test_steady_state_requires_unique_kernel():
     liouv = liouvillian(*lindblad_generator(np.zeros((3, 3)), [(sig, 1.0)]))
     with pytest.raises(SolverError, match="kernel"):
         steady_state(liouv)
+    # a bound outside (0, 1) is refused before any solve: the certificate
+    # never exceeds 1, and a bound at or below 0 would pass a singular M
+    for rtol in (0.0, -1e-10, 1.0, 2.0, np.nan):
+        with pytest.raises(ConfigurationError, match="kernel_rtol must be above 0"):
+            steady_state(liouv, kernel_rtol=rtol)
     # an all-zero L, whole or as a block, raises before any solve
     for l_h, block in [(np.zeros((4, 4)), None), (np.zeros((2, 2)), EVEN)]:
         with pytest.raises(SolverError, match="Liouvillian is identically zero"):
@@ -692,6 +700,8 @@ def test_stacked_rows_match_each_row_alone():
         for r in range(3):
             want = regression_spectrum(l_h[r], [(op.T, op)], rho[r], grid, idx)
             assert np.array_equal(got[r], want)
+        with pytest.raises(ConfigurationError, match="one steady state rho_ss per block"):
+            regression_spectrum(l_h, [(op.T, op)], rho[0], grid, idx)
 
     # row 1 without dissipation has a kernel of dimension 4 in the even block:
     # its trace-row matrix is singular, and the stack raises its message
@@ -704,6 +714,15 @@ def test_stacked_rows_match_each_row_alone():
     assert "not unique" in str(alone.value)
     with pytest.raises(SolverError, match=re.escape(str(alone.value))):
         steady_state(l_even, block=even)
+    # states 1 and 2 (opposite P) degenerate in row 1 put a kernel in its odd
+    # block too: the stack of odd blocks raises that row's message
+    k[1] = -1j * np.diag([0.0, 1.0, 1.0, 3.0])
+    l_odd = liouvillian(k, pairs, odd)
+    with pytest.raises(SolverError) as alone:
+        regression_spectrum(l_odd[1], [(flips.T, flips)], rho[1], grid, odd)
+    assert "a block without rho_ss has a kernel" in str(alone.value)
+    with pytest.raises(SolverError, match=re.escape(str(alone.value))):
+        regression_spectrum(l_odd, [(flips.T, flips)], rho, grid, odd)
     # and K of row 2 across the parity sectors is named as alone
     k[2, 0, 1] = 0.3
     with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):

@@ -341,6 +341,15 @@ def test_kernel_grid_validation():
         build_kernels(PARAMS, n_t=200)  # needs odd count for Simpson weights
     with pytest.raises(SolverError):
         build_kernels(PARAMS, t_max=5e-4, n_t=201)  # phi has not decayed yet
+    # a backwards, empty or non-finite grid is named before it is built
+    for t_max in (-0.01, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="t_max must be positive and finite"):
+            build_kernels(PARAMS, t_max=t_max, n_t=201)
+    # and a table whose endpoint is nan counts as not converged
+    kern = build_kernels(PARAMS, n_t=201)
+    nan_end = replace(kern, phi_t=np.append(kern.phi_t[:-1], np.nan))
+    with pytest.raises(SolverError, match="not converged at its endpoint"):
+        polaron_dissipator(*_four_level_setup(), nan_end)
 
 
 def test_correlations_include_displacement_scaling():
@@ -390,6 +399,8 @@ def test_polaron_dissipator_vanishes_without_coupling():
     h, terms = _four_level_setup()
     dis = polaron_superop(h, terms, kern)
     assert np.max(np.abs(dis)) < 1e-14
+    k, pairs = polaron_dissipator(h, [], kern)  # no coupling terms at all
+    assert k.shape == h.shape and not k.any() and pairs == []
 
 
 @pytest.mark.parametrize("xx_scaling", [2.0, 2.5])

@@ -90,6 +90,24 @@ def test_order_cap_falls_back_to_dense_eig(monkeypatch):
     assert orders == 2 + 1  # orders 10 and 20, then the eig path
     assert np.array_equal(got, want)
 
+    # so does a model whose inverse of sigma - L_h raises (no order formed),
+    # or whose first projection raises (order 10 not formed either)
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    poles = liouville._poles
+
+    def no_projection(a, rows, starts, gram=None):
+        return poles(a, rows, starts) if gram is None else singular()
+
+    for name, failing in (("inv", singular), ("_poles", no_projection)):
+        with monkeypatch.context() as patch:
+            patch.setattr(liouville.np.linalg if name == "inv" else liouville, name, failing)
+            got, want, served, orders = both_paths(patch, config(6))
+        assert served == [None]
+        assert orders == 1  # the eig path alone
+        assert np.array_equal(got, want)
+
 
 def test_shift_far_above_the_block_takes_the_dense_eig(monkeypatch):
     # one grid point at 1e16 puts the shift at sigma = 7e15, far above

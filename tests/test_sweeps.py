@@ -501,7 +501,7 @@ def test_export_overwrites_existing_files_in_place(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
-def test_export_rejects_unknown_format(tmp_path):
+def test_export_rejects_unknown_format(tmp_path, monkeypatch):
     x = np.linspace(-1.0, 1.0, 5)
     res = SpectrumResult(x, np.zeros_like(x), {})
     with pytest.raises(ConfigurationError):
@@ -509,6 +509,12 @@ def test_export_rejects_unknown_format(tmp_path):
     sweep = SweepMap(np.arange(2.0), x, np.zeros((2, 5)), "x", {})
     with pytest.raises(ConfigurationError):
         export_map(sweep, str(tmp_path / "m"), fmt="xml")
+    # so is a PNG without matplotlib, before the tables or the sidecar
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import fails
+    with pytest.raises(ConfigurationError, match="rendering needs matplotlib"):
+        export_spectrum(res, str(tmp_path / "s"), render=True)
+    with pytest.raises(ConfigurationError, match="rendering needs matplotlib"):
+        export_map(sweep, str(tmp_path / "m"), fmt="json", render=True)
     assert not any(tmp_path.iterdir())  # rejected before any directory is made
 
 
@@ -523,6 +529,7 @@ def test_export_render_appends_png_after_sidecar(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bixsim.export, "render_spectrum", stub)
     monkeypatch.setattr(bixsim.export, "render_heatmap", stub)
+    monkeypatch.setattr(bixsim.export, "_pyplot", lambda: None)  # no matplotlib needed
     x = np.linspace(-1.0, 1.0, 5)
     res = SpectrumResult(x, np.ones_like(x), {})
     sweep = SweepMap(np.arange(2.0), x, np.ones((2, 5)), "x", {})

@@ -359,7 +359,11 @@ def test_phonon_grid_checked_at_load(enable, name, value):
     assert config_from_dict({"numerics": {"phonon_n_t": 3, "phonon_t_max": None}})
 
 
-@pytest.mark.parametrize("name, value", [("n_omega", 2), ("omega_half_span", 0.0)])
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_omega", 2), ("omega_half_span", 0.0), ("steady_rtol", 0.0),
+     ("steady_rtol", -1e-10), ("steady_rtol", 1.0), ("steady_rtol", 2.0)],
+)
 def test_frequency_grid_checked_at_load(name, value):
     with pytest.raises(ConfigurationError, match=f"^{name} must be"):
         config_from_dict({"numerics": {name: value}})
@@ -421,8 +425,8 @@ def _leaf_cases():
             case = (not default, not default, 1)
         elif tp is int:
             case = (default + 2, default + 2, 1.5)
-        elif tp is float:
-            value = 0.5 if default is None else default + 1.0
+        elif tp is float:  # steady_rtol must stay below 1
+            value = 0.5 if default is None or path[-1] == "steady_rtol" else default + 1.0
             case = (value, value, "abc")
         elif tp is complex:
             case = ([1.0, 2.0], 1.0 + 2.0j, [1.0, "2"])

@@ -37,6 +37,9 @@ def test_kappa_from_quality_factors():
 def test_kappa_rejects_nonpositive_quality():
     with pytest.raises(ValueError):
         kappa_from_quality(0.0)
+    for energy in (0.0, -1.365e6):
+        with pytest.raises(ValueError, match="mode energy must be positive"):
+            kappa_from_quality(1000.0, mode_energy_uev=energy)
 
 
 def test_phonon_coupling_conversion():
