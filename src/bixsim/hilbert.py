@@ -134,8 +134,8 @@ def embed_photon_annihilator(spec: HilbertSpec) -> np.ndarray:
 
 
 def is_hermitian(op: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True if op equals its adjoint within a relative Frobenius tolerance."""
-    scale = np.linalg.norm(op)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(op - op.conj().T) <= rtol * scale
+    """True if op, or each matrix of a stack of them, equals its adjoint
+    within a relative Frobenius tolerance."""
+    op = np.asarray(op)
+    skew = np.linalg.norm(op - op.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return bool(np.all(skew <= rtol * np.linalg.norm(op, axis=(-2, -1))))

@@ -57,10 +57,10 @@ operators and returns (R, n, n) blocks, and `steady_state` and
 `regression_spectrum` take the stacks of blocks and of steady states.  A
 row of a stack goes through the same LAPACK and BLAS calls, per-row norms
 and bincount order as it does alone, so it comes out bit for bit as its
-own call.  A stack raises for the first row that fails a check, the checks
-taken one after another, so the row named is not always the first failing
-row of the stack; a caller that must name that row runs the stack again
-one row at a time.
+own call.  A stack passes every check or raises the message that a row
+failing one raises alone, without naming the row (a matrix that LAPACK
+finds singular fails the uniqueness check at once, with gap 0); a sweep,
+which names the row, runs the stack again one row at a time.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def lindblad_generator(h: np.ndarray, channels) -> tuple[np.ndarray, list]:
     for a nan or infinite rate.
     """
     h = np.asarray(h, dtype=complex)
-    if not all(is_hermitian(m, rtol=_HERMIT_RTOL) for m in h.reshape((-1,) + h.shape[-2:])):
+    if not is_hermitian(h, rtol=_HERMIT_RTOL):
         raise ConfigurationError("Hamiltonian is not Hermitian within tolerance")
     k, pairs = -1j * h, []
     for op, rate in channels:
@@ -161,9 +161,7 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
 
     K may be a stack (R, d, d) of the generators of R rows, and each
     operator of a pair either (d, d), shared by the rows, or (R, d, d); the
-    result is then the stack of the R matrices, each equal bit for bit to
-    the one built for its row alone (one products plan for all rows, and
-    bins filled in the same order).
+    result is then the stack of the R matrices.
     Raises SolverError from either (an operator across the parity sectors,
     an L_h with an imaginary part), and ConfigurationError for a pair that
     is not two operators of the shape of K, such as a superoperator.
@@ -176,7 +174,7 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
                 f"pairs must hold (A, B) operators of shape {k.shape}"
             )
     stack = k.reshape(-1, d, d)
-    idx = np.arange(d * d) if block is None else np.asarray(block)
+    idx = np.arange(d * d) if block is None else _vec_indices(block, d)
     rows, cols, vals = _products(stack, pairs, idx)
     if block is not None:
         l_h = _hermitian_scatter(rows, cols, vals, idx, d)
@@ -185,6 +183,16 @@ def liouvillian(k: np.ndarray, pairs, block=None) -> np.ndarray:
     re = np.bincount(flat, vals.real.ravel(), len(stack) * d**4)
     im = np.bincount(flat, vals.imag.ravel(), re.size)
     return (re + 1j * im).reshape(k.shape[:-2] + (d * d, d * d))
+
+
+def _vec_indices(block, d: int) -> np.ndarray:
+    """`block` as an array of vec indices of a d x d rho; SolverError unless
+    it is 1-D, of distinct integers in [0, d^2), or empty."""
+    idx = np.asarray(block)
+    if idx.size and not (idx.ndim == 1 and idx.dtype.kind in "iu" and idx.min() >= 0
+                         and idx.max() < d * d and np.all(np.diff(np.sort(idx)) > 0)):
+        raise SolverError(f"a block must be 1-D distinct integer vec indices in [0, {d * d})")
+    return idx
 
 
 def _products(k: np.ndarray, pairs, idx: np.ndarray) -> tuple:
@@ -421,20 +429,19 @@ def steady_state(
     `liouvillian(k, pairs, block)` builds; rho is embedded back into d x d
     with zeros elsewhere.  `liouv` may be a stack (R, n, n) of the blocks
     of R rows: the result is then the (R, d, d) stack of their steady
-    states, each equal bit for bit to its row's alone (stacked LU solves,
-    norms and checks row by row).  `regression_spectrum` checks the other
-    sectors for a kernel.  Without `block`, `liouv` is the whole complex L
-    in vec entries, scattered into L_h here (for `bixsim check` and
-    `bench/gate.py`).  Raises ConfigurationError for a `kernel_rtol` outside
-    (0, 1), if `liouv` is not the real L_h of the block, or without one,
-    not square of size d^2.
+    states, each equal bit for bit to its row's alone.  `regression_spectrum`
+    checks the other sectors for a kernel.  Without `block`, `liouv` is the
+    whole complex L in vec entries, scattered into L_h here (for `bixsim
+    check` and `bench/gate.py`).  Raises ConfigurationError for a
+    `kernel_rtol` outside (0, 1), if `liouv` is not the real L_h of the
+    block, or without one, not square of size d^2.
     Raises SolverError if the block is unsorted or misses a diagonal entry,
-    if L is zero, if the certificate is at most `kernel_rtol` ("not
-    unique"), if ||L_h x|| exceeds kernel_rtol s ||x|| ("no steady state
-    found": L does not preserve the trace), if ||L vec(rho)|| > 1e-9, if
+    if it is not distinct integer vec indices, if L is zero, if the
+    certificate is at most `kernel_rtol` ("not unique"), if ||L_h x||
+    exceeds kernel_rtol s ||x|| ("no steady state found": L does not
+    preserve the trace), if ||L vec(rho)|| = ||L_h x|| / |Tr x| > 1e-9, if
     the block is not closed under rho -> rho+, or if L does not preserve
-    Hermiticity; for a stack, the first row that fails a check raises, the
-    checks taken one after another.
+    Hermiticity.
     """
     if not 0 < kernel_rtol < 1:  # nan too
         raise ConfigurationError(f"kernel_rtol must be above 0 and below 1, got {kernel_rtol}")
@@ -449,7 +456,7 @@ def steady_state(
         liouv = _hermitian_scatter(rows, cols, vals, idx, d)[0]
     else:
         idx = np.asarray(block)
-        last = int(idx[-1]) if idx.size else -1
+        last = int(idx[-1]) if idx.ndim == 1 and idx.size else -1
         d = math.isqrt(max(last, 0) + 1)
         holds = np.isin(np.arange(d) * (d + 1), idx).all()  # every rho[i, i]
         if d * d != last + 1 or not holds or np.any(np.diff(idx) <= 0):
@@ -457,6 +464,7 @@ def steady_state(
                 "a block given with its part of L must be sorted vec indices "
                 "holding every diagonal entry of rho, the last being d^2 - 1"
             )
+        idx = _vec_indices(idx, d)
     l_h, lead, order, nd, scale = _block_stack(liouv, idx, d)
     if not l_h.any(axis=(1, 2)).all():
         raise SolverError("Liouvillian is identically zero")
@@ -466,20 +474,19 @@ def steady_state(
     rhs[:, 0] = scale
     x = _solve_with_gap(m, scale, kernel_rtol, "Liouvillian kernel dimension 2 or "
                         "more, or a traceless kernel vector", rhs)[0]
-    for l_r, x_r, s_r in zip(l_h, x, scale):
-        miss = np.linalg.norm(l_r @ x_r) / np.linalg.norm(x_r)
-        if miss > kernel_rtol * s_r:
-            raise SolverError(
-                f"no steady state found: ||L x|| / ||x|| = {miss:.3e} for the "
-                f"trace-row solution x exceeds tolerance {kernel_rtol * s_r:.3e}"
-            )
-    x = x / x[:, :nd].sum(axis=1, keepdims=True)
-    for l_r, x_r in zip(l_h, x):
-        residual = np.linalg.norm(l_r @ x_r)
-        if residual > _RESIDUAL_TOL:
-            raise SolverError(
-                f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
-            )
+    lx = np.linalg.norm(l_h @ x[..., None], axis=(1, 2))  # ||L_h x|| of each row
+    miss, bound = lx / np.linalg.norm(x, axis=1), kernel_rtol * scale
+    r = np.argmax(miss > bound)  # the first row over, if any
+    if miss[r] > bound[r]:
+        raise SolverError(
+            f"no steady state found: ||L x|| / ||x|| = {miss[r]:.3e} for the "
+            f"trace-row solution x exceeds tolerance {bound[r]:.3e}"
+        )
+    trace = x[:, :nd].sum(axis=1)
+    x, residual = x / trace[:, None], lx / np.abs(trace)
+    r = np.argmax(residual > _RESIDUAL_TOL)
+    if residual[r] > _RESIDUAL_TOL:
+        raise SolverError(f"steady-state residual {residual[r]:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     kernel = np.zeros((len(l_h), d * d), dtype=complex)
     kernel[:, idx] = _from_hermitian(x[..., None], order, nd)[..., 0]
     return unvec(kernel).reshape(lead + (d, d))
@@ -494,10 +501,9 @@ def _solve_with_gap(m: np.ndarray, scale: np.ndarray, bound: float, reason: str,
     and one transposed solve gives the power step |M^-1 z| -> |M^-T M^-1 z|,
     which estimates ||M^-1|| from below.  It is exact to first order when
     one singular value of M is small, which is where the bound decides.
-    Without `rhs` the first value is M^-1 z.  The first M whose gap is not
-    above `bound` > 0 (a singular M has gap 0) raises SolverError "steady
-    state is not unique: `reason`".  A stack with a singular matrix is
-    solved again one matrix at a time.
+    Without `rhs` the first value is M^-1 z.  A gap not above `bound` > 0
+    raises SolverError "steady state is not unique: `reason`"; a matrix
+    that LAPACK finds singular has gap 0.
     """
     # a fixed quasi-random probe, the Weyl sequence frac(k / p) - 1/2 for the
     # plastic number p; nothing is seeded or imported
@@ -507,20 +513,14 @@ def _solve_with_gap(m: np.ndarray, scale: np.ndarray, bound: float, reason: str,
         columns[..., 0] = rhs
     try:
         sol = np.linalg.solve(m, columns)
-        back = np.linalg.solve(m.swapaxes(-1, -2), sol[..., -1:])
-        gaps = np.array([np.linalg.norm(s[:, -1]) / (np.linalg.norm(b) * sc)
-                         for s, b, sc in zip(sol, back, scale)])
+        back = np.linalg.norm(np.linalg.solve(m.swapaxes(-1, -2), sol[..., -1:]), axis=(1, 2))
+        gaps = np.linalg.norm(sol[..., -1], axis=1) / (back * scale)
     except np.linalg.LinAlgError:
-        if len(m) > 1:
-            parts = [_solve_with_gap(m[i:i + 1], scale[i:i + 1], bound, reason,
-                                     None if rhs is None else rhs[i:i + 1])
-                     for i in range(len(m))]
-            return tuple(np.concatenate(part) for part in zip(*parts))
         sol, gaps = None, np.zeros(1)
-    for gap in gaps:
-        if not gap > bound:
-            raise SolverError(f"steady state is not unique: {reason} "
-                              f"(relative gap {gap:.3e}, at most {bound:.3e})")
+    if not np.all(gaps > bound):  # nan too
+        gap = gaps[np.argmin(gaps > bound)]
+        raise SolverError(f"steady state is not unique: {reason} "
+                          f"(relative gap {gap:.3e}, at most {bound:.3e})")
     return sol[..., 0], gaps
 
 
@@ -600,9 +600,8 @@ def regression_spectrum(
     state, rho_ss has no weight in any other.  `l_h` (R, n, n) and `rho_ss`
     (R, d, d) may be stacks of R rows that share the pairs; the result is
     then (R, n_omega), each row equal bit for bit to its spectrum alone.
-    The start vectors and the certificate run stacked, and every row takes
-    the same path; the `eig` or reduced model and `_resolvent_sum` run row
-    by row, so a stack holds one eigenbasis and one resolvent at a time.
+    Every row takes the same path; the `eig` or reduced model and
+    `_resolvent_sum` run row by row, one eigenbasis and resolvent at a time.
 
     Raises SolverError if the block holds rho_ss and ||L_h T vec(rho_ss)||
     exceeds 1e-9 ||L|| (not stationary), if a start vector has weight
@@ -612,12 +611,11 @@ def regression_spectrum(
     either path runs), if the `eig` fails or its eigenbasis is singular, or
     if a pole with weight is undamped, wherever the grid lies (add
     dissipation to every channel before asking for a spectrum).  Raises
-    SolverError too if the block is not closed under rho -> rho+.  For a
-    stack, the first row that fails a check raises, the checks taken one
-    after another.  Raises ConfigurationError if `pairs` or the grid is
-    empty, if the grid is not 1-D or not finite, if `l_h` is complex or if
-    it does not have the block's size, or if `rho_ss` is not one d x d
-    matrix per block.
+    SolverError too if the block is not distinct integer vec indices or
+    not closed under rho -> rho+.  Raises ConfigurationError if `pairs` or
+    the grid is empty, if the grid is not 1-D or not finite, if `l_h` is
+    complex or if it does not have the block's size, or if `rho_ss` is not
+    one d x d matrix per block.
     """
     if len(pairs) == 0:
         raise ConfigurationError("no sources: give at least one (A, B) pair, or "
@@ -628,10 +626,10 @@ def regression_spectrum(
     if omega_grid.ndim != 1 or not np.isfinite(omega_grid).all():
         raise ConfigurationError("the frequency grid must be 1-D and finite")
     rho_ss = np.asarray(rho_ss, dtype=complex)
-    d = rho_ss.shape[-1]
+    d = rho_ss.shape[-1] if rho_ss.ndim else 0
     if rho_ss.shape != np.shape(l_h)[:-2] + (d, d):
         raise ConfigurationError("pass one steady state rho_ss per block of L_h")
-    idx = np.asarray(block)
+    idx = _vec_indices(block, d)
     l_h, lead, order, nd, scale = _block_stack(l_h, idx, d)
     rho_ss = rho_ss.reshape(-1, d, d)
     rho_v = vec(rho_ss)
@@ -645,15 +643,15 @@ def regression_spectrum(
         starts.append(vec(b_rho) - trace[:, None] * rho_v)
     starts = np.stack(starts, axis=-1)
     outside = np.abs(starts)
-    top = outside.max(axis=(1, 2))
+    bound = _BLOCK_RTOL * outside.max(axis=(1, 2))
     outside[:, idx] = 0.0
-    for row, out_r in enumerate(outside):
-        k, n = np.unravel_index(np.argmax(out_r), out_r.shape)
-        if out_r[k, n] > _BLOCK_RTOL * top[row]:
-            raise SolverError(
-                f"start vector {n} (B rho_ss) has weight {out_r[k, n]:.3e} at vec "
-                f"index {k}, outside the block; B does not map rho_ss into it"
-            )
+    r = np.argmax(outside.max(axis=(1, 2)) > bound)  # the first row over, if any
+    k, n = np.unravel_index(np.argmax(outside[r]), outside.shape[1:])
+    if outside[r, k, n] > bound[r]:
+        raise SolverError(
+            f"start vector {n} (B rho_ss) has weight {outside[r, k, n]:.3e} at vec "
+            f"index {k}, outside the block; B does not map rho_ss into it"
+        )
     starts = _to_hermitian(starts[:, idx], order, nd)
     # Tr(A rho) = vec(A^T) . vec(rho) under column stacking, and the row r
     # acts on the Hermitian basis as r T+ = conj(T conj(r))
@@ -664,10 +662,11 @@ def regression_spectrum(
     # that block, so one without rho_ss must have no kernel, or rho_ss is not unique
     holds_rho = nd > 0
     if holds_rho:
-        for l_r, v, s_r in zip(l_h, rho_v, scale):
-            drift = np.linalg.norm(l_r @ _to_hermitian(v[idx, None], order, nd)[:, 0])
-            if drift > _RESIDUAL_TOL * s_r:
-                raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift:.3e}")
+        x = _to_hermitian(rho_v[:, idx, None], order, nd)
+        drift = np.linalg.norm(l_h @ x, axis=(1, 2))
+        r = np.argmax(drift > _RESIDUAL_TOL * scale)
+        if drift[r] > _RESIDUAL_TOL * scale[r]:
+            raise SolverError(f"rho_ss is not a steady state: ||L_h x|| = {drift[r]:.3e}")
     else:
         _solve_with_gap(l_h, scale, _KERNEL_RTOL, "a block without rho_ss has a kernel")
     reduced = not holds_rho and idx.size > _KRYLOV_MIN_ROWS

@@ -8,9 +8,7 @@ The rows go through the solver as stacks with a leading row axis
 within `_STACK_ENTRIES` matrix entries (5 rows at n_max_y=2, 2 at 3, one
 from 4 on); each row equals `compute_spectrum_y` of its config, bit for
 bit.  The budget is set by memory: every row of a stack keeps its odd block
-alive while one row's (n_omega, n) resolvent is formed.  A stack that
-raises is run again row by row, so the first failing row raises as if the
-rows had never been stacked.
+alive while one row's (n_omega, n) resolvent is formed.
 """
 
 from __future__ import annotations

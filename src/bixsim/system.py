@@ -532,9 +532,7 @@ def compute_spectrum_y(cfg: SystemConfig) -> SpectrumResult:
 
     This is the one-row case of `_spectra`, which runs the rows of a sweep
     through the same pipeline as stacks with a leading row axis, each row's
-    intensity equal bit for bit to this function's for its config; `sweeps`
-    sizes the stacks by `_STACK_ENTRIES` and runs a stack that fails again
-    row by row, so the first failing row is the one named.
+    intensity equal bit for bit to this function's for its config.
     """
     grid, total = _spectra(cfg)
     meta = {
@@ -558,8 +556,7 @@ def _spectra(cfg) -> tuple[np.ndarray, np.ndarray]:
     block, one `steady_state` and one `emission_spectrum` for the stack.
     Each row is clipped at zero and, if its config says so, divided by its
     own maximum when that is positive.  Errors are those of
-    `compute_spectrum_y`; in a stack the first row that fails a check
-    raises.
+    `compute_spectrum_y`.
     """
     base = _shared(cfg)
     n = base.numerics

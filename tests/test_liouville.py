@@ -189,6 +189,10 @@ def test_lindblad_generator_rejects_non_hermitian_hamiltonian():
 
     with pytest.raises(ConfigurationError, match="not Hermitian"):
         lindblad_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), [(SIGMA, 0.1)])
+    # a stack of H fails if one row does; a zero H is Hermitian
+    with pytest.raises(ConfigurationError, match="not Hermitian"):
+        lindblad_generator(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), [(SIGMA, 0.1)])
+    assert lindblad_generator(np.zeros((2, 2, 2)), [(SIGMA, 0.1)])[0].shape == (2, 2, 2)
 
 
 def test_regression_spectrum_against_time_integration():
@@ -246,16 +250,20 @@ def test_spectrum_requires_damping():
 
 def test_spectrum_rejects_nonstationary_state():
     # on every block that holds rho_ss: all vec indices of a driven two-level
-    # system, and the even block of the pumped one (defined below)
+    # system, and the even block of the pumped one (defined below); and on a
+    # stack of two rows of which only the second has a non-stationary rho_ss
     rho_bad = np.diag([1.0, 0.0]).astype(complex)
     grid = np.linspace(-2.0, 2.0, 11)
     sz = np.diag([1.0, -1.0])
-    for l_h, block, pair in [
-        (driven_tls(0.0, 1.0, 0.5, ALL), ALL, (SIGMA.conj().T, SIGMA)),
-        (liouvillian(*pumped_tls(), EVEN), EVEN, (sz, sz)),
+    l_tls = driven_tls(0.0, 1.0, 0.5, ALL)
+    rho_tls = steady_state(l_tls, block=ALL)
+    for l_h, block, pair, rho in [
+        (l_tls, ALL, (SIGMA.conj().T, SIGMA), rho_bad),
+        (liouvillian(*pumped_tls(), EVEN), EVEN, (sz, sz), rho_bad),
+        (np.stack([l_tls, l_tls]), ALL, (SIGMA.conj().T, SIGMA), np.stack([rho_tls, rho_bad])),
     ]:
         with pytest.raises(SolverError, match="rho_ss is not a steady state"):
-            regression_spectrum(l_h, [pair], rho_bad, grid, block)
+            regression_spectrum(l_h, [pair], rho, grid, block)
 
 
 def test_solver_hygiene_report():
@@ -572,6 +580,20 @@ def test_parity_check_names_the_operator():
     # a block closed under rho -> rho+ but no parity sector: rho_22 is missing
     with pytest.raises(SolverError, match="one parity sector"):
         liouvillian(np.zeros((3, 3)), (), [0, 1, 3, 4])
+    # every entry point takes a block of 1-D distinct integer vec indices in
+    # [0, d^2) only: a float, out-of-range, negative or repeated index raises
+    # before any indexing
+    not_indices = r"1-D distinct integer vec indices in \[0, 4\)"
+    for block in ([0.0, 3.0], [0, 3, 9], [-1, 0]):
+        with pytest.raises(SolverError, match=not_indices):
+            liouvillian(k, pairs, block)
+    for block in ([0.0, 1.0, 2.0, 3.0], [-1, 0, 3]):
+        with pytest.raises(SolverError, match=not_indices):
+            steady_state(liouvillian(k, pairs, EVEN), block=block)
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
+    for block in ([0, 1, 1, 2, 3], [0, 1, 2, 3, 3]):
+        with pytest.raises(SolverError, match=not_indices):
+            regression_spectrum(-np.eye(5), [(SIGMA.T, SIGMA)], rho, [0.5], block)
 
 
 # -- the Hermitian basis ---------------------------------------------------------
@@ -700,8 +722,9 @@ def test_stacked_rows_match_each_row_alone():
         for r in range(3):
             want = regression_spectrum(l_h[r], [(op.T, op)], rho[r], grid, idx)
             assert np.array_equal(got[r], want)
-        with pytest.raises(ConfigurationError, match="one steady state rho_ss per block"):
-            regression_spectrum(l_h, [(op.T, op)], rho[0], grid, idx)
+        for bad in (rho[0], np.zeros(())):
+            with pytest.raises(ConfigurationError, match="one steady state rho_ss per block"):
+                regression_spectrum(l_h, [(op.T, op)], bad, grid, idx)
 
     # row 1 without dissipation has a kernel of dimension 4 in the even block:
     # its trace-row matrix is singular, and the stack raises its message
@@ -727,3 +750,63 @@ def test_stacked_rows_match_each_row_alone():
     k[2, 0, 1] = 0.3
     with pytest.raises(SolverError, match=r"K breaks .* \|K\[0, 1\]\| = 3\.000e-01"):
         liouvillian(k, pairs, odd)
+
+
+def stacked_parity_generators(seeds):
+    """K (R, 4, 4) and pairs of (R, 4, 4) operators: one random generator per seed."""
+    gens = [random_parity_generator(seed) for seed in seeds]
+    pairs = [tuple(np.array([g[1][n][side] for g in gens]) for side in (0, 1))
+             for n in range(len(gens[0][1]))]
+    return np.array([g[0] for g in gens]), pairs
+
+
+def test_a_singular_row_fails_its_stack_in_one_solve(monkeypatch):
+    # row 2 without dissipation has a singular trace-row matrix: the stack
+    # raises that row's message from its first LU, where solving the rows
+    # again one at a time would take 2R = 6 solves
+    k, pairs = stacked_parity_generators((7, 8, 9))
+    even, _ = parity_blocks_4()
+    k[2] = -1j * np.diag([0.0, 1.0, 2.0, 3.0])
+    for a, b in pairs:
+        a[2], b[2] = 0.0, 0.0
+    l_even = liouvillian(k, pairs, even)
+    with pytest.raises(SolverError) as alone:
+        steady_state(l_even[2], block=even)
+    assert "not unique" in str(alone.value) and "relative gap 0.000e+00" in str(alone.value)
+    solves, solve = [], np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    with pytest.raises(SolverError, match=re.escape(str(alone.value))):
+        steady_state(l_even, block=even)
+    assert len(solves) <= 2
+
+
+def test_a_stack_raises_the_message_of_its_failing_row():
+    # a uniform loss on the middle row leaves its L without a kernel; its
+    # trace-row matrix is regular, so the stack passes the certificate and
+    # raises the row's own "no steady state found"
+    k, pairs = stacked_parity_generators((7, 8, 9))
+    even, _ = parity_blocks_4()
+    k[1] -= 0.05 * np.eye(4)
+    l_even = liouvillian(k, pairs, even)
+    with pytest.raises(SolverError) as alone:
+        steady_state(l_even[1], block=even)
+    assert "no steady state found" in str(alone.value)
+    with pytest.raises(SolverError, match=re.escape(str(alone.value))):
+        steady_state(l_even, block=even)
+    # a coherence in the second row's rho_ss puts its start vector outside
+    # the odd block
+    k, pairs = pumped_tls()
+    l_odd = liouvillian(k, pairs, ODD)
+    rho = steady_state(liouvillian(k, pairs, EVEN), block=EVEN)
+    coherent = rho + 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SolverError) as alone:
+        regression_spectrum(l_odd, [(SIGMA.T, SIGMA)], coherent, [0.5], ODD)
+    assert "outside the block" in str(alone.value)
+    with pytest.raises(SolverError, match=re.escape(str(alone.value))):
+        regression_spectrum(np.stack([l_odd, l_odd]), [(SIGMA.T, SIGMA)],
+                            np.stack([rho, coherent]), [0.5], ODD)
