@@ -34,7 +34,7 @@ operator entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _N_NODES = 100  # Gauss-Legendre nodes for tabulating phi(t); converged to 1e-13
+_TABLE_HALF_WIDTH = 4000.0  # ueV; Bohr frequencies beyond it take the direct sum
+_TABLE_TAIL = 2.0**-60  # Kapteyn bound on |J_n(R t_max)| that sets the table degree
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,26 @@ class PhononKernels:
     """Tabulated bath correlations used by the scattering term.
 
     phi_t holds phi on the uniform grid t_grid; bracket_b is the
-    single-displacement renormalization.
+    single-displacement renormalization.  The kernels also keep the
+    Chebyshev tables of `_half_transforms`, one per tuple of displacement
+    pairs, each built at its first use.
     """
 
     params: PhononConfig
     t_grid: np.ndarray
     phi_t: np.ndarray
     bracket_b: float
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bracket(self, factor: float) -> float:
         """<B> for a transition with the given displacement factor."""
         return self.bracket_b ** (factor * factor)
+
+    def _table(self, pairs: tuple) -> tuple:
+        """The `_chebyshev_table` of `pairs`, built on the first call."""
+        if pairs not in self._tables:
+            self._tables[pairs] = _chebyshev_table(self, pairs)
+        return self._tables[pairs]
 
     def correlations(self, f_a: float, f_b: float) -> tuple[np.ndarray, np.ndarray]:
         """Even/odd second-order bath correlations for a displacement pair.
@@ -141,7 +152,14 @@ def build_kernels(
     an 800-node table in the test suite.  The phases e^{i w_n t_k} come from
     `_phase_factors`, so a miss builds two (_N_NODES, ~sqrt(n_t)) tables
     and contracts them with the Re and Im weights in one small product,
-    with no (_N_NODES, n_t) table at all.  Raises ConfigurationError for a
+    with no (_N_NODES, n_t) table at all.  The kernels keep the Chebyshev
+    tables of the half-sided transforms too, each built at the first
+    `polaron_dissipator` call that needs it (`_chebyshev_table`): every
+    later call of every row evaluates the table and takes no phase and no
+    correlation.  At n_max_y=2 a first call takes about 0.46 ms, table
+    included, and a later one 0.1 ms; the phases at the Chebyshev points
+    depend on the grid alone and are shared by kernels on one grid.
+    Raises ConfigurationError for a
     t_max that is not positive and finite, and SolverError when the
     correlation has not decayed below 1e-8 at the end of the grid.
     """
@@ -199,39 +217,120 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _half_transforms(energies, t, corrs) -> np.ndarray:
+def _half_transforms(energies, kernels: PhononKernels, pairs) -> np.ndarray:
     """F_j[p, q] = Int_0^t_max dt c_j(t) exp(-i (E_p - E_q) t), by Simpson's rule.
 
-    Each entry is Sum_k w_k c_j(t_k) e^{i f k h} at f = E_q - E_p.  The
-    phases of the entries p < q and of their mirrors (q, p) come from one
-    `_phase_factors` call at f = -(E_p - E_q) and f = +(E_p - E_q), and
-    F(0) = Sum w c fills the diagonal.  The Simpson-weighted correlations,
-    zero-padded to J m points, are contracted with the giant steps by one
-    matrix product and with the baby steps by an einsum, for every
-    correlation at once.  `energies` is (d,) for one H or (R, d) for a
-    stack, taken one H at a time: the phase tables of one H (about 170 kB
-    at d = 12) stay in cache, where those of 21 at once took 3.6 MB and
-    were slower to fill.  The result is (C, d, d) or (C, R, d, d) for C
-    correlations.
+    The c_j are the even and odd correlations (`PhononKernels.correlations`)
+    of each displacement pair (f_a, f_b) in `pairs`, in that order.  Entry
+    [p, q] is F_j(f) = Sum_k w_k c_j(t_k) e^{i f k h} at f = E_q - E_p.  For
+    |f| <= R = 4000 ueV it comes from the Chebyshev table that `kernels`
+    keep for `pairs` (`_chebyshev_table`, built on first use): one
+    cos(k arccos(f / R)) table for the entries p < q of every row and one
+    real product with the coefficients, which gives the mirrors (q, p) at
+    -f too, since T_k(-x) = (-1)^k T_k(x).  An entry with |f| > R takes the
+    direct sum (`_direct_sums`), and F(0) = Sum w c fills the diagonal.  No
+    correlation is formed and no phase is taken per row.  `energies` is
+    (d,) for one H or (R, d) for a stack, and the result (C, d, d) or
+    (C, R, d, d) for C = 2 len(pairs) correlations, each row equal bit for
+    bit to its own call.
     """
-    dim, n_t, h = energies.shape[-1], t.size, t[1] - t[0]
+    coef, wc, total = kernels._table(tuple((float(a), float(b)) for a, b in pairs))
+    dim, c, h = energies.shape[-1], total.size, kernels.t_grid[1]
     p, q = np.triu_indices(dim, 1)
-    m = math.isqrt(n_t - 1) + 1  # as in `_phase_factors`
-    n_j = -(-n_t // m)
-    wc = np.zeros((n_j * m, len(corrs)), dtype=complex)
-    wc[:n_t] = _simpson_weights(n_t, h)[:, None] * np.stack(corrs, axis=1)
-    out = np.empty((len(corrs),) + energies.shape[:-1] + (dim, dim), dtype=complex)
-    rows = out.reshape(len(corrs), -1, dim, dim)  # a view, one H per row
-    for r, e in enumerate(energies.reshape(-1, dim)):
-        bohr = e[p] - e[q]
-        big, small = _phase_factors(np.concatenate([-bohr, bohr]), h, n_t)
-        giant = (big @ wc.reshape(n_j, -1)).reshape(big.shape[0], m, -1)
-        both = np.einsum("fr,frc->cf", small, giant)
-        rows[:, r, p, q] = both[:, :p.size]
-        rows[:, r, q, p] = both[:, p.size:]
-    out[..., np.arange(dim), np.arange(dim)] = wc.sum(axis=0).reshape(
-        (-1,) + (1,) * energies.ndim)
-    return out
+    rows = energies.reshape(-1, dim)
+    f = (rows[:, q] - rows[:, p]).ravel()
+    x = f / _TABLE_HALF_WIDTH
+    cheb = np.outer(np.arccos(np.clip(x, -1.0, 1.0)), np.arange(coef.shape[0]))
+    vals = (np.cos(cheb, out=cheb) @ coef).view(complex)  # T_n(x) = cos(n arccos x)
+    far = np.flatnonzero(np.abs(x) > 1.0)
+    if far.size:
+        freqs = np.concatenate([f[far], -f[far]])
+        sums = _direct_sums(*_phase_factors(freqs, h, kernels.t_grid.size), wc)
+        vals[far] = np.concatenate([sums[:far.size], sums[far.size:]], axis=1)
+    vals = vals.reshape(len(rows), p.size, 2 * c).transpose(2, 0, 1)
+    out = np.empty((c, len(rows), dim, dim), dtype=complex)
+    out[:, :, p, q], out[:, :, q, p] = vals[:c], vals[c:]
+    out[:, :, np.arange(dim), np.arange(dim)] = total[:, None, None]
+    return out.reshape((c,) + energies.shape[:-1] + (dim, dim))
+
+
+def _chebyshev_table(kernels: PhononKernels, pairs) -> tuple:
+    """(coefficients, weighted correlations, their sums) of `pairs` for
+    `_half_transforms`.
+
+    The correlations of `pairs`, Simpson-weighted and zero-padded to the J m
+    points of `_phase_factors`, are the (J m, C) array wc, and
+    F_j(R x) = Sum_k wc_kj e^{i R x k h} is entire in x, of exponential type
+    a = R t_max.  Its Chebyshev coefficients on [-1, 1] are
+    a_n = Sum_k wc_kj 2 i^n J_n(R t_k) (a_0 halved), so |a_n| <= 2 Sum |wc_j|
+    |J_n(a)| for n >= a, and Kapteyn's inequality
+    |J_n(n z)| <= (z e^s / (1 + s))^n, s = sqrt(1 - z^2), bounds that.  The
+    degree is the least n >= a where the bound falls below 2^-60, 85 at
+    a = 40 (the default grid) and 135 at 80, never a fixed count (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).
+    The values at the N = n + 1 (made even) Chebyshev points
+    x_j = cos(theta_j), theta_j = pi (j + 1/2) / N, come from direct sums at
+    the N / 2 positive points alone (`_chebyshev_nodes`), since F_j(-f) is
+    the conjugate of the sum of conj(wc) at f; and in
+    a_n = (2 / N) Sum_j F(x_j) cos(n theta_j) the point -x_j = x_(N-1-j)
+    enters with the sign (-1)^n.  The coefficients are stored as the real
+    view of [a, (-1)^n a], (N, 4 C).
+    """
+    t = kernels.t_grid
+    m = math.isqrt(t.size - 1) + 1  # as in `_phase_factors`
+    wc = np.zeros((-(-t.size // m) * m, 2 * len(pairs)), dtype=complex)
+    wc[:t.size] = _simpson_weights(t.size, t[1])[:, None] * np.stack(
+        [c for f_a, f_b in pairs for c in kernels.correlations(f_a, f_b)], axis=1)
+    big, small, cos = _chebyshev_nodes(t[1], t.size)
+    sums = _direct_sums(big, small, np.concatenate([wc, wc.conj()], axis=1))
+    plus, minus = sums[:, :wc.shape[1]], sums[:, wc.shape[1]:].conj()
+    even = np.arange(len(cos))[:, None] % 2 == 0
+    coef = np.where(even, cos @ (plus + minus), cos @ (plus - minus))
+    coef[0] *= 0.5
+    table = (np.concatenate([coef, np.where(even, coef, -coef)], axis=1).view(float),
+             wc, wc.sum(axis=0))
+    for arr in table:
+        arr.setflags(write=False)  # kept and shared by every later call
+    return table
+
+
+@lru_cache(maxsize=4)
+def _chebyshev_nodes(h: float, n_t: int) -> tuple:
+    """(big, small, cos) of the Chebyshev table on the grid k h, k < n_t.
+
+    big and small are the `_phase_factors` at the N / 2 positive Chebyshev
+    points R cos(theta_j) (see `_chebyshev_table`), and cos is the
+    (N, N / 2) array cos(n theta_j) / (N / 2).  They depend on the grid
+    alone, so kernels that share it (the default t_max at every
+    temperature) share them; cached and read-only.
+    """
+    a = _TABLE_HALF_WIDTH * h * (n_t - 1)
+    n = max(math.ceil(a), 1)
+    while True:  # Kapteyn's bound on |J_n(a)|, z = a / n
+        z = a / n
+        s = math.sqrt(1.0 - z * z)
+        if n * math.log(z * math.exp(s) / (1.0 + s)) <= math.log(_TABLE_TAIL):
+            break
+        n += 1
+    half = n // 2 + 1
+    theta = np.pi * (np.arange(half) + 0.5) / (2 * half)
+    table = (*_phase_factors(_TABLE_HALF_WIDTH * np.cos(theta), h, n_t),
+             np.cos(np.arange(2 * half)[:, None] * theta) / half)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _direct_sums(big, small, wc) -> np.ndarray:
+    """Sum_k wc[k] e^{i f k h}, (F, C), from the `_phase_factors` (big, small)
+    of the F frequencies f.
+
+    `wc` (J m, C) is zero past the grid: its giant steps are contracted by
+    one matrix product and its baby steps by one stacked product, every
+    column at once.
+    """
+    giant = (big @ wc.reshape(big.shape[1], -1)).reshape(len(big), small.shape[1], -1)
+    return (small[:, None, :] @ giant)[:, 0]
 
 
 def polaron_dissipator(
@@ -297,8 +396,7 @@ def polaron_dissipator(
     energies, v = np.linalg.eigh(0.5 * (h + adjoint(h)))
     factors = sorted(groups)
     half_ft = _half_transforms(
-        energies, kernels.t_grid,
-        [c for f_a in factors for f_b in factors for c in kernels.correlations(f_a, f_b)],
+        energies, kernels, [(f_a, f_b) for f_a in factors for f_b in factors],
     ).reshape((len(factors), len(factors), 2) + h.shape)
     tilde = [adjoint(v) @ groups[f] @ v for f in factors]  # g in the eigenbasis
 

@@ -5,10 +5,13 @@ drive amplitude or the laser detuning) and is one normalized spectrum; the
 rows, in order, form a SweepMap, and a failing row names its axis value.
 The rows go through the solver as stacks with a leading row axis
 (`system._spectra`), each of as many rows as keep its larger parity block
-within `_STACK_ENTRIES` matrix entries (5 rows at n_max_y=2, 2 at 3, one
-from 4 on); each row equals `compute_spectrum_y` of its config, bit for
-bit.  The budget is set by memory: every row of a stack keeps its odd block
-alive while one row's (n_omega, n) resolvent is formed.
+within `_STACK_ENTRIES` matrix entries: 23 rows at n_max_y=2 (a 21-row map
+is one stack, the 41-row default two, of 23 and 18), 8 at 3, 3 at 4, one
+from 5 on.  Each row equals `compute_spectrum_y` of its config, bit for bit.
+The budget is set by memory: a stack holds every row's operators, products
+and blocks at once, 3.4 MB traced for a 21-row map at n_max_y=2.  No
+(n_omega, n) resolvent of a row counts against it, since the resolvent is
+summed in grid slices (`liouville._resolvent_sum`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ __all__ = [
     "extract_peaks",
 ]
 
-_STACK_ENTRIES = 2**15  # entries of a stack of the larger parity block, all rows
+_STACK_ENTRIES = 2**17  # entries of a stack of the larger parity block, all rows
 _MIN_PROMINENCE = 0.01  # of the spectrum maximum
 _CLUSTER_OFFSET = 500.0  # ueV from the laser
 

@@ -582,9 +582,9 @@ def test_parity_check_names_the_operator():
         liouvillian(np.zeros((3, 3)), (), [0, 1, 3, 4])
     # every entry point takes a block of 1-D distinct integer vec indices in
     # [0, d^2) only: a float, out-of-range, negative or repeated index raises
-    # before any indexing
-    not_indices = r"1-D distinct integer vec indices in \[0, 4\)"
-    for block in ([0.0, 3.0], [0, 3, 9], [-1, 0]):
+    # before any indexing, and so does an empty block, of any dtype
+    not_indices = r"1-D distinct integer vec indices in \[0, 4\), and not empty"
+    for block in ([0.0, 3.0], [0, 3, 9], [-1, 0], [], np.array([], int)):
         with pytest.raises(SolverError, match=not_indices):
             liouvillian(k, pairs, block)
     for block in ([0.0, 1.0, 2.0, 3.0], [-1, 0, 3]):
@@ -594,6 +594,8 @@ def test_parity_check_names_the_operator():
     for block in ([0, 1, 1, 2, 3], [0, 1, 2, 3, 3]):
         with pytest.raises(SolverError, match=not_indices):
             regression_spectrum(-np.eye(5), [(SIGMA.T, SIGMA)], rho, [0.5], block)
+    with pytest.raises(SolverError, match=not_indices):
+        regression_spectrum(np.zeros((0, 0)), [(SIGMA.T, SIGMA)], rho, [0.5], [])
 
 
 # -- the Hermitian basis ---------------------------------------------------------

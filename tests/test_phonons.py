@@ -127,6 +127,18 @@ def dense_half_transforms(energies, t, corrs):
     return out.T.reshape(len(corrs), dim, dim)
 
 
+def direct_half_transforms(energies, kernels, pairs):
+    """`_half_transforms` by the direct sum Sum_k w_k c_j(t_k) e^{i f t_k} at
+    every f = E_q - E_p, from complex exponential tables of 128 frequencies."""
+    t = kernels.t_grid
+    wc = simpson_weights(t)[:, None] * np.stack(
+        [c for f_a, f_b in pairs for c in kernels.correlations(f_a, f_b)], axis=1)
+    freqs = (energies[None, :] - energies[:, None]).ravel()
+    out = np.concatenate([np.exp(1j * np.outer(f, t)) @ wc
+                          for f in np.array_split(freqs, -(-freqs.size // 128))])
+    return out.T.reshape(-1, energies.size, energies.size)
+
+
 def complex_exp_n_ops(h, coupling_terms, kernels):
     """(g, N_g, N_u) of each displacement group, from a (d^2, n_t) table of exp(-i w t).
 
@@ -432,11 +444,81 @@ def test_half_transforms_match_dense_cos_sin_tables(n_max_y):
 
     h, _, kernels = _polaron_inputs(n_max_y, 2.5)
     energies = np.linalg.eigvalsh(h)
-    corrs = [c for f_b in (1.0, 1.5) for c in kernels.correlations(1.0, f_b)]
-    got = _half_transforms(energies, kernels.t_grid, corrs)
+    pairs = [(1.0, 1.0), (1.0, 1.5)]
+    corrs = [c for f_a, f_b in pairs for c in kernels.correlations(f_a, f_b)]
+    got = _half_transforms(energies, kernels, pairs)
     ref = dense_half_transforms(energies, kernels.t_grid, corrs)
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("temperature", [4.0, 30.0])
+@pytest.mark.parametrize("n_max_y", [2, 6, 8])
+def test_half_transforms_match_the_direct_sum(n_max_y, temperature):
+    # the Chebyshev table against the direct sum at every Bohr frequency of
+    # the driven baseline, for two displacement pairs; the largest frequency
+    # is 1755 ueV at n_max_y=2 and 3748 at 8, inside R = 4000.  Measured:
+    # within 1.1e-14 of max|F|.  The degree follows R t_max, 85 here
+    from bixsim import phonons
+
+    h, _, kernels = _polaron_inputs(n_max_y, 2.5)
+    kernels = build_kernels(replace(kernels.params, temperature=temperature))
+    energies = np.linalg.eigvalsh(h)
+    assert np.ptp(energies) < phonons._TABLE_HALF_WIDTH
+    pairs = [(1.0, 1.0), (1.0, 1.5)]
+    got = phonons._half_transforms(energies, kernels, pairs)
+    ref = direct_half_transforms(energies, kernels, pairs)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+    degree = len(phonons._chebyshev_nodes(kernels.t_grid[1], kernels.t_grid.size)[2]) - 1
+    assert degree == 85 >= phonons._TABLE_HALF_WIDTH * kernels.t_grid[-1]
+
+
+def _far_energies():
+    """Levels of the baseline at n_max_y=2 with the y mode 2500 ueV off the
+    laser: the two-photon states put Bohr frequencies beyond R = 4000 ueV."""
+    cfg = replace(_polaron_config(2, 2.0), cavity_split=2500.0)
+    return np.linalg.eigvalsh(reduced_hamiltonian(cfg))
+
+
+def test_half_transforms_beyond_the_table_take_the_direct_sum(monkeypatch):
+    from bixsim import phonons
+
+    kernels = build_kernels(PARAMS)
+    energies = _far_energies()
+    far = np.abs(energies[None, :] - energies[:, None]) > phonons._TABLE_HALF_WIDTH
+    assert 0 < far.sum() < far.size - energies.size
+    pairs = [(1.0, 1.0), (1.0, 1.5)]
+    phonons._half_transforms(energies, kernels, pairs)  # builds the table
+    sums = []
+    real = phonons._direct_sums
+
+    def spy(big, small, wc):
+        sums.append(len(big))
+        return real(big, small, wc)
+
+    monkeypatch.setattr(phonons, "_direct_sums", spy)
+    got = phonons._half_transforms(energies, kernels, pairs)
+    assert sums == [far.sum()]  # one direct sum, of the entries beyond R alone
+    ref = direct_half_transforms(energies, kernels, pairs)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+def test_half_transforms_of_a_stack_equal_each_row_alone():
+    # rows at three drives, and one with frequencies beyond the table
+    from bixsim import phonons
+
+    kernels = build_kernels(PARAMS)
+    rows = [np.linalg.eigvalsh(reduced_hamiltonian(
+        replace(_polaron_config(2, 2.0), drive=system.DriveConfig(omega=omega))))
+        for omega in (0.0, 150.0, 300.0)]
+    stack = np.stack(rows + [_far_energies()])
+    pairs = [(1.0, 1.0), (1.0, 1.5)]
+    got = phonons._half_transforms(stack, kernels, pairs)
+    assert got.shape == (4, 4, 12, 12)
+    for r, energies in enumerate(stack):
+        assert np.array_equal(got[:, r], phonons._half_transforms(energies, kernels, pairs))
 
 
 def test_polaron_dissipator_peak_memory():
@@ -499,8 +581,7 @@ def kms_deviation(params, t_max=None, n_t=1601):
 
     kernels = build_kernels(params, t_max=t_max, n_t=n_t)
     w = np.arange(50.0, 2001.0, 50.0)
-    f_g, f_u = _half_transforms(np.concatenate(([0.0], w)), kernels.t_grid,
-                                list(kernels.correlations(1.0, 1.0)))
+    f_g, f_u = _half_transforms(np.concatenate(([0.0], w)), kernels, [(1.0, 1.0)])
     s = 2.0 * (f_g + f_u).real
     ratio = s[0, 1:] / s[1:, 0]
     return np.max(np.abs(ratio * np.exp(-w / (K_B_UEV_PER_K * params.temperature)) - 1.0))

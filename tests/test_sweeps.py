@@ -285,8 +285,8 @@ def test_map_rows_are_normalized_spectra(monkeypatch):
     # a map row is the spectrum compute_spectrum_y returns for the row's
     # config, bit for bit, however the rows are stacked: at the baseline,
     # with phonons off, with source="both", at n_max_y=5 (odd blocks on the
-    # reduced model) and split into chunks of two rows; the zero-drive row
-    # is dark and stays zero
+    # reduced model), split into chunks of two rows, and in one stack of 21;
+    # the zero-drive row is dark and stays zero
     from bixsim import liouville, sweeps
 
     base = load_config(os.path.join(os.path.dirname(bixsim.__file__), "data",
@@ -299,7 +299,7 @@ def test_map_rows_are_normalized_spectra(monkeypatch):
         "chunked": base,
     }
     stacks = []
-    real = sweeps._spectra
+    real, budget = sweeps._spectra, sweeps._STACK_ENTRIES
 
     def recorded(cfgs):
         stacks.append(len(cfgs))
@@ -327,6 +327,44 @@ def test_map_rows_are_normalized_spectra(monkeypatch):
         for d, row in zip(detuning.axis1, detuning.values):
             row_cfg = replace(cfg, laser_detuning=float(d))
             assert np.array_equal(row, compute_spectrum_y(row_cfg).intensity), case
+    # the benchmark's maps, 21 rows at n_max_y=2, run as one stack each, and
+    # the 41-row default splits into stacks of 23 and 18
+    monkeypatch.setattr(sweeps, "_STACK_ENTRIES", budget)
+    even, odd = HilbertSpec(2).parity_blocks()
+    per_stack = sweeps._STACK_ENTRIES // max(even.size, odd.size) ** 2
+    assert per_stack == 23
+    for sweep, vary in ((power_sweep, lambda c, x: replace(c, drive=replace(c.drive, omega=x))),
+                        (detuning_sweep, lambda c, x: replace(c, laser_detuning=x))):
+        stacks.clear()
+        sweep_map = sweep(base, n_rows=21)
+        assert stacks == [21], sweep.__name__
+        for x, row in zip(sweep_map.axis1, sweep_map.values):
+            row_cfg = vary(base, float(x))
+            assert np.array_equal(row, compute_spectrum_y(row_cfg).intensity), sweep.__name__
+        stacks.clear()
+        sweep(base)
+        assert stacks == [per_stack, 41 - per_stack], sweep.__name__
+
+
+def test_benchmark_map_peak_memory():
+    # the tracemalloc peak of a 21-row power map at n_max_y=2, run as one
+    # stack: 3.43 MB measured, against 2.64 MB in the stacks of 5 rows that
+    # the 1.8 MB complex resolvent of each row once forced (1.02 and 2.42 MB
+    # for 5 rows).  The bound leaves 17%: a resolvent over the whole grid
+    # (+1.5 MB), or more rows in the stack, shows here before it shows in the
+    # benchmark's RSS
+    import tracemalloc
+
+    base = load_config(os.path.join(os.path.dirname(bixsim.__file__), "data",
+                                    "baseline.json"))
+    power_sweep(base, n_rows=2)  # kernels and their tables built first
+    tracemalloc.start()
+    try:
+        power_sweep(base, n_rows=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_sweep_hashes_its_config_once(monkeypatch):
