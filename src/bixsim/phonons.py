@@ -155,13 +155,14 @@ def build_kernels(
     with no (_N_NODES, n_t) table at all.  The kernels keep the Chebyshev
     tables of the half-sided transforms too, each built at the first
     `polaron_dissipator` call that needs it (`_chebyshev_table`): every
-    later call of every row evaluates the table and takes no phase and no
-    correlation.  At n_max_y=2 a first call takes about 0.46 ms, table
-    included, and a later one 0.1 ms; the phases at the Chebyshev points
-    depend on the grid alone and are shared by kernels on one grid.
-    Raises ConfigurationError for a
-    t_max that is not positive and finite, and SolverError when the
-    correlation has not decayed below 1e-8 at the end of the grid.
+    later call, for every row, evaluates the table and forms no
+    correlation, and takes phases only for a Bohr frequency beyond the
+    table.  At n_max_y=2 a first call takes about 0.46 ms, table included,
+    and a later one 0.1 ms; the phases at the Chebyshev points depend on
+    the grid alone and are shared by kernels on one grid.  Raises
+    ConfigurationError for a t_max that is not positive and finite, and
+    SolverError when the correlation has not decayed below 1e-8 at the end
+    of the grid.
     """
     if n_t < 3 or n_t % 2 == 0:
         raise ConfigurationError("n_t must be an odd integer >= 3 (Simpson grid)")
